@@ -57,13 +57,14 @@ fn bench_observability_overhead(c: &mut Criterion) {
     g.throughput(Throughput::Elements(grid));
     let engine = CampaignEngine::new(campaign).threads(4);
     // Tracing off is the default: the result path never consults a sink
-    // (the trace is a separate opt-in replay), so this row must stay
+    // (the trace is a separate opt-in pass), so this row must stay
     // within noise (< 2%) of the campaign-scaling 4-threads row.
     g.bench_function("run-tracing-disabled", |b| {
         b.iter(|| black_box(engine.run(black_box(&config), black_box(&faults))))
     });
-    // What `--trace` actually pays: the canonical replay on top of the
-    // untouched result pass.
+    // What `--trace` actually pays: the trace pass (the slab executor
+    // once more, events derived from its per-lane outcomes) on top of
+    // the untouched result pass. The row keeps its recorded name.
     g.bench_function("run-plus-trace-replay", |b| {
         b.iter(|| {
             let result = engine.run(black_box(&config), black_box(&faults));

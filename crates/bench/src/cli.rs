@@ -393,7 +393,7 @@ pub fn usage() -> String {
          \x20 --metrics                  counter/histogram registry aggregated from the\n\
          \x20                            same events (fleet adds its telemetry fold)\n\
          \x20 --profile                  wall-clock phase spans ('profile:' lines,\n\
-         \x20                            nondeterministic, filtered like 'memo:')\n\
+         \x20                            nondeterministic: filter them out of diffs)\n\
          \n\
          policies:     worst-block-exact | inverse-a\n\
          presets:      {}\n\
@@ -497,12 +497,13 @@ fn wants_events(flags: &Flags) -> bool {
 }
 
 /// Append the shared `--trace[=PATH]` / `--metrics` / `--profile`
-/// sections to a subcommand's stdout. `events` is the canonical replay
-/// trace (already chronological); `fold` pre-seeds the metrics registry
-/// with counters that do not come from events (the fleet telemetry
-/// fold). The trace and metrics sections are pure functions of the
-/// events, so they inherit the engines' thread/engine invariance;
-/// `profile:` lines are the one deliberately nondeterministic tail.
+/// sections to a subcommand's stdout. `events` is the engine's trace
+/// in canonical grid order (chronological per cell); `fold` pre-seeds
+/// the metrics registry with counters that do not come from events
+/// (the fleet telemetry fold). The trace and metrics sections are pure
+/// functions of the events, so they inherit the engines' thread/engine
+/// invariance; `profile:` lines are the one deliberately
+/// nondeterministic tail.
 fn append_observability(
     out: &mut String,
     flags: &Flags,
@@ -1075,7 +1076,7 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
         engine.run_scenarios(design.config(), &scenarios)
     });
     let events = if wants_events(flags) {
-        profiler.time("trace-replay", || {
+        profiler.time("trace", || {
             engine.trace_scenarios(design.config(), &scenarios)
         })
     } else {
@@ -2205,7 +2206,7 @@ mod tests {
     }
 
     #[test]
-    fn guided_explore_is_thread_count_invariant_modulo_memo_races() {
+    fn guided_explore_is_thread_count_invariant() {
         let at = |threads: &str| {
             run(&[
                 "explore".to_owned(),
@@ -2217,17 +2218,11 @@ mod tests {
             ])
             .unwrap()
         };
-        // The memo line counts scheduling races (two workers may both
-        // miss the same key), so it is the one line allowed to differ.
-        let stable = |out: String| -> String {
-            out.lines()
-                .filter(|l| !l.starts_with("memo:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let reference = stable(at("1"));
+        // Byte-identical, memo line included: the memos are
+        // compute-once, so their counters cannot see the schedule.
+        let reference = at("1");
         for threads in ["2", "4", "8"] {
-            assert_eq!(reference, stable(at(threads)), "{threads} threads");
+            assert_eq!(reference, at(threads), "{threads} threads");
         }
     }
 
@@ -2236,7 +2231,7 @@ mod tests {
         // Lane width is pure scheduling, like the thread count: every
         // subcommand's stdout must be byte-identical at any width. Only
         // the campaign `occupancy:` line names the packing, so it is
-        // the one line filtered — analogous to `memo:`/`profile:`.
+        // the one line filtered — analogous to `profile:`.
         let stable = |out: String| -> String {
             out.lines()
                 .filter(|l| !l.starts_with("occupancy:"))

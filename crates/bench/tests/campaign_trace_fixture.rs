@@ -2,10 +2,12 @@
 //!
 //! The observability acceptance contract: the recorded trace (header,
 //! event order, every payload field) is reproduced **byte for byte** at
-//! 1, 2, 4 and 8 rayon threads and under either engine flag. The trace
-//! is a canonical replay — pure in `(seed, fault, trial)` — so any
-//! drift here means an emitter, the seeding, or the merge order
-//! changed, and the fixture must be regenerated deliberately:
+//! 1, 2, 4 and 8 rayon threads, under either engine flag and at lane
+//! widths 1, 17, 64 and 512. The trace is derived from the slab
+//! executor's per-lane outcomes in canonical order — pure in
+//! `(seed, fault, trial)` — so any drift here means an emitter, the
+//! seeding, or the assembly order changed, and the fixture must be
+//! regenerated deliberately:
 //!
 //! ```text
 //! cargo run --release -p scm-bench --bin scm -- \
@@ -86,15 +88,23 @@ fn campaign_trace_fixture_is_thread_count_invariant() {
 }
 
 #[test]
-fn campaign_trace_fixture_is_engine_flag_invariant() {
-    // The default report banner names the engine, so only the trace
-    // section can be compared across flags: cut both at the header.
+fn campaign_trace_fixture_is_engine_flag_and_lane_width_invariant() {
+    // The report banner names the engine and the lane packing, so only
+    // the trace section can be compared across flags: cut both at the
+    // header.
     let trace_of = |out: &str| out[out.find("# scm-trace").expect("trace header")..].to_owned();
     let reference = trace_of(FIXTURE);
-    for engine in ["scalar", "sliced"] {
+    for flags in [
+        ["--engine", "scalar"],
+        ["--engine", "sliced"],
+        ["--lane-width", "1"],
+        ["--lane-width", "17"],
+        ["--lane-width", "64"],
+        ["--lane-width", "512"],
+    ] {
         assert_bytes_identical(
-            &format!("scm campaign --trace --engine {engine}"),
-            &trace_of(&run_campaign(&["--engine", engine])),
+            &format!("scm campaign --trace {}", flags.join(" ")),
+            &trace_of(&run_campaign(&flags)),
             &reference,
         );
     }

@@ -41,7 +41,7 @@ use rayon::prelude::*;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::design::RamConfig;
 use scm_memory::fault::{FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::sliced::{with_slab_words, SlabTask, SlicedBackend, MAX_SLAB_LANES};
 use std::collections::BTreeMap;
 
 /// A session signature: the full (possibly capped) syndrome-event
@@ -174,34 +174,37 @@ impl FaultDictionary {
         let chunks: Vec<&[FaultSite]> = candidates.chunks(width).collect();
         let org = config.org();
         let session = materialize_session(test, org.words(), org.word_bits(), seed);
-        fn simulate_chunk<const W: usize>(
-            config: &RamConfig,
-            chunk: &[FaultSite],
-            session: &[MarchSessionOp],
-        ) -> Vec<Signature> {
-            let scenarios: Vec<FaultScenario> = chunk
-                .iter()
-                .copied()
-                .map(FaultScenario::permanent)
-                .collect();
-            let mut backend = SlicedBackend::<W>::new(config, &scenarios);
-            run_march_sliced_ops(&mut backend, session)
-                .into_iter()
-                .map(|log| (log.events, log.truncated))
-                .collect()
+        /// One candidate chunk's March session, runnable at any slab width.
+        struct SimulateChunk<'a> {
+            config: &'a RamConfig,
+            chunk: &'a [FaultSite],
+            session: &'a [MarchSessionOp],
+        }
+        impl SlabTask for SimulateChunk<'_> {
+            type Output = Vec<Signature>;
+            fn run<const W: usize>(self) -> Vec<Signature> {
+                let scenarios: Vec<FaultScenario> = self
+                    .chunk
+                    .iter()
+                    .copied()
+                    .map(FaultScenario::permanent)
+                    .collect();
+                let mut backend = SlicedBackend::<W>::new(self.config, &scenarios);
+                run_march_sliced_ops(&mut backend, self.session)
+                    .into_iter()
+                    .map(|log| (log.events, log.truncated))
+                    .collect()
+            }
         }
         let simulate = |chunk: &&[FaultSite]| -> Vec<Signature> {
-            match slab_words(chunk.len()) {
-                1 => simulate_chunk::<1>(config, chunk, &session),
-                2 => simulate_chunk::<2>(config, chunk, &session),
-                3 => simulate_chunk::<3>(config, chunk, &session),
-                4 => simulate_chunk::<4>(config, chunk, &session),
-                5 => simulate_chunk::<5>(config, chunk, &session),
-                6 => simulate_chunk::<6>(config, chunk, &session),
-                7 => simulate_chunk::<7>(config, chunk, &session),
-                8 => simulate_chunk::<8>(config, chunk, &session),
-                w => unreachable!("slab_words returned {w}"),
-            }
+            with_slab_words(
+                chunk.len(),
+                SimulateChunk {
+                    config,
+                    chunk,
+                    session: &session,
+                },
+            )
         };
         let dispatch = || -> Vec<Vec<Signature>> { chunks.par_iter().map(simulate).collect() };
         let per_chunk: Vec<Vec<Signature>> = if threads == 0 {

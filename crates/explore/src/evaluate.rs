@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Why a point could not be evaluated.
 #[derive(Debug, Clone, PartialEq)]
@@ -436,6 +436,10 @@ type PlanKey = (u32, u64, SelectionPolicy);
 type AreaKey = (RamOrganization, u32);
 type ScrubKey = (u64, u32, u64);
 
+/// A compute-once memo: the map only hands out per-key cells, and each
+/// cell is initialised outside the map lock by exactly one thread.
+type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
 /// The memoised, rayon-parallel design-space evaluator.
 ///
 /// Construct once, feed it points or whole spaces. Caches are shared
@@ -455,9 +459,9 @@ pub struct Evaluator {
     /// streams are prefixes of higher ones — the common-random-numbers
     /// property guided search leans on, now also a cache hit).
     arena: Arc<OpStreamArena>,
-    plans: Mutex<HashMap<PlanKey, Result<CodePlan, CodeError>>>,
-    areas: Mutex<HashMap<AreaKey, OverheadBreakdown>>,
-    scrub_bounds: Mutex<HashMap<ScrubKey, SweepBound>>,
+    plans: Memo<PlanKey, Result<CodePlan, CodeError>>,
+    areas: Memo<AreaKey, OverheadBreakdown>,
+    scrub_bounds: Memo<ScrubKey, Result<SweepBound, CodeError>>,
     plan_stats: MemoCounters,
     area_stats: MemoCounters,
     scrub_stats: MemoCounters,
@@ -544,33 +548,28 @@ impl Evaluator {
         self.adjudicate.as_ref()
     }
 
-    fn memoised<K, V, F>(
-        &self,
-        cache: &Mutex<HashMap<K, V>>,
-        stats: &MemoCounters,
-        key: K,
-        compute: F,
-    ) -> V
+    /// Look `key` up, computing it on first use. Exactly one lookup per
+    /// distinct key counts a miss — the one that inserted its cell — so
+    /// the counters are independent of scheduling. The value is computed
+    /// outside the map lock: a racing lookup of the same key waits on
+    /// that key's cell only, other keys never block.
+    fn memoised<K, V, F>(&self, cache: &Memo<K, V>, stats: &MemoCounters, key: K, compute: F) -> V
     where
-        K: std::hash::Hash + Eq + Clone,
+        K: std::hash::Hash + Eq,
         V: Clone,
         F: FnOnce() -> V,
     {
-        if let Some(v) = cache.lock().expect("memo lock").get(&key) {
-            stats.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        // Computed outside the lock: selection/area math never blocks other
-        // workers. Racing threads may compute the same value once each;
-        // both arrive at the identical pure result.
-        let v = compute();
-        stats.misses.fetch_add(1, Ordering::Relaxed);
-        cache
-            .lock()
-            .expect("memo lock")
-            .entry(key)
-            .or_insert(v)
-            .clone()
+        let cell = {
+            let mut map = cache.lock().expect("memo lock");
+            let counter = if map.contains_key(&key) {
+                &stats.hits
+            } else {
+                &stats.misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            map.entry(key).or_default().clone()
+        };
+        cell.get_or_init(compute).clone()
     }
 
     fn plan_for(
@@ -600,19 +599,13 @@ impl Evaluator {
         plan: &CodePlan,
     ) -> Result<SweepBound, CodeError> {
         let key = (geometry.rows(), plan.r(), plan.a());
-        // The O(rows) mapping table is only worth building on a miss, so
-        // the memo is probed before `memoised`'s compute path runs;
-        // mapping errors propagate instead of being cached.
-        if let Some(v) = self.scrub_bounds.lock().expect("memo lock").get(&key) {
-            self.scrub_stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*v);
-        }
-        let map = plan.mapping(geometry.rows())?;
-        Ok(
-            self.memoised(&self.scrub_bounds, &self.scrub_stats, key, || {
-                sweep_bound(geometry.row_bits(), &map)
-            }),
-        )
+        // The O(rows) mapping table is built inside the memo, so only a
+        // key's first lookup pays for it; a mapping error is as pure in
+        // the key as the bound and is memoised the same way.
+        self.memoised(&self.scrub_bounds, &self.scrub_stats, key, || {
+            let map = plan.mapping(geometry.rows())?;
+            Ok(sweep_bound(geometry.row_bits(), &map))
+        })
     }
 
     /// The scenario universe a point's fault mix adjudicates against,

@@ -17,6 +17,7 @@ use crate::decoder_unit::{multilevel_blocks, DecoderFault};
 use crate::design::RamConfig;
 use crate::engine::CampaignEngine;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
+use crate::sim::DetectionOutcome;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -45,6 +46,20 @@ impl Default for CampaignConfig {
     }
 }
 
+/// Detection latency of one detected trial, counted from *true* onset:
+/// the silent-corruption instant when the process has one (a transient
+/// flip), the first erroneous output otherwise — exactly the paper's
+/// definition for permanents. `None` when the trial went undetected.
+pub(crate) fn onset_latency(process: &FaultProcess, out: &DetectionOutcome) -> Option<u64> {
+    let d = out.first_detection?;
+    let onset = process
+        .corruption_onset()
+        .map(|a| a.min(out.first_error.unwrap_or(d)))
+        .unwrap_or_else(|| out.first_error.unwrap_or(d))
+        .min(d);
+    Some(d - onset)
+}
+
 /// Aggregated result for one fault scenario.
 #[derive(Debug, Clone)]
 pub struct FaultResult {
@@ -71,6 +86,47 @@ pub struct FaultResult {
 }
 
 impl FaultResult {
+    /// A zeroed row for `scenario` that will fold `trials` outcomes.
+    pub(crate) fn empty(scenario: &FaultScenario, trials: u32) -> Self {
+        FaultResult {
+            site: scenario.site,
+            process: scenario.process,
+            trials,
+            undetected: 0,
+            error_escapes: 0,
+            detection_cycle_sum: 0,
+            onset_latency_sum: 0,
+            detected: 0,
+        }
+    }
+
+    /// Fold one trial's outcome into the counters.
+    pub(crate) fn record(&mut self, out: &DetectionOutcome) {
+        match onset_latency(&self.process, out) {
+            Some(latency) => {
+                self.detected += 1;
+                self.detection_cycle_sum += out.first_detection.unwrap_or_default();
+                self.onset_latency_sum += latency;
+            }
+            None => self.undetected += 1,
+        }
+        if out.error_escaped() {
+            self.error_escapes += 1;
+        }
+    }
+
+    /// Add another trial range of the same scenario: every counter is a
+    /// per-trial sum, so partials merge in any order.
+    pub fn merge(&mut self, other: &FaultResult) {
+        debug_assert_eq!(self.scenario(), other.scenario());
+        self.trials += other.trials;
+        self.undetected += other.undetected;
+        self.error_escapes += other.error_escapes;
+        self.detection_cycle_sum += other.detection_cycle_sum;
+        self.onset_latency_sum += other.onset_latency_sum;
+        self.detected += other.detected;
+    }
+
     /// The full scenario this row campaigned.
     pub fn scenario(&self) -> FaultScenario {
         FaultScenario {

@@ -23,15 +23,17 @@
 
 use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
-use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
+use crate::campaign::{onset_latency, CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
-use crate::fault::{FaultScenario, FaultSite};
-use crate::sim::measure_detection_on;
+use crate::fault::{FaultProcess, FaultScenario, FaultSite};
+use crate::sim::{measure_detection_on, DetectionOutcome};
 use crate::sliced::{
-    measure_detection_sliced, shared_trial_seed, slab_words, SlicedBackend, MAX_SLAB_LANES,
+    measure_detection_sliced, shared_trial_seed, slab_words, with_slab_words, SlabTask,
+    SlicedBackend, MAX_SLAB_LANES,
 };
 use crate::workload::{
-    AddressPattern, FixedPattern, Op, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec,
+    AddressPattern, FixedPattern, Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel,
+    WorkloadSpec,
 };
 use rayon::prelude::*;
 use scm_obs::{sort_chronological, Event, EventKind};
@@ -43,6 +45,13 @@ struct TrialBlock {
     fidx: usize,
     trial_start: u32,
     trial_end: u32,
+}
+
+impl TrialBlock {
+    /// Trials the block runs.
+    fn trials(&self) -> u32 {
+        self.trial_end - self.trial_start
+    }
 }
 
 /// Parallel campaign runner over any [`FaultSimBackend`].
@@ -232,7 +241,7 @@ impl CampaignEngine {
         if self.sliced {
             return self.run_scenarios_sliced(config, scenarios);
         }
-        let backend = BehavioralBackend::prefilled(config, self.campaign.seed ^ 0xF1E1D1);
+        let backend = BehavioralBackend::prefilled(config, self.prefill_seed());
         self.run_scenarios_on(&backend, scenarios)
     }
 
@@ -257,83 +266,31 @@ impl CampaignEngine {
         config: &RamConfig,
         scenarios: &[FaultScenario],
     ) -> CampaignResult {
-        if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
-            panic!("backend 'sliced' cannot inject {bad:?}");
-        }
-        let width = self.lane_width.clamp(1, MAX_SLAB_LANES);
-        let chunks: Vec<&[FaultScenario]> = scenarios.chunks(width).collect();
-        let blocks = self.decompose_slabs(chunks.len());
-        let org = config.org();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        let streams: Option<Vec<Arc<Vec<Op>>>> = if (self.campaign.trials as u64)
-            .saturating_mul(self.campaign.cycles)
-            <= ARENA_OP_BUDGET
-        {
-            let arena = self.arena.clone().unwrap_or_default();
-            Some(arena.prepare(
-                &self.model,
-                spec,
-                self.campaign.seed,
-                self.scrub_period,
-                self.campaign.trials,
-                self.campaign.cycles,
-            ))
-        } else {
-            None
-        };
-        let run_block = |block: &TrialBlock| -> Vec<FaultResult> {
-            let chunk = chunks[block.fidx];
-            let streams = streams.as_deref();
-            match slab_words(chunk.len()) {
-                1 => self.run_sliced_block::<1>(config, chunk, *block, streams),
-                2 => self.run_sliced_block::<2>(config, chunk, *block, streams),
-                3 => self.run_sliced_block::<3>(config, chunk, *block, streams),
-                4 => self.run_sliced_block::<4>(config, chunk, *block, streams),
-                5 => self.run_sliced_block::<5>(config, chunk, *block, streams),
-                6 => self.run_sliced_block::<6>(config, chunk, *block, streams),
-                7 => self.run_sliced_block::<7>(config, chunk, *block, streams),
-                _ => self.run_sliced_block::<8>(config, chunk, *block, streams),
-            }
-        };
-        let dispatch = || -> Vec<Vec<FaultResult>> { blocks.par_iter().map(run_block).collect() };
-        let partials: Vec<Vec<FaultResult>> = if self.runs_serially(scenarios.len()) {
-            // Tiny grid: the fan-out costs more than it buys. Same
-            // blocks, same order, same merge — bit-identical results.
-            blocks.iter().map(run_block).collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let partials = self.run_slab_grid(
+            config,
+            scenarios,
+            |chunk, block| {
+                chunk
+                    .iter()
+                    .map(|scenario| FaultResult::empty(scenario, block.trials()))
+                    .collect::<Vec<_>>()
+            },
+            |results, outcomes| {
+                for (result, out) in results.iter_mut().zip(outcomes) {
+                    result.record(out);
+                }
+            },
+        );
         // Fold trial-split partials of the same chunk back together,
         // lane by lane, then flatten chunk-major — scenario input order.
-        let mut per_chunk: Vec<Vec<FaultResult>> = Vec::with_capacity(chunks.len());
-        let mut last_fidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.fidx == last_fidx {
-                let acc = per_chunk.last_mut().expect("a merge always follows a push");
-                for (a, p) in acc.iter_mut().zip(partial) {
-                    a.trials += p.trials;
-                    a.undetected += p.undetected;
-                    a.error_escapes += p.error_escapes;
-                    a.detection_cycle_sum += p.detection_cycle_sum;
-                    a.onset_latency_sum += p.onset_latency_sum;
-                    a.detected += p.detected;
-                }
-            } else {
-                per_chunk.push(partial);
-                last_fidx = block.fidx;
+        let per_fault: Vec<FaultResult> = merge_partials(partials, |acc, partial| {
+            for (a, p) in acc.iter_mut().zip(&partial) {
+                a.merge(p);
             }
-        }
-        let per_fault: Vec<FaultResult> = per_chunk.into_iter().flatten().collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         debug_assert_eq!(per_fault.len(), scenarios.len());
         CampaignResult {
             per_fault,
@@ -341,40 +298,76 @@ impl CampaignEngine {
         }
     }
 
-    /// One trial range of one lane block at slab width `W`: every trial
-    /// steps all packed scenarios at once, then the per-lane outcomes
-    /// are scattered back into one [`FaultResult`] per lane. With
-    /// `streams` the trial ops replay from the arena; without, they
-    /// regenerate from the model (identical sequences either way).
-    fn run_sliced_block<const W: usize>(
+    /// The slab-block executor behind both the result path and the
+    /// trace. Scenarios chunk into lane packs of
+    /// [`lane_width`](Self::lane_width), packs split into trial blocks
+    /// ([`decompose_slabs`](Self::decompose_slabs)), and every block runs
+    /// at the narrowest slab that fits its pack: `init` builds the
+    /// block's accumulator, `fold` takes each trial's per-lane outcomes
+    /// in trial order. Returns every block with its accumulator,
+    /// pack-major with ascending trial ranges.
+    ///
+    /// # Panics
+    /// Panics if the sliced backend does not
+    /// [support](SlicedBackend::supports) one of the scenarios.
+    fn run_slab_grid<A: Send>(
+        &self,
+        config: &RamConfig,
+        scenarios: &[FaultScenario],
+        init: impl Fn(&[FaultScenario], TrialBlock) -> A + Sync,
+        fold: impl Fn(&mut A, &[DetectionOutcome]) + Sync,
+    ) -> Vec<(TrialBlock, A)> {
+        if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
+            panic!("backend 'sliced' cannot inject {bad:?}");
+        }
+        let chunks: Vec<&[FaultScenario]> = scenarios.chunks(self.lane_width).collect();
+        let blocks = self.decompose_slabs(chunks.len());
+        let streams: Option<Vec<Arc<Vec<Op>>>> = (u64::from(self.campaign.trials)
+            .saturating_mul(self.campaign.cycles)
+            <= ARENA_OP_BUDGET)
+            .then(|| {
+                self.arena.clone().unwrap_or_default().prepare(
+                    &self.model,
+                    self.workload_spec(config),
+                    self.campaign.seed,
+                    self.scrub_period,
+                    self.campaign.trials,
+                    self.campaign.cycles,
+                )
+            });
+        self.dispatch(scenarios.len(), &blocks, |block| {
+            let chunk = chunks[block.fidx];
+            let mut acc = init(chunk, block);
+            with_slab_words(
+                chunk.len(),
+                SlabBlock {
+                    engine: self,
+                    config,
+                    chunk,
+                    block,
+                    streams: streams.as_deref(),
+                    visit: &mut |outcomes| fold(&mut acc, outcomes),
+                },
+            );
+            acc
+        })
+    }
+
+    /// One trial range of one lane pack at slab width `W`: every trial
+    /// steps all packed scenarios at once and hands the per-lane
+    /// outcomes to `visit`. With `streams` the trial ops replay from the
+    /// arena; without, they regenerate from the model (identical
+    /// sequences either way).
+    fn run_slab_block<const W: usize>(
         &self,
         config: &RamConfig,
         chunk: &[FaultScenario],
         block: TrialBlock,
         streams: Option<&[Arc<Vec<Op>>]>,
-    ) -> Vec<FaultResult> {
-        let mut backend =
-            SlicedBackend::<W>::prefilled(config, chunk, self.campaign.seed ^ 0xF1E1D1);
-        let org = config.org();
-        let trials = block.trial_end - block.trial_start;
-        let mut results: Vec<FaultResult> = chunk
-            .iter()
-            .map(|scenario| FaultResult {
-                site: scenario.site,
-                process: scenario.process,
-                trials,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                onset_latency_sum: 0,
-                detected: 0,
-            })
-            .collect();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
+        let mut backend = SlicedBackend::<W>::prefilled(config, chunk, self.prefill_seed());
+        let spec = self.workload_spec(config);
         for trial in block.trial_start..block.trial_end {
             backend.reset();
             let outcomes = match streams {
@@ -383,45 +376,13 @@ impl CampaignEngine {
                     measure_detection_sliced(&mut backend, &mut replay, self.campaign.cycles)
                 }
                 None => {
-                    let workload = self
-                        .model
-                        .stream(spec, shared_trial_seed(self.campaign.seed, trial));
-                    if self.scrub_period > 0 {
-                        let mut scrubbed =
-                            ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                        measure_detection_sliced(&mut backend, &mut scrubbed, self.campaign.cycles)
-                    } else {
-                        let mut workload = workload;
-                        measure_detection_sliced(
-                            &mut backend,
-                            workload.as_mut(),
-                            self.campaign.cycles,
-                        )
-                    }
+                    let seed = shared_trial_seed(self.campaign.seed, trial);
+                    let mut workload = self.trial_stream(spec, seed);
+                    measure_detection_sliced(&mut backend, workload.as_mut(), self.campaign.cycles)
                 }
             };
-            for (lane, out) in outcomes.iter().enumerate() {
-                let result = &mut results[lane];
-                match out.first_detection {
-                    Some(d) => {
-                        result.detected += 1;
-                        result.detection_cycle_sum += d;
-                        let onset = chunk[lane]
-                            .process
-                            .corruption_onset()
-                            .map(|a| a.min(out.first_error.unwrap_or(d)))
-                            .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                            .min(d);
-                        result.onset_latency_sum += d - onset;
-                    }
-                    None => result.undetected += 1,
-                }
-                if out.error_escaped() {
-                    result.error_escapes += 1;
-                }
-            }
+            visit(&outcomes);
         }
-        results
     }
 
     /// Run the classical permanent grid on clones of `backend`.
@@ -454,47 +415,10 @@ impl CampaignEngine {
             panic!("backend '{}' cannot inject {bad:?}", backend.name());
         }
         let blocks = self.decompose(scenarios.len());
-        let dispatch = || -> Vec<FaultResult> {
-            blocks
-                .par_iter()
-                .map(|block| self.run_block(backend.clone(), scenarios[block.fidx], *block))
-                .collect()
-        };
-        let partials: Vec<FaultResult> = if self.runs_serially(scenarios.len()) {
-            // Tiny grid: the fan-out costs more than it buys. Same
-            // blocks, same order, same merge — bit-identical results.
-            blocks
-                .iter()
-                .map(|block| self.run_block(backend.clone(), scenarios[block.fidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            // Ambient width: no per-call pool, the global default applies.
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Blocks are generated fault-major and collected in input order, so
-        // each fault's partials are adjacent; fold them back together.
-        let mut per_fault: Vec<FaultResult> = Vec::with_capacity(scenarios.len());
-        let mut last_fidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.fidx == last_fidx {
-                let acc = per_fault.last_mut().expect("a merge always follows a push");
-                acc.trials += partial.trials;
-                acc.undetected += partial.undetected;
-                acc.error_escapes += partial.error_escapes;
-                acc.detection_cycle_sum += partial.detection_cycle_sum;
-                acc.onset_latency_sum += partial.onset_latency_sum;
-                acc.detected += partial.detected;
-            } else {
-                per_fault.push(partial);
-                last_fidx = block.fidx;
-            }
-        }
+        let partials = self.dispatch(scenarios.len(), &blocks, |block| {
+            self.run_block(backend.clone(), scenarios[block.fidx], block)
+        });
+        let per_fault = merge_partials(partials, |acc, partial| acc.merge(&partial));
         debug_assert_eq!(per_fault.len(), scenarios.len());
         CampaignResult {
             per_fault,
@@ -513,122 +437,66 @@ impl CampaignEngine {
         self.trace_scenarios(config, &scenarios)
     }
 
-    /// Replay the scenario × trial grid as a structured event trace.
+    /// The scenario × trial grid as a structured event trace.
     ///
-    /// This is a **canonical replay**, not a tap on the result path: it
-    /// always runs the behavioural backend with the shared-stream
-    /// (common-random-numbers) trial seeding the sliced engine defines,
-    /// which PR 6's lane-exactness contract guarantees is exactly what
-    /// every lane of the default sliced engine observes. The trace is
-    /// therefore a pure function of `(seed, fault, trial)` — bit-identical
-    /// at any thread count, any lane width, and under either engine flag —
-    /// and the result path keeps zero overhead when tracing is off.
+    /// The trace runs the same slab-block executor as
+    /// [`run_scenarios_sliced`](Self::run_scenarios_sliced) — same lane
+    /// packs, trial blocks, op-stream arena and thread dispatch — and
+    /// derives each cell's events from the per-lane detection outcome
+    /// the slab pass returns, assembled in canonical `(fault, trial)`
+    /// order. The lane-exactness contract (DESIGN.md §3a) makes that
+    /// outcome the behavioural backend's under the shared-stream trial
+    /// seeding, so the trace is a pure function of
+    /// `(seed, fault, trial)`: bit-identical at any thread count, any
+    /// lane width, and under either engine flag. It is a second pass,
+    /// not a tap: the result path never consults it, so tracing off
+    /// costs nothing.
+    ///
+    /// # Panics
+    /// Panics if the sliced backend does not
+    /// [support](SlicedBackend::supports) one of the scenarios.
     pub fn trace_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> Vec<Event> {
-        let dispatch = || -> Vec<Vec<Event>> {
-            scenarios
-                .par_iter()
-                .enumerate()
-                .map(|(fidx, scenario)| self.trace_fault(config, fidx, scenario))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.runs_serially(scenarios.len()) {
-            scenarios
-                .iter()
-                .enumerate()
-                .map(|(fidx, scenario)| self.trace_fault(config, fidx, scenario))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
-    }
-
-    /// Replay every trial of one fault, emitting its events in
-    /// chronological order. Pure in `(campaign seed, fidx, trial)`.
-    fn trace_fault(&self, config: &RamConfig, fidx: usize, scenario: &FaultScenario) -> Vec<Event> {
-        use crate::fault::FaultProcess;
-        let mut backend = BehavioralBackend::prefilled(config, self.campaign.seed ^ 0xF1E1D1);
-        let org = config.org();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        let fault = fidx as u32;
-        let mut events = Vec::new();
-        for trial in 0..self.campaign.trials {
-            backend.reset(Some(scenario));
-            let workload = self
-                .model
-                .stream(spec, shared_trial_seed(self.campaign.seed, trial));
-            let out = if self.scrub_period > 0 {
-                let mut scrubbed = ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                measure_detection_on(&mut backend, &mut scrubbed, self.campaign.cycles)
-            } else {
-                let mut workload = workload;
-                measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles)
-            };
-            let mut trial_events = Vec::new();
-            // Onset: a transient strike is an SEU event at its flip
-            // cycle; every other process activates at its first active
-            // window (couplings are armed from cycle 0).
-            match scenario.process {
-                FaultProcess::TransientFlip { at } => {
-                    if at < out.cycles_run {
-                        trial_events.push(Event::cell(at, 0, fault, trial, EventKind::SeuStrike));
+        let partials = self.run_slab_grid(
+            config,
+            scenarios,
+            |chunk, block| Vec::with_capacity(chunk.len() * block.trials() as usize),
+            |packed: &mut Vec<PackedOutcome>, outcomes| {
+                packed.extend(outcomes.iter().map(PackedOutcome::pack));
+            },
+        );
+        let sweep_len = self.scrub_period * config.org().words();
+        // Walk the cells in canonical (fault, trial) order: a pack's
+        // blocks are adjacent, each holding its trials' outcomes
+        // trial-major, so every lane reads across the pack's blocks.
+        let for_each_cell = |f: &mut dyn FnMut(&FaultScenario, u32, u32, &DetectionOutcome)| {
+            for pack in partials.chunk_by(|a, b| a.0.fidx == b.0.fidx) {
+                let first = pack[0].0.fidx * self.lane_width;
+                let lanes = scenarios[first..].len().min(self.lane_width);
+                for lane in 0..lanes {
+                    let fault = (first + lane) as u32;
+                    for (block, packed) in pack {
+                        for trial in block.trial_start..block.trial_end {
+                            let i = (trial - block.trial_start) as usize * lanes + lane;
+                            let out = packed[i].unpack(self.campaign.cycles);
+                            f(&scenarios[first + lane], fault, trial, &out);
+                        }
                     }
                 }
-                FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
-                    if onset < out.cycles_run {
-                        trial_events.push(Event::cell(onset, 0, fault, trial, EventKind::Activate));
-                    }
-                }
-                FaultProcess::Coupling { .. } => {
-                    trial_events.push(Event::cell(0, 0, fault, trial, EventKind::Activate));
-                }
             }
-            if self.scrub_period > 0 {
-                let sweep_len = self.scrub_period * org.words();
-                let mut sweep = 1u64;
-                while sweep * sweep_len <= out.cycles_run {
-                    trial_events.push(Event::cell(
-                        sweep * sweep_len - 1,
-                        0,
-                        fault,
-                        trial,
-                        EventKind::ScrubSweep { sweep },
-                    ));
-                    sweep += 1;
-                }
-            }
-            if let Some(d) = out.first_detection {
-                let onset = scenario
-                    .process
-                    .corruption_onset()
-                    .map(|a| a.min(out.first_error.unwrap_or(d)))
-                    .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                    .min(d);
-                trial_events.push(Event::cell(
-                    d,
-                    0,
-                    fault,
-                    trial,
-                    EventKind::Detect { latency: d - onset },
-                ));
-            }
-            if out.error_escaped() {
-                let t = out.first_error.expect("an escape implies an error");
-                trial_events.push(Event::cell(t, 0, fault, trial, EventKind::Escape));
-            }
-            sort_chronological(&mut trial_events);
-            events.extend(trial_events);
-        }
+        };
+        // Size the output exactly before writing it once: the trace is
+        // the largest allocation of a traced pass.
+        let mut scratch = Vec::new();
+        let mut total = 0;
+        for_each_cell(&mut |scenario, fault, trial, out| {
+            scratch.clear();
+            cell_events(scenario, fault, trial, out, sweep_len, &mut scratch);
+            total += scratch.len();
+        });
+        let mut events = Vec::with_capacity(total);
+        for_each_cell(&mut |scenario, fault, trial, out| {
+            cell_events(scenario, fault, trial, out, sweep_len, &mut events);
+        });
         events
     }
 
@@ -636,6 +504,59 @@ impl CampaignEngine {
     fn runs_serially(&self, scenarios: usize) -> bool {
         self.serial_threshold > 0
             && scenarios as u64 * self.campaign.trials as u64 <= self.serial_threshold
+    }
+
+    /// Run `work` on every block — serially for tiny grids, else on the
+    /// ambient or a pinned rayon pool — and collect each block with its
+    /// output, in block order. Purely scheduling: the same blocks run
+    /// either way, so results are bit-identical.
+    fn dispatch<T: Send>(
+        &self,
+        scenarios: usize,
+        blocks: &[TrialBlock],
+        work: impl Fn(TrialBlock) -> T + Sync,
+    ) -> Vec<(TrialBlock, T)> {
+        let run = |block: &TrialBlock| (*block, work(*block));
+        if self.runs_serially(scenarios) {
+            // Tiny grid: the fan-out costs more than it buys.
+            blocks.iter().map(run).collect()
+        } else if self.threads == 0 {
+            // Ambient width: no per-call pool, the global default applies.
+            blocks.par_iter().map(run).collect()
+        } else {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(self.threads)
+                .build()
+                .expect("thread pool construction is infallible")
+                .install(|| blocks.par_iter().map(run).collect())
+        }
+    }
+
+    /// The workload shape every trial stream of `config` is drawn with.
+    fn workload_spec(&self, config: &RamConfig) -> WorkloadSpec {
+        let org = config.org();
+        WorkloadSpec {
+            words: org.words(),
+            word_bits: org.word_bits(),
+            write_fraction: self.campaign.write_fraction,
+        }
+    }
+
+    /// One trial's op stream, with the background scrubber merged in
+    /// when one is configured.
+    fn trial_stream(&self, spec: WorkloadSpec, seed: u64) -> OpStream {
+        let stream = self.model.stream(spec, seed);
+        if self.scrub_period > 0 {
+            Box::new(ScrubInterleaver::new(stream, self.scrub_period, spec.words))
+        } else {
+            stream
+        }
+    }
+
+    /// The campaign convention's prefill seed, shared by the behavioural
+    /// and the sliced backend.
+    fn prefill_seed(&self) -> u64 {
+        self.campaign.seed ^ 0xF1E1D1
     }
 
     /// Split the grid into schedulable blocks: one per fault when faults
@@ -729,56 +650,132 @@ impl CampaignEngine {
         scenario: FaultScenario,
         block: TrialBlock,
     ) -> FaultResult {
-        let org = backend.config().org();
-        let mut result = FaultResult {
-            site: scenario.site,
-            process: scenario.process,
-            trials: block.trial_end - block.trial_start,
-            undetected: 0,
-            error_escapes: 0,
-            detection_cycle_sum: 0,
-            onset_latency_sum: 0,
-            detected: 0,
-        };
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
+        let spec = self.workload_spec(backend.config());
+        let mut result = FaultResult::empty(&scenario, block.trials());
         for trial in block.trial_start..block.trial_end {
             backend.reset(Some(&scenario));
-            let workload = self.model.stream(spec, self.trial_seed(block.fidx, trial));
-            let out = if self.scrub_period > 0 {
-                let mut scrubbed = ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                measure_detection_on(&mut backend, &mut scrubbed, self.campaign.cycles)
-            } else {
-                let mut workload = workload;
-                measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles)
-            };
-            match out.first_detection {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // Latency from *true* onset: the silent-corruption
-                    // instant when the process has one (a transient
-                    // flip), the first erroneous output otherwise —
-                    // exactly the paper's definition for permanents.
-                    let onset = scenario
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(out.first_error.unwrap_or(d)))
-                        .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                        .min(d);
-                    result.onset_latency_sum += d - onset;
-                }
-                None => result.undetected += 1,
-            }
-            if out.error_escaped() {
-                result.error_escapes += 1;
-            }
+            let mut workload = self.trial_stream(spec, self.trial_seed(block.fidx, trial));
+            let out = measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles);
+            result.record(&out);
         }
         result
     }
+}
+
+/// One trial block of one lane pack, runnable at any slab width.
+struct SlabBlock<'a> {
+    engine: &'a CampaignEngine,
+    config: &'a RamConfig,
+    chunk: &'a [FaultScenario],
+    block: TrialBlock,
+    streams: Option<&'a [Arc<Vec<Op>>]>,
+    visit: &'a mut dyn FnMut(&[DetectionOutcome]),
+}
+
+impl SlabTask for SlabBlock<'_> {
+    type Output = ();
+
+    fn run<const W: usize>(self) {
+        self.engine.run_slab_block::<W>(
+            self.config,
+            self.chunk,
+            self.block,
+            self.streams,
+            self.visit,
+        );
+    }
+}
+
+/// One lane's trial outcome as the trace holds it between the slab pass
+/// and event assembly: 16 bytes instead of a [`DetectionOutcome`]'s 40,
+/// with `u64::MAX` for "never" (no cycle index reaches it).
+/// `cycles_run` is implied: detection cycle + 1, else the full horizon.
+#[derive(Debug, Clone, Copy)]
+struct PackedOutcome {
+    first_error: u64,
+    first_detection: u64,
+}
+
+impl PackedOutcome {
+    fn pack(out: &DetectionOutcome) -> Self {
+        PackedOutcome {
+            first_error: out.first_error.unwrap_or(u64::MAX),
+            first_detection: out.first_detection.unwrap_or(u64::MAX),
+        }
+    }
+
+    fn unpack(self, cycles: u64) -> DetectionOutcome {
+        let some = |c: u64| (c != u64::MAX).then_some(c);
+        let first_detection = some(self.first_detection);
+        DetectionOutcome {
+            cycles_run: first_detection.map_or(cycles, |d| d + 1),
+            first_error: some(self.first_error),
+            first_detection,
+        }
+    }
+}
+
+/// Fold the trial-split partials of each grid unit back into one, in
+/// unit order. Blocks are unit-major with ascending trial ranges, so a
+/// unit's partials are adjacent.
+fn merge_partials<T>(partials: Vec<(TrialBlock, T)>, mut merge: impl FnMut(&mut T, T)) -> Vec<T> {
+    let mut merged: Vec<T> = Vec::new();
+    let mut last = usize::MAX;
+    for (block, partial) in partials {
+        if block.fidx == last {
+            merge(
+                merged.last_mut().expect("a merge always follows a push"),
+                partial,
+            );
+        } else {
+            merged.push(partial);
+            last = block.fidx;
+        }
+    }
+    merged
+}
+
+/// Append the events of one `(fault, trial)` cell, chronologically
+/// ordered, as its detection outcome implies them: the onset (an SEU
+/// strike at a transient's flip cycle, else an activation at the first
+/// active window — couplings are armed from cycle 0), every scrub sweep
+/// completed within the trial (`sweep_len` cycles each, `0` = no
+/// scrubber), the first detection with its onset latency, and an escape
+/// at the first erroneous output when that preceded any indication.
+fn cell_events(
+    scenario: &FaultScenario,
+    fault: u32,
+    trial: u32,
+    out: &DetectionOutcome,
+    sweep_len: u64,
+    events: &mut Vec<Event>,
+) {
+    let start = events.len();
+    let mut push = |t: u64, kind: EventKind| events.push(Event::cell(t, 0, fault, trial, kind));
+    match scenario.process {
+        FaultProcess::TransientFlip { at } => {
+            if at < out.cycles_run {
+                push(at, EventKind::SeuStrike);
+            }
+        }
+        FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
+            if onset < out.cycles_run {
+                push(onset, EventKind::Activate);
+            }
+        }
+        FaultProcess::Coupling { .. } => push(0, EventKind::Activate),
+    }
+    for sweep in 1..=out.cycles_run.checked_div(sweep_len).unwrap_or(0) {
+        push(sweep * sweep_len - 1, EventKind::ScrubSweep { sweep });
+    }
+    if let (Some(d), Some(latency)) = (out.first_detection, onset_latency(&scenario.process, out)) {
+        push(d, EventKind::Detect { latency });
+    }
+    if out.error_escaped() {
+        let t = out.first_error.expect("an escape implies an error");
+        push(t, EventKind::Escape);
+    }
+    sort_chronological(&mut events[start..]);
 }
 
 #[cfg(test)]
@@ -1228,24 +1225,98 @@ mod tests {
 
     mod trace_props {
         use super::*;
+        use crate::fault::{CellRef, CouplingKind};
         use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
+        /// Scenario `i` of a random universe: `kind` picks the process
+        /// class, `a`/`b` its site and timing.
+        fn scenario(cfg: &RamConfig, i: usize, kind: u8, a: u64, b: u64) -> FaultScenario {
+            let org = cfg.org();
+            let rows = org.rows() as usize;
+            let cols = org.physical_cols() as usize;
+            let cell = |k: u64| (k as usize % rows, (k as usize / rows) % cols);
+            let (row, col) = cell(a);
+            let site = FaultSite::Cell {
+                row,
+                col,
+                stuck: b % 2 == 1,
+            };
+            match kind {
+                0 => FaultScenario {
+                    site: row_faults()[i % row_faults().len()],
+                    process: FaultProcess::Permanent { onset: b % 4 },
+                },
+                1 => FaultScenario::transient(site, b % 10),
+                2 => FaultScenario {
+                    site,
+                    process: FaultProcess::Intermittent {
+                        onset: b % 5,
+                        period: 2 + b % 4,
+                        duty: 1,
+                    },
+                },
+                _ => {
+                    let (arow, acol) = cell(a + 1);
+                    FaultScenario {
+                        site,
+                        process: FaultProcess::Coupling {
+                            aggressor: CellRef {
+                                row: arow,
+                                col: acol,
+                            },
+                            kind: CouplingKind::Inversion,
+                        },
+                    }
+                }
+            }
+        }
 
-            // The replayed trace is a pure function of
-            // `(seed, fault, trial)`: random small campaigns must
-            // produce identical event streams at every thread count,
-            // with the serial path (threads = 1, default threshold)
-            // as the reference against forced fan-out.
+        /// The behavioural reference the trace must equal: every
+        /// `(fault, trial)` cell measured one at a time on a prefilled
+        /// behavioural backend with the shared-stream trial seeding,
+        /// its events built by the trace's own cell builder.
+        fn oracle(
+            engine: &CampaignEngine,
+            cfg: &RamConfig,
+            scenarios: &[FaultScenario],
+        ) -> Vec<Event> {
+            let campaign = engine.campaign;
+            let mut backend = BehavioralBackend::prefilled(cfg, engine.prefill_seed());
+            let spec = engine.workload_spec(cfg);
+            let sweep_len = engine.scrub_period * cfg.org().words();
+            let mut events = Vec::new();
+            for (fidx, scenario) in scenarios.iter().enumerate() {
+                for trial in 0..campaign.trials {
+                    backend.reset(Some(scenario));
+                    let seed = shared_trial_seed(campaign.seed, trial);
+                    let mut stream = engine.trial_stream(spec, seed);
+                    let out = measure_detection_on(&mut backend, stream.as_mut(), campaign.cycles);
+                    cell_events(scenario, fidx as u32, trial, &out, sweep_len, &mut events);
+                }
+            }
+            events
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            // The trace is derived from the slab executor's per-lane
+            // outcomes, so it must equal the behavioural oracle on
+            // random small campaigns mixing every process class, with
+            // the scrubber on and off, at every lane width and thread
+            // count (forced fan-out; threads = 1 keeps the serial
+            // path). Its Detect / Escape events must also account for
+            // exactly the result path's counters, fault by fault —
+            // which catches a fault-index or lane-order slip the oracle
+            // comparison alone could share.
             #[test]
-            fn trace_is_thread_invariant_over_random_campaigns(
-                cycles in 1u64..12,
-                trials in 1u32..6,
+            fn trace_matches_the_behavioural_oracle_and_the_result(
+                cycles in 1u64..200,
+                trials in 1u32..5,
                 seed in any::<u64>(),
                 w in 0u32..17,
-                take in 1usize..9,
-                onset in 0u64..8,
+                scrub in 0u64..3,
+                cells in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..10),
             ) {
                 let campaign = CampaignConfig {
                     cycles,
@@ -1254,28 +1325,44 @@ mod tests {
                     write_fraction: f64::from(w) / 16.0,
                 };
                 let cfg = config();
-                let faults = row_faults();
-                let scenarios: Vec<FaultScenario> = faults
+                let scenarios: Vec<FaultScenario> = cells
                     .iter()
-                    .take(take.min(faults.len()))
                     .enumerate()
-                    .map(|(i, &site)| {
-                        if i % 2 == 0 {
-                            FaultScenario::permanent(site)
-                        } else {
-                            FaultScenario::transient(site, onset % cycles)
-                        }
-                    })
+                    .map(|(i, &(kind, a, b))| scenario(&cfg, i, kind, a, b))
                     .collect();
-                let reference = CampaignEngine::new(campaign)
-                    .threads(1)
-                    .trace_scenarios(&cfg, &scenarios);
-                for threads in [2usize, 4, 8] {
-                    let trace = CampaignEngine::new(campaign)
-                        .threads(threads)
-                        .serial_threshold(0)
-                        .trace_scenarios(&cfg, &scenarios);
-                    prop_assert_eq!(&trace, &reference, "threads = {}", threads);
+                // On the 64-word test RAM a period-1 scrubber completes
+                // a sweep every 64 cycles, so long horizons emit sweeps.
+                let engine = CampaignEngine::new(campaign).scrub(scrub);
+                let reference = oracle(&engine, &cfg, &scenarios);
+                for width in [1usize, 17, 64, 512] {
+                    for threads in [1usize, 2, 4] {
+                        let trace = engine
+                            .clone()
+                            .lane_width(width)
+                            .threads(threads)
+                            .serial_threshold(if threads == 1 { DEFAULT_SERIAL_THRESHOLD } else { 0 })
+                            .trace_scenarios(&cfg, &scenarios);
+                        prop_assert_eq!(&trace, &reference, "width {} threads {}", width, threads);
+                    }
+                }
+                let result = engine.sliced(true).run_scenarios(&cfg, &scenarios);
+                for (fidx, fr) in result.per_fault.iter().enumerate() {
+                    let mut detects = 0u32;
+                    let mut escapes = 0u32;
+                    let mut latency = 0u64;
+                    for e in reference.iter().filter(|e| e.fault == fidx as u32) {
+                        match e.kind {
+                            EventKind::Detect { latency: l } => {
+                                detects += 1;
+                                latency += l;
+                            }
+                            EventKind::Escape => escapes += 1,
+                            _ => {}
+                        }
+                    }
+                    prop_assert_eq!(detects, fr.detected, "fault {} detects", fidx);
+                    prop_assert_eq!(escapes, fr.error_escapes, "fault {} escapes", fidx);
+                    prop_assert_eq!(latency, fr.onset_latency_sum, "fault {} latency", fidx);
                 }
             }
         }

@@ -101,6 +101,31 @@ pub fn slab_words(lanes: usize) -> usize {
     lanes.div_ceil(64).clamp(1, MAX_SLAB_WORDS)
 }
 
+/// A computation over one lane pack, generic in the slab width — the
+/// body an engine hands to [`with_slab_words`].
+pub trait SlabTask {
+    /// What the task produces.
+    type Output;
+    /// Run the task on `SlicedBackend::<W>`-shaped state.
+    fn run<const W: usize>(self) -> Self::Output;
+}
+
+/// Run `task` at the narrowest slab width that fits `lanes` scenarios
+/// ([`slab_words`]): the one place a runtime pack size picks a
+/// const-generic `W`.
+pub fn with_slab_words<T: SlabTask>(lanes: usize, task: T) -> T::Output {
+    match slab_words(lanes) {
+        1 => task.run::<1>(),
+        2 => task.run::<2>(),
+        3 => task.run::<3>(),
+        4 => task.run::<4>(),
+        5 => task.run::<5>(),
+        6 => task.run::<6>(),
+        7 => task.run::<7>(),
+        _ => task.run::<8>(),
+    }
+}
+
 /// A set of lanes as a slab of `W` machine words: bit `b` of word `w`
 /// is lane `w·64 + b`. All bitwise operators act lane-wise across the
 /// whole slab.
@@ -1057,18 +1082,24 @@ impl<const W: usize> SlicedBackend<W> {
             &dead,
             |e| e.0,
         );
-        self.live_len.couplings = partition_live(
-            &mut self.couplings,
-            self.live_len.couplings,
-            &dead,
-            |c| c.slot,
-        );
+        self.live_len.couplings =
+            partition_live(&mut self.couplings, self.live_len.couplings, &dead, |c| {
+                c.slot
+            });
         self.live_len.data_reg =
             partition_live(&mut self.data_reg, self.live_len.data_reg, &dead, |e| e.0);
-        for (list, live) in self.row_two.iter_mut().zip(self.live_len.row_two.iter_mut()) {
+        for (list, live) in self
+            .row_two
+            .iter_mut()
+            .zip(self.live_len.row_two.iter_mut())
+        {
             *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
         }
-        for (list, live) in self.col_two.iter_mut().zip(self.live_len.col_two.iter_mut()) {
+        for (list, live) in self
+            .col_two
+            .iter_mut()
+            .zip(self.live_len.col_two.iter_mut())
+        {
             *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
         }
         let mut live = std::mem::take(&mut self.live);

@@ -16,8 +16,7 @@
 //!   commutative, so partial results fold in any grouping.
 //! * [`profile`] — a **wall-clock phase profiler**, explicitly
 //!   nondeterministic, whose every output line carries the `profile:`
-//!   prefix so fixtures and CI diffs filter it exactly like the
-//!   existing `memo:` line.
+//!   prefix so fixtures and CI diffs can filter it.
 //!
 //! [`export`] renders traces as versioned text, re-parses them, and
 //! exports human summaries, hand-rolled JSON and Chrome trace-event

@@ -3,9 +3,9 @@
 //! Everything else in this crate is a pure function of the simulation
 //! seed; wall-clock timings are not, so they live behind a hard
 //! separation: every rendered line starts with the `profile:` prefix,
-//! and fixtures/CI diffs filter those lines exactly like the existing
-//! `memo:` line (`grep -v '^profile:'`). Nothing in the trace or the
-//! metrics registry ever depends on a profiler reading.
+//! and fixtures/CI diffs filter those lines (`grep -v '^profile:'`).
+//! Nothing in the trace or the metrics registry ever depends on a
+//! profiler reading.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};

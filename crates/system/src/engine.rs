@@ -34,7 +34,7 @@ use scm_memory::arena::ARENA_OP_BUDGET;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, LaneSet, SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::sliced::{with_slab_words, LaneSet, SlabTask, SlicedBackend, MAX_SLAB_LANES};
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::collections::{BTreeSet, HashMap};
@@ -108,6 +108,33 @@ pub struct SystemFaultResult {
 }
 
 impl SystemFaultResult {
+    /// A zeroed row for `fault` that will fold `trials` trials.
+    fn empty(fault: SystemFault, trials: u32) -> Self {
+        SystemFaultResult {
+            fault,
+            trials,
+            detected: 0,
+            undetected: 0,
+            error_escapes: 0,
+            detection_cycle_sum: 0,
+            latency_from_error_sum: 0,
+            lost_work_sum: 0,
+        }
+    }
+
+    /// Add another trial range of the same cell: every counter is a
+    /// per-trial sum, so partials merge in any order.
+    pub fn merge(&mut self, other: &SystemFaultResult) {
+        debug_assert_eq!(self.fault, other.fault);
+        self.trials += other.trials;
+        self.detected += other.detected;
+        self.undetected += other.undetected;
+        self.error_escapes += other.error_escapes;
+        self.detection_cycle_sum += other.detection_cycle_sum;
+        self.latency_from_error_sum += other.latency_from_error_sum;
+        self.lost_work_sum += other.lost_work_sum;
+    }
+
     /// Mean detection latency from error onset, over detected trials
     /// (the paper's per-memory quantity, usually ~0 for decoder faults:
     /// the flag rises the cycle the faulted line is finally addressed).
@@ -330,8 +357,9 @@ impl SystemCampaign {
     /// Scenarios packed per sliced pass (clamped to
     /// `1..=`[`MAX_SLAB_LANES`]; default [`MAX_SLAB_LANES`]). Each pass
     /// uses the narrowest slab word count that fits
-    /// ([`slab_words`]), so narrow widths pay for one `u64` per state
-    /// word, not eight. Results are invariant under this knob.
+    /// ([`slab_words`](scm_memory::sliced::slab_words)), so narrow widths
+    /// pay for one `u64` per state word, not eight. Results are
+    /// invariant under this knob.
     pub fn lane_width(mut self, width: usize) -> Self {
         self.lane_width = width.clamp(1, MAX_SLAB_LANES);
         self
@@ -470,13 +498,7 @@ impl SystemCampaign {
         for (block, partial) in blocks.iter().zip(partials) {
             if block.uidx == last_uidx {
                 let acc = per_fault.last_mut().expect("a merge always follows a push");
-                acc.trials += partial.trials;
-                acc.detected += partial.detected;
-                acc.undetected += partial.undetected;
-                acc.error_escapes += partial.error_escapes;
-                acc.detection_cycle_sum += partial.detection_cycle_sum;
-                acc.latency_from_error_sum += partial.latency_from_error_sum;
-                acc.lost_work_sum += partial.lost_work_sum;
+                acc.merge(&partial);
             } else {
                 per_fault.push(partial);
                 last_uidx = block.uidx;
@@ -559,32 +581,29 @@ impl SystemCampaign {
         let walk_cells = (banks_used.len() as u64)
             .saturating_mul(self.campaign.trials as u64)
             .saturating_mul(self.campaign.cycles);
-        let projections: Option<HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>> =
-            (walk_cells <= ARENA_OP_BUDGET).then(|| {
-                let mut map = HashMap::new();
-                for &bank in &banks_used {
-                    for trial in 0..self.campaign.trials {
-                        map.insert(
-                            (bank, trial),
-                            Arc::new(self.project_bank_traffic(bank, trial)),
-                        );
-                    }
+        let projections: Option<Projections> = (walk_cells <= ARENA_OP_BUDGET).then(|| {
+            let mut map = HashMap::new();
+            for &bank in &banks_used {
+                for trial in 0..self.campaign.trials {
+                    map.insert(
+                        (bank, trial),
+                        Arc::new(self.project_bank_traffic(bank, trial)),
+                    );
                 }
-                map
-            });
-        let run_block = |chunk: &LaneChunk, block: TrialBlock| -> Vec<SystemFaultResult> {
-            let proj = projections.as_ref();
-            match slab_words(chunk.positions.len()) {
-                1 => self.run_sliced_block::<1>(chunk, universe, block, proj),
-                2 => self.run_sliced_block::<2>(chunk, universe, block, proj),
-                3 => self.run_sliced_block::<3>(chunk, universe, block, proj),
-                4 => self.run_sliced_block::<4>(chunk, universe, block, proj),
-                5 => self.run_sliced_block::<5>(chunk, universe, block, proj),
-                6 => self.run_sliced_block::<6>(chunk, universe, block, proj),
-                7 => self.run_sliced_block::<7>(chunk, universe, block, proj),
-                8 => self.run_sliced_block::<8>(chunk, universe, block, proj),
-                w => unreachable!("slab_words returned {w}"),
             }
+            map
+        });
+        let run_block = |chunk: &LaneChunk, block: TrialBlock| -> Vec<SystemFaultResult> {
+            with_slab_words(
+                chunk.positions.len(),
+                SlicedBlock {
+                    campaign: self,
+                    chunk,
+                    universe,
+                    block,
+                    projections: projections.as_ref(),
+                },
+            )
         };
         let blocks = self.decompose(chunks.len());
         let dispatch = || -> Vec<Vec<SystemFaultResult>> {
@@ -612,27 +631,11 @@ impl SystemCampaign {
         // counters commute, so trial splits of one chunk just sum.
         let mut per_fault: Vec<SystemFaultResult> = universe
             .iter()
-            .map(|&fault| SystemFaultResult {
-                fault,
-                trials: 0,
-                detected: 0,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                latency_from_error_sum: 0,
-                lost_work_sum: 0,
-            })
+            .map(|&fault| SystemFaultResult::empty(fault, 0))
             .collect();
         for (block, partial) in blocks.iter().zip(partials) {
-            for (&pos, lane) in chunks[block.uidx].positions.iter().zip(partial) {
-                let acc = &mut per_fault[pos];
-                acc.trials += lane.trials;
-                acc.detected += lane.detected;
-                acc.undetected += lane.undetected;
-                acc.error_escapes += lane.error_escapes;
-                acc.detection_cycle_sum += lane.detection_cycle_sum;
-                acc.latency_from_error_sum += lane.latency_from_error_sum;
-                acc.lost_work_sum += lane.lost_work_sum;
+            for (&pos, lane) in chunks[block.uidx].positions.iter().zip(&partial) {
+                per_fault[pos].merge(lane);
             }
         }
         SystemResult {
@@ -657,7 +660,7 @@ impl SystemCampaign {
         chunk: &LaneChunk,
         universe: &[SystemFault],
         block: TrialBlock,
-        projections: Option<&HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>>,
+        projections: Option<&Projections>,
     ) -> Vec<SystemFaultResult> {
         let scenarios: Vec<FaultScenario> = chunk
             .positions
@@ -677,16 +680,7 @@ impl SystemCampaign {
         let mut results: Vec<SystemFaultResult> = chunk
             .positions
             .iter()
-            .map(|&p| SystemFaultResult {
-                fault: universe[p],
-                trials,
-                detected: 0,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                latency_from_error_sum: 0,
-                lost_work_sum: 0,
-            })
+            .map(|&p| SystemFaultResult::empty(universe[p], trials))
             .collect();
         let mut err_cycle = vec![0u64; lanes];
         let mut det_cycle = vec![0u64; lanes];
@@ -784,8 +778,9 @@ impl SystemCampaign {
     /// Replay the `bank × fault × trial` grid as a structured event
     /// trace on the global system clock.
     ///
-    /// Like [`scm_memory::engine::CampaignEngine::trace_scenarios`],
-    /// this is a **canonical replay**: it
+    /// This is a **canonical replay** (unlike
+    /// [`scm_memory::engine::CampaignEngine::trace_scenarios`], which
+    /// derives its trace from the slab executor's outcomes): it
     /// always drives the scalar bank backend with the shared-stream
     /// traffic seeding the sliced engine defines
     /// (`seed_mix(seed ^ SLICED_TRAFFIC_TAG, [bank, trial])`), which
@@ -1003,16 +998,7 @@ impl SystemCampaign {
         fault: SystemFault,
         block: TrialBlock,
     ) -> SystemFaultResult {
-        let mut result = SystemFaultResult {
-            fault,
-            trials: block.trial_end - block.trial_start,
-            detected: 0,
-            undetected: 0,
-            error_escapes: 0,
-            detection_cycle_sum: 0,
-            latency_from_error_sum: 0,
-            lost_work_sum: 0,
-        };
+        let mut result = SystemFaultResult::empty(fault, block.trial_end - block.trial_start);
         let spec = self.system.workload_spec(self.campaign.write_fraction);
         let scenario = fault.scenario();
         let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
@@ -1074,6 +1060,27 @@ impl SystemCampaign {
             }
         }
         result
+    }
+}
+
+/// Bank-projected op streams, keyed `(bank, trial)`.
+type Projections = HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>;
+
+/// One trial block of one lane chunk, runnable at any slab width.
+struct SlicedBlock<'a> {
+    campaign: &'a SystemCampaign,
+    chunk: &'a LaneChunk,
+    universe: &'a [SystemFault],
+    block: TrialBlock,
+    projections: Option<&'a Projections>,
+}
+
+impl SlabTask for SlicedBlock<'_> {
+    type Output = Vec<SystemFaultResult>;
+
+    fn run<const W: usize>(self) -> Self::Output {
+        self.campaign
+            .run_sliced_block::<W>(self.chunk, self.universe, self.block, self.projections)
     }
 }
 
