@@ -278,21 +278,30 @@ impl CodePlan {
 fn minimal_modulus(budget: LatencyBudget, policy: SelectionPolicy) -> Option<u64> {
     match policy {
         SelectionPolicy::InverseA => {
-            // a ≥ Pndc^(-1/c); solve in log space then fix up exactly.
+            // `met(a)` is monotone in `a` (1/a only falls): find the least
+            // `a ≥ 2` meeting the budget by growing the log-space estimate
+            // a ≥ Pndc^(-1/c) geometrically until met, then bisecting,
+            // O(log a) checks. Near the u64 ceiling the 1e-9 log tolerance
+            // spans ~1e10 consecutive moduli, so unit steps cost minutes.
+            let met = |a: u64| budget.met_by(inverse_a_escape(a));
             let target = (-budget.pndc().ln()) / budget.cycles() as f64;
-            let mut a = target.exp().ceil() as u64;
-            a = a.max(2);
-            while a > 2 && budget.met_by(inverse_a_escape(a - 1)) {
-                a -= 1;
+            let mut hi = (target.exp().ceil() as u64).max(2);
+            // Greatest modulus known to miss the budget (a = 1 never
+            // meets one: its escape is 1).
+            let mut lo = 1;
+            while !met(hi) {
+                lo = hi;
+                hi = hi.checked_add(hi / 8 + 1)?; // geometric-ish fixup
             }
-            while !budget.met_by(inverse_a_escape(a)) {
-                a = a.checked_add(a.max(1) / 8 + 1)?; // geometric-ish fixup
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if met(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
             }
-            // Tighten back down after any overshoot.
-            while a > 2 && budget.met_by(inverse_a_escape(a - 1)) {
-                a -= 1;
-            }
-            Some(a)
+            Some(hi)
         }
         SelectionPolicy::WorstBlockExact => {
             // escape(a) = 2^(1-i) with i = ⌈log2(a+1)⌉; minimal a for level i

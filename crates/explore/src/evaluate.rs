@@ -599,8 +599,9 @@ impl Evaluator {
         plan: &CodePlan,
     ) -> Result<SweepBound, CodeError> {
         let key = (geometry.rows(), plan.r(), plan.a());
-        // The O(rows) mapping table is built inside the memo, so only a
-        // key's first lookup pays for it; a mapping error is as pure in
+        // Only a key's first lookup pays for the analysis: the mapping,
+        // its O(rows) rank table and the sweep bound, O(rows · Σ 2^bits)
+        // over the decoder's inner blocks. A mapping error is as pure in
         // the key as the bound and is memoised the same way.
         self.memoised(&self.scrub_bounds, &self.scrub_stats, key, || {
             let map = plan.mapping(geometry.rows())?;

@@ -15,7 +15,7 @@
 //!
 //! # Determinism and lifetime
 //!
-//! A materialised stream is a pure function of its [`StreamKey`]
+//! A materialised stream is a pure function of its `StreamKey`
 //! `(model name, words, word bits, write fraction, seed, scrub period)`
 //! plus the trial index — the arena caches values that were already
 //! deterministic, so results are bit-identical with or without it (the

@@ -13,7 +13,9 @@
 //!
 //! [`worst_case_sweep_latency`] computes, per fault, the exact worst-case
 //! number of scrub steps to detection over all sweep phases, giving the
-//! hard bound a safety case can cite alongside the probabilistic one.
+//! hard bound a safety case can cite alongside the probabilistic one;
+//! [`sweep_bound`] gives the same worst cases over a whole decoder fault
+//! universe without visiting the sweep once per fault.
 
 use crate::decoder_unit::DecoderFault;
 use scm_codes::CodewordMap;
@@ -33,46 +35,48 @@ pub enum SweepLatency {
 /// cyclic sequential sweep of all `2^n` decoder values.
 ///
 /// The decoder has `n` input bits; the map assigns codewords to its lines.
+/// `O(2^n)` per fault; [`sweep_bound`] answers the whole fault universe
+/// without calling it.
 pub fn worst_case_sweep_latency(n: u32, map: &CodewordMap, fault: DecoderFault) -> SweepLatency {
     let span = 1u64 << n;
     assert_eq!(map.num_lines(), span, "map does not match decoder size");
     let field_mask = ((1u64 << fault.bits) - 1) << fault.offset;
     let stuck_field = fault.value << fault.offset;
-
-    // Which swept values detect the fault?
-    let detecting: Vec<bool> = (0..span)
-        .map(|v| {
-            if fault.stuck_one {
-                // Two lines: v and companion; detected iff codewords differ.
-                let companion = (v & !field_mask) | stuck_field;
-                companion != v && !map.same_codeword(v, companion)
-            } else {
-                // All-zero collapse when the field matches: always detected.
-                v & field_mask == stuck_field
-            }
+    let gap = if fault.stuck_one {
+        // Two lines: v and companion; detected iff codewords differ.
+        longest_cyclic_run(span, |v| {
+            let companion = (v & !field_mask) | stuck_field;
+            companion == v || map.same_codeword(v, companion)
         })
-        .collect();
+    } else {
+        // All-zero collapse when the field matches: always detected.
+        longest_cyclic_run(span, |v| v & field_mask != stuck_field)
+    };
+    // Worst case over phases = the longest non-detecting run plus one
+    // (the detecting step itself).
+    gap.map_or(SweepLatency::Never, |gap| SweepLatency::Within(gap + 1))
+}
 
-    if !detecting.iter().any(|&d| d) {
-        return SweepLatency::Never;
-    }
-    // Worst case over phases = the longest run of non-detecting values in
-    // the cyclic order, plus one (the detecting step itself).
-    let mut longest_gap = 0u64;
+/// The longest run of consecutive `non_detecting` values in the cyclic
+/// order `0, 1, …, span − 1, 0, …`, in one allocation-free pass: the run
+/// that wraps is the trailing run joined to the leading one. `None` when
+/// every value is non-detecting (the run never ends).
+fn longest_cyclic_run(span: u64, non_detecting: impl Fn(u64) -> bool) -> Option<u64> {
+    let mut leading = None;
+    let mut longest = 0u64;
     let mut current = 0u64;
-    // Double traversal handles wrap-around runs.
-    for _ in 0..2 {
-        for &d in &detecting {
-            if d {
-                longest_gap = longest_gap.max(current);
-                current = 0;
-            } else {
-                current += 1;
+    for v in 0..span {
+        if non_detecting(v) {
+            current += 1;
+        } else {
+            match leading {
+                None => leading = Some(current),
+                Some(_) => longest = longest.max(current),
             }
+            current = 0;
         }
     }
-    longest_gap = longest_gap.max(current.min(span - 1));
-    SweepLatency::Within(longest_gap + 1)
+    leading.map(|leading| longest.max(leading + current))
 }
 
 /// The hard bound over an entire decoder fault universe: the maximum
@@ -99,38 +103,63 @@ pub struct SweepBound {
 }
 
 /// Analyse all faults of a multilevel decoder under a sequential sweep.
+///
+/// Equal to folding [`worst_case_sweep_latency`] over every fault of the
+/// universe, without paying `O(2^n)` per fault:
+///
+/// * **stuck-at-0** detection depends only on the field, so a fault on
+///   block `(bits, offset)` is `Within(2^(offset+bits) − 2^offset + 1)`
+///   whatever the value and the map;
+/// * **stuck-at-1 on the last level** (`bits = n`) pairs every swept line
+///   with the stuck one, so its non-detecting set is the stuck line's
+///   rank class; the worst class run is the longest cyclic run of equal
+///   consecutive ranks, and a single class covering every line makes all
+///   `2^n` of them undetectable;
+/// * **stuck-at-1 on an inner block** scans a rank table built once per
+///   map, `O(2^n)` per value.
+///
+/// Total `O(2^n · Σ 2^bits)` over the inner blocks, instead of the
+/// `O(4^n)` of the per-fault fold (whose last level alone holds `2^n`
+/// values).
 pub fn sweep_bound(n: u32, map: &CodewordMap) -> SweepBound {
-    let mut worst = 0u64;
+    let span = 1u64 << n;
+    assert_eq!(map.num_lines(), span, "map does not match decoder size");
+    let ranks: Vec<u128> = (0..span).map(|v| map.rank_for(v)).collect();
     let mut worst_sa0 = 0u64;
     let mut worst_sa1 = 0u64;
     let mut undetectable = 0usize;
     let mut total = 0usize;
+    let mut sa1 = |gap: Option<u64>, faults: usize| match gap {
+        Some(gap) => worst_sa1 = worst_sa1.max(gap + 1),
+        None => undetectable += faults,
+    };
     for (bits, offset) in crate::decoder_unit::multilevel_blocks(n) {
-        for value in 0..(1u64 << bits) {
-            for stuck_one in [false, true] {
-                total += 1;
-                let fault = DecoderFault {
-                    bits,
-                    offset,
-                    value,
-                    stuck_one,
-                };
-                match worst_case_sweep_latency(n, map, fault) {
-                    SweepLatency::Within(steps) => {
-                        worst = worst.max(steps);
-                        if stuck_one {
-                            worst_sa1 = worst_sa1.max(steps);
-                        } else {
-                            worst_sa0 = worst_sa0.max(steps);
-                        }
-                    }
-                    SweepLatency::Never => undetectable += 1,
-                }
-            }
+        let values = 1u64 << bits;
+        total += 2 * values as usize;
+        worst_sa0 = worst_sa0.max((1u64 << (offset + bits)) - (1u64 << offset) + 1);
+        if bits == n {
+            // A run of `k` equal-rank links is a class run of `k + 1` lines.
+            let links = longest_cyclic_run(span, |v| {
+                ranks[v as usize] == ranks[((v + 1) % span) as usize]
+            });
+            sa1(links.map(|k| k + 1), values as usize);
+            continue;
+        }
+        let field_mask = (values - 1) << offset;
+        for value in 0..values {
+            let stuck_field = value << offset;
+            // A line that is its own companion has an equal rank too.
+            sa1(
+                longest_cyclic_run(span, |v| {
+                    let companion = (v & !field_mask) | stuck_field;
+                    ranks[v as usize] == ranks[companion as usize]
+                }),
+                1,
+            );
         }
     }
     SweepBound {
-        worst_steps: worst,
+        worst_steps: worst_sa0.max(worst_sa1),
         worst_sa0,
         worst_sa1,
         undetectable,
@@ -141,10 +170,160 @@ pub fn sweep_bound(n: u32, map: &CodewordMap) -> SweepBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::decoder_fault_universe;
+    use proptest::prelude::*;
     use scm_codes::MOutOfN;
 
     fn map(a: u64, n: u32) -> CodewordMap {
         CodewordMap::mod_a(MOutOfN::new(3, 5).unwrap(), a, 1u64 << n).unwrap()
+    }
+
+    /// The definition [`sweep_bound`] must reproduce: the per-fault
+    /// query folded over the whole decoder fault universe.
+    fn per_fault_fold(n: u32, map: &CodewordMap) -> SweepBound {
+        let mut bound = SweepBound {
+            worst_steps: 0,
+            worst_sa0: 0,
+            worst_sa1: 0,
+            undetectable: 0,
+            total: 0,
+        };
+        for fault in decoder_fault_universe(n) {
+            bound.total += 1;
+            match worst_case_sweep_latency(n, map, fault) {
+                SweepLatency::Within(steps) => {
+                    bound.worst_steps = bound.worst_steps.max(steps);
+                    if fault.stuck_one {
+                        bound.worst_sa1 = bound.worst_sa1.max(steps);
+                    } else {
+                        bound.worst_sa0 = bound.worst_sa0.max(steps);
+                    }
+                }
+                SweepLatency::Never => bound.undetectable += 1,
+            }
+        }
+        bound
+    }
+
+    /// `(q, r)` codes whose counts (3, 10, 35, 70, 252, 924) put odd
+    /// moduli both below and at/above every line count up to 2^9, with
+    /// (`a < C(q,r)`) and without (`a = C(q,r)`) the completion fix.
+    const CODES: [(u32, u32); 6] = [(2, 3), (3, 5), (3, 7), (4, 8), (5, 10), (6, 12)];
+
+    /// A `mod a` map into `CODES[code]` for every valid odd modulus
+    /// below the line count (`below_lines`) or at/above it, ascending.
+    fn mod_a_maps(n: u32, code: usize, below_lines: bool) -> Vec<CodewordMap> {
+        let lines = 1u64 << n;
+        let (q, r) = CODES[code];
+        let code = MOutOfN::new(q, r).unwrap();
+        let count = code.count() as u64;
+        let moduli = if below_lines {
+            3..=count.min(lines - 1)
+        } else {
+            lines.max(3)..=count
+        };
+        moduli
+            .filter(|a| a % 2 == 1)
+            .map(|a| CodewordMap::mod_a(code, a, lines).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn cyclic_run_kernel_matches_double_traversal() {
+        // The pre-kernel formulation: traverse the cyclic order twice so
+        // the wrapping run is seen whole.
+        fn double_traversal(pattern: &[bool]) -> Option<u64> {
+            if pattern.iter().all(|&nd| nd) {
+                return None;
+            }
+            let (mut longest, mut current) = (0u64, 0u64);
+            for &nd in pattern.iter().chain(pattern) {
+                if nd {
+                    current += 1;
+                } else {
+                    longest = longest.max(current);
+                    current = 0;
+                }
+            }
+            Some(longest)
+        }
+        for len in 1..=10u32 {
+            for bits in 0..(1u64 << len) {
+                let pattern: Vec<bool> = (0..len).map(|i| bits >> i & 1 == 1).collect();
+                assert_eq!(
+                    longest_cyclic_run(len as u64, |v| pattern[v as usize]),
+                    double_traversal(&pattern),
+                    "{pattern:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_bound_equals_per_fault_fold_on_every_map_family() {
+        for n in 1..=9u32 {
+            let lines = 1u64 << n;
+            let mut maps = vec![
+                CodewordMap::input_parity(lines),
+                CodewordMap::berger(n, lines).unwrap(),
+                CodewordMap::identity_mofn(lines).unwrap(),
+            ];
+            for code in 0..CODES.len() {
+                // The largest odd modulus below the line count (`C(q,r)`
+                // or `C(q,r) − 1`: without and with the completion fix)
+                // and the smallest at or above it.
+                maps.extend(mod_a_maps(n, code, true).pop());
+                maps.extend(mod_a_maps(n, code, false).into_iter().next());
+            }
+            // Every line aliased onto one codeword: all SA1s are blind.
+            let collapsed =
+                (0..lines).try_fold(CodewordMap::input_parity(lines), |m, v| m.with_remap(v, 0));
+            maps.push(collapsed.unwrap());
+            for m in &maps {
+                assert_eq!(sweep_bound(n, m), per_fault_fold(n, m), "n = {n}, {m:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_sweep_bound_equals_per_fault_fold(
+            n in 1u32..=9,
+            family in 0usize..5,
+            code in 0usize..CODES.len(),
+            pick in any::<u64>(),
+            remaps in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u32..2), 0..4),
+        ) {
+            let lines = 1u64 << n;
+            let pick_mod_a = |below_lines| {
+                let mut maps = mod_a_maps(n, code, below_lines);
+                let len = maps.len() as u64;
+                (len > 0).then(|| maps.swap_remove((pick % len) as usize))
+            };
+            let base = match family {
+                0 => pick_mod_a(true),
+                1 => pick_mod_a(false),
+                2 => Some(CodewordMap::input_parity(lines)),
+                3 => Some(CodewordMap::identity_mofn(lines).unwrap()),
+                _ => Some(CodewordMap::berger(n, lines).unwrap()),
+            };
+            prop_assume!(base.is_some());
+            let mut m = base.unwrap();
+            // Berger codewords are computed from the address: no remaps.
+            if family != 4 {
+                for (address, other, spare) in remaps {
+                    // Either alias another line's rank or take an unused one.
+                    let rank = match (spare, m.spare_rank()) {
+                        (1, Some(rank)) => rank,
+                        _ => m.rank_for(other % lines),
+                    };
+                    m = m.with_remap(address % lines, rank).unwrap();
+                }
+            }
+            prop_assert_eq!(sweep_bound(n, &m), per_fault_fold(n, &m));
+        }
     }
 
     #[test]

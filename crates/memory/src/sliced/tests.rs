@@ -211,37 +211,43 @@ fn detect_chunked(
     stream_seed: u64,
     cycles: u64,
 ) -> Vec<DetectionOutcome> {
-    fn run<const W: usize>(
-        cfg: &RamConfig,
-        chunk: &[FaultScenario],
+    struct Detect<'a> {
+        cfg: &'a RamConfig,
+        chunk: &'a [FaultScenario],
         prefill_seed: u64,
         stream_seed: u64,
         cycles: u64,
-    ) -> Vec<DetectionOutcome> {
-        let model = model_by_name("uniform").unwrap();
-        let spec = WorkloadSpec {
-            words: 64,
-            word_bits: 8,
-            write_fraction: 0.15,
-        };
-        let mut backend = SlicedBackend::<W>::prefilled(cfg, chunk, prefill_seed);
-        let mut stream = model.stream(spec, stream_seed);
-        measure_detection_sliced(&mut backend, &mut stream, cycles)
     }
-    let mut all = Vec::new();
-    for chunk in scenarios.chunks(width) {
-        all.extend(match slab_words(chunk.len()) {
-            1 => run::<1>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            2 => run::<2>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            3 => run::<3>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            4 => run::<4>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            5 => run::<5>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            6 => run::<6>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            7 => run::<7>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            _ => run::<8>(cfg, chunk, prefill_seed, stream_seed, cycles),
-        });
+    impl SlabTask for Detect<'_> {
+        type Output = Vec<DetectionOutcome>;
+        fn run<const W: usize>(self) -> Vec<DetectionOutcome> {
+            let model = model_by_name("uniform").unwrap();
+            let spec = WorkloadSpec {
+                words: 64,
+                word_bits: 8,
+                write_fraction: 0.15,
+            };
+            let mut backend =
+                SlicedBackend::<W>::prefilled(self.cfg, self.chunk, self.prefill_seed);
+            let mut stream = model.stream(spec, self.stream_seed);
+            measure_detection_sliced(&mut backend, &mut stream, self.cycles)
+        }
     }
-    all
+    scenarios
+        .chunks(width)
+        .flat_map(|chunk| {
+            with_slab_words(
+                chunk.len(),
+                Detect {
+                    cfg,
+                    chunk,
+                    prefill_seed,
+                    stream_seed,
+                    cycles,
+                },
+            )
+        })
+        .collect()
 }
 
 #[test]

@@ -22,7 +22,7 @@ use scm_memory::backend::{BehavioralBackend, CycleObservation, FaultSimBackend, 
 use scm_memory::campaign::decoder_fault_universe;
 use scm_memory::design::RamConfig;
 use scm_memory::fault::{CellRef, CouplingKind, FaultProcess, FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, SlicedBackend, SlicedObservation};
+use scm_memory::sliced::{with_slab_words, SlabTask, SlicedBackend, SlicedObservation};
 use scm_memory::workload::{model_by_name, Op, WorkloadSpec, MODEL_NAMES};
 
 /// Constant-weight codes the gate-level checker generator can realise.
@@ -47,32 +47,37 @@ fn sliced_observations(
     ops: &[Op],
     width: usize,
 ) -> Vec<Vec<CycleObservation>> {
-    fn run_chunk<const W: usize>(
-        config: &RamConfig,
-        chunk: &[FaultScenario],
+    struct Observe<'a> {
+        config: &'a RamConfig,
+        chunk: &'a [FaultScenario],
         seed: u64,
-        ops: &[Op],
-    ) -> Vec<Vec<CycleObservation>> {
-        let mut backend = SlicedBackend::<W>::prefilled(config, chunk, seed);
-        let per_cycle: Vec<SlicedObservation<W>> = ops.iter().map(|&op| backend.step(op)).collect();
-        (0..chunk.len())
-            .map(|lane| per_cycle.iter().map(|obs| obs.lane(lane)).collect())
-            .collect()
+        ops: &'a [Op],
     }
-    let mut lanes = Vec::new();
-    for chunk in scenarios.chunks(width) {
-        lanes.extend(match slab_words(chunk.len()) {
-            1 => run_chunk::<1>(config, chunk, seed, ops),
-            2 => run_chunk::<2>(config, chunk, seed, ops),
-            3 => run_chunk::<3>(config, chunk, seed, ops),
-            4 => run_chunk::<4>(config, chunk, seed, ops),
-            5 => run_chunk::<5>(config, chunk, seed, ops),
-            6 => run_chunk::<6>(config, chunk, seed, ops),
-            7 => run_chunk::<7>(config, chunk, seed, ops),
-            _ => run_chunk::<8>(config, chunk, seed, ops),
-        });
+    impl SlabTask for Observe<'_> {
+        type Output = Vec<Vec<CycleObservation>>;
+        fn run<const W: usize>(self) -> Vec<Vec<CycleObservation>> {
+            let mut backend = SlicedBackend::<W>::prefilled(self.config, self.chunk, self.seed);
+            let per_cycle: Vec<SlicedObservation<W>> =
+                self.ops.iter().map(|&op| backend.step(op)).collect();
+            (0..self.chunk.len())
+                .map(|lane| per_cycle.iter().map(|obs| obs.lane(lane)).collect())
+                .collect()
+        }
     }
-    lanes
+    scenarios
+        .chunks(width)
+        .flat_map(|chunk| {
+            with_slab_words(
+                chunk.len(),
+                Observe {
+                    config,
+                    chunk,
+                    seed,
+                    ops,
+                },
+            )
+        })
+        .collect()
 }
 
 proptest! {
