@@ -277,16 +277,14 @@ fn fault_model_or_default<'a>(flags: &'a Flags, allowed: &[&'a str]) -> Result<&
     ))
 }
 
-/// Resolve `--engine`: `scalar` (the differential-oracle path) or
-/// `sliced` (the 64-lane bit-parallel fast path). `default_sliced` is
-/// what an absent flag means: the campaign/system/diag/fleet
-/// subcommands default to `sliced` (strictly faster there — ROADMAP
-/// item 1), while the exhaustive explore keeps the scalar default its
-/// adjudicated gate path is pinned against. Byte-pinned fixtures pass
-/// `--engine scalar` explicitly.
-fn engine_choice(flags: &Flags, default_sliced: bool) -> Result<bool, String> {
+/// Resolve `--engine` to the executor it selects: `scalar` (the
+/// generic-backend oracle) or `sliced` (the bit-parallel slab path, the
+/// default everywhere). Both run the same estimator, so the choice moves
+/// the wall clock and the `profile:` lines, never a byte of the rest of
+/// stdout.
+fn engine_choice(flags: &Flags) -> Result<bool, String> {
     match flags.value_of("--engine") {
-        None => Ok(default_sliced),
+        None => Ok(true),
         Some("scalar") => Ok(false),
         Some("sliced") => Ok(true),
         Some(other) => {
@@ -296,6 +294,15 @@ fn engine_choice(flags: &Flags, default_sliced: bool) -> Result<bool, String> {
             };
             Err(format!("unknown engine '{other}'{hint} (scalar | sliced)"))
         }
+    }
+}
+
+/// The `profile:` note naming the executor a run used.
+fn engine_note(sliced: bool) -> &'static str {
+    if sliced {
+        "engine=sliced"
+    } else {
+        "engine=scalar"
     }
 }
 
@@ -388,8 +395,9 @@ pub fn usage() -> String {
          \n\
          observability (campaign | system | diag | fleet | explore):\n\
          \x20 --trace[=PATH]             deterministic event trace on the simulated clock\n\
-         \x20                            (stdout, or PATH; bit-identical at any --threads\n\
-         \x20                            and --engine; on explore implies --guided)\n\
+         \x20                            (stdout, or PATH; bit-identical at any --threads,\n\
+         \x20                            --engine and --lane-width; on explore implies\n\
+         \x20                            --guided)\n\
          \x20 --metrics                  counter/histogram registry aggregated from the\n\
          \x20                            same events (fleet adds its telemetry fold)\n\
          \x20 --profile                  wall-clock phase spans ('profile:' lines,\n\
@@ -399,10 +407,11 @@ pub fn usage() -> String {
          presets:      {}\n\
          scrubs:       off | sequential-sweep\n\
          interleave:   low-order | high-order\n\
-         engines:      scalar | sliced (up to 512 fault lanes per slab pass;\n\
-         \x20             campaign/system/diag/fleet default to sliced, explore to scalar;\n\
-         \x20             --lane-width caps scenarios packed per pass — pure scheduling,\n\
-         \x20             results are bit-identical at every width)\n\
+         engines:      sliced (default; up to 512 fault lanes per slab pass) | scalar\n\
+         \x20             (the generic-backend oracle). One estimator, two executors:\n\
+         \x20             stdout is byte-identical under either, the executor is\n\
+         \x20             named on --profile's lines; --lane-width caps scenarios\n\
+         \x20             packed per pass — pure scheduling, like --threads\n\
          fault models: permanent | transient | intermittent | mix\n\
          march tests:  {}\n\
          workloads:    {}\n",
@@ -697,7 +706,7 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
     }
-    let sliced = engine_choice(flags, false)?;
+    let sliced = engine_choice(flags)?;
     let lane_width = lane_width_flag(flags)?;
 
     let geometry = RamOrganization::with_mux8(1024, 16);
@@ -738,6 +747,9 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
     }
 
     let mut profiler = Profiler::new(flags.has("--profile"));
+    if adjudicated {
+        profiler.note(engine_note(sliced));
+    }
     let results = profiler.time("evaluate-space", || evaluator.evaluate_space(&space));
     let mut out = String::new();
     let _ = writeln!(
@@ -879,7 +891,7 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
     }
-    let sliced = engine_choice(flags, true)?; // guided default: the fast path
+    let sliced = engine_choice(flags)?;
     let lane_width = lane_width_flag(flags)?;
     let budget: u64 = flags.parsed("--budget", 0)?;
     let space = match flags.value_of("--space") {
@@ -914,6 +926,7 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
         GuidedConfig::with_budget(budget)
     };
     let mut profiler = Profiler::new(flags.has("--profile"));
+    profiler.note(engine_note(sliced));
     let report = profiler
         .time("guided-search", || {
             GuidedSearch::new(&evaluator, config).run(&space)
@@ -924,14 +937,13 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
     let _ = writeln!(
         out,
         "guided design-space search: {} points, budget {} scenario-trials, \
-         {} engine, {} trials/fault at full fidelity",
+         {} trials/fault at full fidelity",
         report.space_points,
         if budget == 0 {
             "unbounded".to_owned()
         } else {
             budget.to_string()
         },
-        if sliced { "sliced" } else { "scalar" },
         trials,
     );
     if report.sampled {
@@ -1032,7 +1044,7 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
     let workload = flags.value_of("--workload").unwrap_or("uniform");
     let model = model_by_name(workload).ok_or_else(|| unknown_workload(workload))?;
     let fault_model = fault_model_or_default(flags, &FAULT_MODELS)?;
-    let sliced = engine_choice(flags, true)?;
+    let sliced = engine_choice(flags)?;
     let lane_width = lane_width_flag(flags)?;
     let scrub_period: u64 = flags.parsed("--scrub-period", 0)?;
     let trials: u32 = flags.parsed("--trials", 32)?;
@@ -1072,6 +1084,18 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
         .scrub(scrub_period)
         .sliced(sliced)
         .lane_width(lane_width);
+    profiler.note(engine_note(sliced));
+    if sliced {
+        let occupancy = engine.occupancy(scenarios.len());
+        profiler.note(format!(
+            "occupancy={}/{} lanes filled across {} block{} (lane width {})",
+            occupancy.filled,
+            occupancy.capacity,
+            occupancy.blocks,
+            if occupancy.blocks == 1 { "" } else { "s" },
+            occupancy.width,
+        ));
+    }
     let result = profiler.time("campaign-fan-out", || {
         engine.run_scenarios(design.config(), &scenarios)
     });
@@ -1088,19 +1112,6 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
         out,
         "campaign: 1Kx16 worked example (3-out-of-5, a = 9), workload = {workload}"
     );
-    if sliced {
-        out.push_str("engine = sliced (multi-word scenario lane slabs)\n");
-        let occupancy = engine.occupancy(scenarios.len());
-        let _ = writeln!(
-            out,
-            "occupancy: {}/{} lanes filled across {} block{} (lane width {})",
-            occupancy.filled,
-            occupancy.capacity,
-            occupancy.blocks,
-            if occupancy.blocks == 1 { "" } else { "s" },
-            occupancy.width,
-        );
-    }
     // Non-default temporal settings announce themselves; the classical
     // permanent/unscrubbed output stays byte-for-byte what it always was.
     if fault_model != "permanent" || scrub_period > 0 {
@@ -1179,7 +1190,7 @@ fn system_stdout(flags: &Flags) -> Result<String, String> {
         write_fraction: 0.1,
     };
     let fault_model = fault_model_or_default(flags, &["permanent", "transient"])?;
-    let sliced = engine_choice(flags, true)?;
+    let sliced = engine_choice(flags)?;
     let lane_width = lane_width_flag(flags)?;
     let seu_mean: f64 = flags.parsed("--seu-mean", 40.0)?;
     if !seu_mean.is_finite() || seu_mean < 1.0 {
@@ -1195,18 +1206,16 @@ fn system_stdout(flags: &Flags) -> Result<String, String> {
         _ => engine.decoder_universe(12),
     };
     let mut profiler = Profiler::new(flags.has("--profile"));
+    profiler.note(engine_note(sliced));
     let result = profiler.time("system-campaign", || engine.run(&universe));
     let events = if wants_events(flags) {
-        profiler.time("trace-replay", || engine.trace(&universe))
+        profiler.time("trace", || engine.trace(&universe))
     } else {
         Vec::new()
     };
 
     let mut out = String::new();
     out.push_str("sharded self-checking memory system: 4 heterogeneous banks\n\n");
-    if sliced {
-        out.push_str("engine: sliced (per-bank fault lanes share one event stream)\n\n");
-    }
     if fault_model == "transient" {
         let _ = writeln!(
             out,
@@ -1260,7 +1269,7 @@ fn diag_stdout(flags: &Flags) -> Result<String, String> {
         CodewordMap::mod_a(code, 9, org.mux_factor() as u64).map_err(|e| e.to_string())?,
     );
     let fault_model = fault_model_or_default(flags, &["permanent", "transient"])?;
-    let sliced = engine_choice(flags, true)?;
+    let sliced = engine_choice(flags)?;
     let lane_width = lane_width_flag(flags)?;
     let mut candidates = cell_universe(&config);
     candidates.extend(
@@ -1272,6 +1281,7 @@ fn diag_stdout(flags: &Flags) -> Result<String, String> {
     // lane-by-lane bit-identical to the scalar one), so the rendered
     // output — fixture-pinned — does not depend on the engine choice.
     let mut profiler = Profiler::new(flags.has("--profile"));
+    profiler.note(engine_note(sliced));
     let dictionary = profiler.time("dictionary-build", || {
         if sliced {
             FaultDictionary::build_sliced(&config, &test, seed, &candidates, threads, lane_width)
@@ -1542,7 +1552,7 @@ fn fleet_stdout(flags: &Flags) -> Result<String, String> {
     let options = FleetOptions {
         seed: flags.parsed("--seed", 0xF1EE7)?,
         threads: flags.parsed("--threads", 0)?,
-        sliced: engine_choice(flags, true)?,
+        sliced: engine_choice(flags)?,
         lane_width: lane_width_flag(flags)?,
         checkpoint_every,
         checkpoint,
@@ -1868,52 +1878,33 @@ mod tests {
 
     #[test]
     fn engine_knob_selects_the_sliced_backend_and_rejects_unknowns() {
-        let sliced = run(&[
-            "campaign".to_owned(),
-            "--trials".to_owned(),
-            "2".to_owned(),
-            "--cycles".to_owned(),
-            "6".to_owned(),
-            "--engine".to_owned(),
-            "sliced".to_owned(),
-        ])
-        .unwrap();
-        assert!(sliced.contains("engine = sliced"), "{sliced}");
-        // An absent flag means sliced on campaign/system/diag — the
-        // fast path became the default once it was strictly faster.
-        let default = run(&[
-            "campaign".to_owned(),
-            "--trials".to_owned(),
-            "2".to_owned(),
-            "--cycles".to_owned(),
-            "6".to_owned(),
-        ])
-        .unwrap();
-        assert_eq!(default, sliced, "absent --engine must mean sliced");
-        // `--engine scalar` spelled out: no engine banner, exactly the
-        // byte-pinned rendering the fixtures keep requesting explicitly.
-        let scalar = run(&[
-            "campaign".to_owned(),
-            "--trials".to_owned(),
-            "2".to_owned(),
-            "--cycles".to_owned(),
-            "6".to_owned(),
-            "--engine".to_owned(),
-            "scalar".to_owned(),
-        ])
-        .unwrap();
-        assert!(!scalar.contains("engine ="), "{scalar}");
-        let system = run(&[
-            "system".to_owned(),
-            "--trials".to_owned(),
-            "1".to_owned(),
-            "--cycles".to_owned(),
-            "60".to_owned(),
-            "--engine".to_owned(),
-            "sliced".to_owned(),
-        ])
-        .unwrap();
-        assert!(system.contains("engine: sliced"), "{system}");
+        // One estimator, two executors: `--engine` may move the wall
+        // clock and the `profile:` lines, never a byte of the rest.
+        let out = |cmd: &str, extra: &[&str]| {
+            let mut args: Vec<String> = [cmd, "--trials", "2", "--cycles", "60"]
+                .iter()
+                .map(|s| (*s).to_owned())
+                .collect();
+            args.extend(extra.iter().map(|s| (*s).to_owned()));
+            run(&args).unwrap()
+        };
+        for cmd in ["campaign", "system"] {
+            let scalar = out(cmd, &["--engine", "scalar"]);
+            let sliced = out(cmd, &["--engine", "sliced"]);
+            assert_eq!(scalar, sliced, "{cmd}: scalar vs sliced");
+            assert_eq!(out(cmd, &[]), sliced, "{cmd}: absent --engine");
+            assert!(!sliced.contains("engine"), "{sliced}");
+            // The executor is named where wall-clock facts live.
+            let profiled = out(cmd, &["--profile"]);
+            assert!(profiled.contains("profile: engine=sliced\n"), "{profiled}");
+            let profiled = out(cmd, &["--engine", "scalar", "--profile"]);
+            assert!(profiled.contains("profile: engine=scalar\n"), "{profiled}");
+        }
+        let profiled = out("campaign", &["--profile"]);
+        assert!(
+            profiled.contains("profile: occupancy=392/448 lanes filled across 1 block"),
+            "{profiled}"
+        );
         let err = run(&[
             "campaign".to_owned(),
             "--engine".to_owned(),
@@ -2105,22 +2096,23 @@ mod tests {
         // The acceptance experiment: under one-shot flips, a background
         // scrub sweep strictly helps — impossible to show under the old
         // permanent-only model, where the defect never heals and mission
-        // traffic eventually finds it either way. Pinned to the scalar
-        // engine: at 4 trials the margin is thinner than the RNG-stream
-        // difference between the two engines.
-        let run_with = |scrub: &str| {
+        // traffic eventually finds it either way. The scrubber can only
+        // help once a sweep completes inside the horizon: one sweep of
+        // the 1K-word RAM takes period × words cycles, and a sweep that
+        // never completes only steals slots from mission reads.
+        let (words, period, cycles) = (1024u64, 1u64, 1200u64);
+        assert!(period * words <= cycles, "no sweep completes");
+        let run_with = |scrub: u64| {
             run(&[
                 "campaign".to_owned(),
                 "--fault-model".to_owned(),
                 "transient".to_owned(),
                 "--cycles".to_owned(),
-                "600".to_owned(),
+                cycles.to_string(),
                 "--trials".to_owned(),
                 "4".to_owned(),
                 "--scrub-period".to_owned(),
-                scrub.to_owned(),
-                "--engine".to_owned(),
-                "scalar".to_owned(),
+                scrub.to_string(),
             ])
             .unwrap()
         };
@@ -2132,8 +2124,8 @@ mod tests {
                 .and_then(|v| v.trim().parse().ok())
                 .expect("summary carries the cell class row")
         };
-        let unscrubbed = grab(&run_with("0"));
-        let scrubbed = grab(&run_with("8"));
+        let unscrubbed = grab(&run_with(0));
+        let scrubbed = grab(&run_with(period));
         assert!(
             scrubbed < unscrubbed,
             "scrubbing must reduce transient escapes: {scrubbed} vs {unscrubbed}"
@@ -2229,19 +2221,12 @@ mod tests {
     #[test]
     fn campaign_system_fleet_stdout_is_lane_width_invariant() {
         // Lane width is pure scheduling, like the thread count: every
-        // subcommand's stdout must be byte-identical at any width. Only
-        // the campaign `occupancy:` line names the packing, so it is
-        // the one line filtered — analogous to `profile:`.
-        let stable = |out: String| -> String {
-            out.lines()
-                .filter(|l| !l.starts_with("occupancy:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+        // subcommand's stdout must be byte-identical at any width (the
+        // lane packing is named only on `--profile`'s lines).
         let run_with = |base: &[&str], width: &str| -> String {
             let mut args: Vec<String> = base.iter().map(|s| (*s).to_owned()).collect();
             args.extend(["--lane-width".to_owned(), width.to_owned()]);
-            stable(run(&args).unwrap())
+            run(&args).unwrap()
         };
         let cases: [&[&str]; 3] = [
             &[

@@ -3,8 +3,9 @@
 //! The observability acceptance contract: the recorded trace (header,
 //! event order, every payload field) is reproduced **byte for byte** at
 //! 1, 2, 4 and 8 rayon threads, under either engine flag and at lane
-//! widths 1, 17, 64 and 512. The trace is derived from the slab
-//! executor's per-lane outcomes in canonical order — pure in
+//! widths 1, 17, 64 and 512 — and so is the report above it. The trace
+//! is derived from the slab executor's per-lane outcomes in canonical
+//! order — pure in
 //! `(seed, fault, trial)` — so any drift here means an emitter, the
 //! seeding, or the assembly order changed, and the fixture must be
 //! regenerated deliberately:
@@ -89,11 +90,8 @@ fn campaign_trace_fixture_is_thread_count_invariant() {
 
 #[test]
 fn campaign_trace_fixture_is_engine_flag_and_lane_width_invariant() {
-    // The report banner names the engine and the lane packing, so only
-    // the trace section can be compared across flags: cut both at the
-    // header.
-    let trace_of = |out: &str| out[out.find("# scm-trace").expect("trace header")..].to_owned();
-    let reference = trace_of(FIXTURE);
+    // One estimator, two executors, any lane packing: the whole stdout,
+    // report and trace, is the fixture byte for byte.
     for flags in [
         ["--engine", "scalar"],
         ["--engine", "sliced"],
@@ -104,8 +102,8 @@ fn campaign_trace_fixture_is_engine_flag_and_lane_width_invariant() {
     ] {
         assert_bytes_identical(
             &format!("scm campaign --trace {}", flags.join(" ")),
-            &trace_of(&run_campaign(&flags)),
-            &reference,
+            &run_campaign(&flags),
+            FIXTURE,
         );
     }
 }

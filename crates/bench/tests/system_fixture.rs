@@ -1,7 +1,8 @@
 //! Byte-compatibility and thread-determinism fixture for `scm system`.
 //!
 //! The acceptance contract of the system layer: the recorded stdout is
-//! reproduced **byte for byte** at 1, 2, 4 and 8 rayon threads. On any
+//! reproduced **byte for byte** at 1, 2, 4 and 8 rayon threads and under
+//! either executor (`--engine scalar|sliced`). On any
 //! mismatch the full stdout diff is printed (not just the first differing
 //! character), so CI failures show exactly what drifted.
 
@@ -9,14 +10,8 @@ use scm_bench::cli;
 
 const FIXTURE: &str = include_str!("fixtures/system.stdout");
 
-// The fixture pins the scalar engine explicitly: `scm system` defaults
-// to the sliced backend (whose stdout carries an extra engine banner).
 fn run_system(extra: &[&str]) -> String {
-    let mut args = vec![
-        "system".to_owned(),
-        "--engine".to_owned(),
-        "scalar".to_owned(),
-    ];
+    let mut args = vec!["system".to_owned()];
     args.extend(extra.iter().map(|s| (*s).to_owned()));
     cli::run(&args).expect("scm system succeeds")
 }
@@ -63,6 +58,14 @@ fn system_stdout_is_byte_identical_across_1_2_4_8_threads() {
     for threads in ["1", "2", "4", "8"] {
         let out = run_system(&["--threads", threads]);
         assert_bytes_identical(&format!("scm system --threads {threads}"), &out, FIXTURE);
+    }
+}
+
+#[test]
+fn system_stdout_is_byte_identical_under_either_executor() {
+    for engine in ["scalar", "sliced"] {
+        let out = run_system(&["--engine", engine]);
+        assert_bytes_identical(&format!("scm system --engine {engine}"), &out, FIXTURE);
     }
 }
 

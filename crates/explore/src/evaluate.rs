@@ -295,9 +295,10 @@ pub struct SystemAdjudication {
     /// Mean SEU inter-arrival time in system cycles for points graded
     /// against the transient mix.
     pub seu_mean: f64,
-    /// Run each point's system campaign on the bit-sliced engine (up to
-    /// 512 fault lanes per multi-word slab) instead of the scalar
-    /// backend.
+    /// Executor choice for each point's system campaign: the bit-sliced
+    /// slab (up to 512 fault lanes per multi-word slab; the default) or
+    /// the behavioural oracle. Output-invariant: both run the same
+    /// estimator, so evaluations are bit-identical either way.
     pub sliced: bool,
     /// Slab lane width of the sliced engine (clamped to `1..=512`);
     /// results are invariant under it.
@@ -315,7 +316,7 @@ impl Default for SystemAdjudication {
             scrub_period: 4,
             max_faults_per_bank: 12,
             seu_mean: 40.0,
-            sliced: false,
+            sliced: true,
             lane_width: MAX_SLAB_LANES,
         }
     }
@@ -370,9 +371,10 @@ pub struct Adjudication {
     /// Scrub period applied when the point's scrub policy is
     /// [`ScrubPolicy::SequentialSweep`] (`Off` points never scrub).
     pub scrub_period: u64,
-    /// Run each point's campaign on the bit-sliced engine (up to 512
-    /// scenario lanes per multi-word slab) instead of the scalar
-    /// backend.
+    /// Executor choice for each point's campaign: the bit-sliced slab
+    /// (up to 512 scenario lanes per multi-word slab) or the behavioural
+    /// oracle. Output-invariant: both run the same estimator, so
+    /// evaluations are bit-identical either way.
     pub sliced: bool,
     /// Slab lane width of the sliced engine (clamped to `1..=512`);
     /// results are invariant under it.

@@ -284,7 +284,7 @@ mod tests {
             },
             max_faults: 8,
             scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: false,
+            sliced: true,
             lane_width: 512,
         });
         let space = ExplorationSpace {

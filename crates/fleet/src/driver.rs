@@ -65,7 +65,10 @@ pub struct FleetOptions {
     pub seed: u64,
     /// Worker threads (`0` = ambient rayon default).
     pub threads: usize,
-    /// Run devices on the bit-sliced engine.
+    /// Executor choice for every device's system campaign: the
+    /// bit-sliced slab or the behavioural oracle. Output-invariant — the
+    /// telemetry is bit-identical either way — but the report names it
+    /// and the checkpoint identity records it.
     pub sliced: bool,
     /// Slab lane width for the sliced engine (scenarios packed per
     /// simulation pass, clamped downstream to `1..=512`). Pure
@@ -125,7 +128,7 @@ pub struct FleetOutcome {
     pub spec: FleetSpec,
     /// Fleet seed.
     pub seed: u64,
-    /// Engine choice.
+    /// Executor choice ([`FleetOptions::sliced`]).
     pub sliced: bool,
     /// Devices simulated (= `spec.total_devices()`).
     pub devices: u64,
@@ -627,11 +630,15 @@ mod tests {
 
     #[test]
     fn sliced_engine_runs_the_same_fleet_shape() {
+        // One estimator, two executors: the slab path must reproduce the
+        // behavioural oracle's telemetry exactly, cohort by cohort.
+        let scalar = completed(FleetDriver::new(small(), opts(2)).unwrap().run().unwrap());
         let mut o = opts(2);
         o.sliced = true;
         let outcome = completed(FleetDriver::new(small(), o).unwrap().run().unwrap());
         assert_eq!(outcome.devices, 20);
         assert!(outcome.cohorts.iter().any(|c| c.detected > 0));
+        assert_eq!(outcome.cohorts, scalar.cohorts);
     }
 
     #[test]

@@ -46,20 +46,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Detection latency of one detected trial, counted from *true* onset:
-/// the silent-corruption instant when the process has one (a transient
-/// flip), the first erroneous output otherwise — exactly the paper's
-/// definition for permanents. `None` when the trial went undetected.
-pub(crate) fn onset_latency(process: &FaultProcess, out: &DetectionOutcome) -> Option<u64> {
-    let d = out.first_detection?;
-    let onset = process
-        .corruption_onset()
-        .map(|a| a.min(out.first_error.unwrap_or(d)))
-        .unwrap_or_else(|| out.first_error.unwrap_or(d))
-        .min(d);
-    Some(d - onset)
-}
-
 /// Aggregated result for one fault scenario.
 #[derive(Debug, Clone)]
 pub struct FaultResult {
@@ -102,7 +88,7 @@ impl FaultResult {
 
     /// Fold one trial's outcome into the counters.
     pub(crate) fn record(&mut self, out: &DetectionOutcome) {
-        match onset_latency(&self.process, out) {
+        match out.onset_latency(&self.process) {
             Some(latency) => {
                 self.detected += 1;
                 self.detection_cycle_sum += out.first_detection.unwrap_or_default();

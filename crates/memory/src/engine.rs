@@ -4,14 +4,23 @@
 //! through a [`FaultSimBackend`], spreading the grid over a rayon thread
 //! pool with dynamic work stealing. Determinism is a hard contract:
 //!
-//! * every trial's workload RNG is seeded purely from
-//!   `(campaign seed, fault index, trial index)`,
+//! * every trial's workload stream is seeded purely from
+//!   `(campaign seed, trial index)` ([`shared_trial_seed`]) and shared by
+//!   every fault of the grid (common random numbers),
 //! * per-fault statistics are sums of per-trial counters, which commute,
 //!
 //! so the result is **bit-identical at every thread count** — the
 //! single-thread run is the specification, the parallel run is just
 //! faster. The determinism test in `tests/campaign_engine.rs` enforces
 //! this.
+//!
+//! There is one Monte-Carlo estimator and two executors for it: the
+//! generic one steps any [`FaultSimBackend`] one scenario at a time (the
+//! oracle, and the path for backends the slab cannot run), the slab one
+//! packs up to [`MAX_SLAB_LANES`] scenarios into the lanes of a
+//! [`SlicedBackend`]. [`sliced`](CampaignEngine::sliced) picks the
+//! executor; the lane-exactness contract (DESIGN.md §3a) makes both
+//! return the same [`CampaignResult`] bit for bit.
 //!
 //! The grid is decomposed fault-major into trial blocks: when the
 //! fault universe is wide (the common case — thousands of collapsed
@@ -23,10 +32,11 @@
 
 use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
-use crate::campaign::{onset_latency, CampaignConfig, CampaignResult, FaultResult};
+use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
-use crate::sim::{measure_detection_on, DetectionOutcome};
+use crate::grid::{dispatch, trial_blocks, TrialBlock};
+use crate::sim::{measure_detection_on, DetectionOutcome, PackedOutcome};
 use crate::sliced::{
     measure_detection_sliced, shared_trial_seed, slab_words, with_slab_words, SlabTask,
     SlicedBackend, MAX_SLAB_LANES,
@@ -35,24 +45,8 @@ use crate::workload::{
     AddressPattern, FixedPattern, Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel,
     WorkloadSpec,
 };
-use rayon::prelude::*;
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::sync::Arc;
-
-/// One schedulable unit: a contiguous trial range of one fault.
-#[derive(Debug, Clone, Copy)]
-struct TrialBlock {
-    fidx: usize,
-    trial_start: u32,
-    trial_end: u32,
-}
-
-impl TrialBlock {
-    /// Trials the block runs.
-    fn trials(&self) -> u32 {
-        self.trial_end - self.trial_start
-    }
-}
 
 /// Parallel campaign runner over any [`FaultSimBackend`].
 #[derive(Debug, Clone)]
@@ -155,16 +149,13 @@ impl CampaignEngine {
         self
     }
 
-    /// Route [`run_scenarios`](Self::run_scenarios) through the bit-sliced
-    /// backend: up to [`lane_width`](Self::lane_width) scenarios share one
-    /// simulation pass, each riding a bit lane of the packed slab state.
-    ///
-    /// The sliced engine keeps the bit-identical-at-any-thread-count
-    /// contract and adds lane-packing invariance: the same grid at any
-    /// lane width from 1 to 512 produces the same [`CampaignResult`]. Its
-    /// workload seeding is shared across the lane block (common random
-    /// numbers), so sliced results are *internally* deterministic but not
-    /// numerically equal to the scalar engine's per-fault streams.
+    /// Choose the executor behind [`run_scenarios`](Self::run_scenarios):
+    /// `true` packs up to [`lane_width`](Self::lane_width) scenarios into
+    /// the bit lanes of one slab pass, `false` steps the behavioural
+    /// backend one scenario at a time. Both run the same estimator with
+    /// the same per-trial streams, so the [`CampaignResult`] is
+    /// bit-identical either way — this is a speed knob, not a modelling
+    /// one.
     pub fn sliced(mut self, sliced: bool) -> Self {
         self.sliced = sliced;
         self
@@ -233,10 +224,9 @@ impl CampaignEngine {
         self.run_scenarios(config, &scenarios)
     }
 
-    /// Run a temporal-scenario grid over the behavioural backend with the
-    /// campaign convention's random prefill — or, when
-    /// [`sliced`](Self::sliced) is on, over the bit-sliced backend with
-    /// the same prefill seed.
+    /// Run a temporal-scenario grid with the campaign convention's random
+    /// prefill, on the executor [`sliced`](Self::sliced) selects (the
+    /// result does not depend on which).
     pub fn run_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> CampaignResult {
         if self.sliced {
             return self.run_scenarios_sliced(config, scenarios);
@@ -254,9 +244,11 @@ impl CampaignEngine {
     /// once in the op-stream arena and replayed by reference per block
     /// (grids beyond [`ARENA_OP_BUDGET`] regenerate per block instead —
     /// bit-identical either way). Trial ranges still split across rayon
-    /// workers exactly like the scalar path, so results are bit-identical
+    /// workers exactly like the generic path, so results are bit-identical
     /// at any thread count *and* at any lane width (the trial stream seed
-    /// depends only on `(campaign seed, trial)`, never on lane geometry).
+    /// depends only on `(campaign seed, trial)`, never on lane geometry),
+    /// and equal to [`run_scenarios_on`](Self::run_scenarios_on) over the
+    /// behavioural backend.
     ///
     /// # Panics
     /// Panics if the sliced backend does not
@@ -335,8 +327,9 @@ impl CampaignEngine {
                     self.campaign.cycles,
                 )
             });
-        self.dispatch(scenarios.len(), &blocks, |block| {
-            let chunk = chunks[block.fidx];
+        let serial = self.runs_serially(scenarios.len());
+        dispatch(serial, self.threads, &blocks, |block| {
+            let chunk = chunks[block.unit];
             let mut acc = init(chunk, block);
             with_slab_words(
                 chunk.len(),
@@ -415,8 +408,9 @@ impl CampaignEngine {
             panic!("backend '{}' cannot inject {bad:?}", backend.name());
         }
         let blocks = self.decompose(scenarios.len());
-        let partials = self.dispatch(scenarios.len(), &blocks, |block| {
-            self.run_block(backend.clone(), scenarios[block.fidx], block)
+        let serial = self.runs_serially(scenarios.len());
+        let partials = dispatch(serial, self.threads, &blocks, |block| {
+            self.run_block(backend.clone(), scenarios[block.unit], block)
         });
         let per_fault = merge_partials(partials, |acc, partial| acc.merge(&partial));
         debug_assert_eq!(per_fault.len(), scenarios.len());
@@ -448,7 +442,7 @@ impl CampaignEngine {
     /// outcome the behavioural backend's under the shared-stream trial
     /// seeding, so the trace is a pure function of
     /// `(seed, fault, trial)`: bit-identical at any thread count, any
-    /// lane width, and under either engine flag. It is a second pass,
+    /// lane width, and under either executor. It is a second pass,
     /// not a tap: the result path never consults it, so tracing off
     /// costs nothing.
     ///
@@ -469,8 +463,8 @@ impl CampaignEngine {
         // blocks are adjacent, each holding its trials' outcomes
         // trial-major, so every lane reads across the pack's blocks.
         let for_each_cell = |f: &mut dyn FnMut(&FaultScenario, u32, u32, &DetectionOutcome)| {
-            for pack in partials.chunk_by(|a, b| a.0.fidx == b.0.fidx) {
-                let first = pack[0].0.fidx * self.lane_width;
+            for pack in partials.chunk_by(|a, b| a.0.unit == b.0.unit) {
+                let first = pack[0].0.unit * self.lane_width;
                 let lanes = scenarios[first..].len().min(self.lane_width);
                 for lane in 0..lanes {
                     let fault = (first + lane) as u32;
@@ -506,32 +500,6 @@ impl CampaignEngine {
             && scenarios as u64 * self.campaign.trials as u64 <= self.serial_threshold
     }
 
-    /// Run `work` on every block — serially for tiny grids, else on the
-    /// ambient or a pinned rayon pool — and collect each block with its
-    /// output, in block order. Purely scheduling: the same blocks run
-    /// either way, so results are bit-identical.
-    fn dispatch<T: Send>(
-        &self,
-        scenarios: usize,
-        blocks: &[TrialBlock],
-        work: impl Fn(TrialBlock) -> T + Sync,
-    ) -> Vec<(TrialBlock, T)> {
-        let run = |block: &TrialBlock| (*block, work(*block));
-        if self.runs_serially(scenarios) {
-            // Tiny grid: the fan-out costs more than it buys.
-            blocks.iter().map(run).collect()
-        } else if self.threads == 0 {
-            // Ambient width: no per-call pool, the global default applies.
-            blocks.par_iter().map(run).collect()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(|| blocks.par_iter().map(run).collect())
-        }
-    }
-
     /// The workload shape every trial stream of `config` is drawn with.
     fn workload_spec(&self, config: &RamConfig) -> WorkloadSpec {
         let org = config.org();
@@ -560,38 +528,14 @@ impl CampaignEngine {
     }
 
     /// Split the grid into schedulable blocks: one per fault when faults
-    /// outnumber workers, trial-splitting otherwise.
+    /// outnumber workers 8 to 1 (room for work stealing), trial-splitting
+    /// otherwise.
     fn decompose(&self, num_faults: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let target_blocks = threads * 8;
-        let splits_per_fault = if num_faults == 0 || num_faults >= target_blocks {
-            1
-        } else {
-            (target_blocks.div_ceil(num_faults) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits_per_fault).max(1);
-        let mut blocks = Vec::with_capacity(num_faults * splits_per_fault as usize);
-        for fidx in 0..num_faults {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
-        }
-        blocks
+        trial_blocks(
+            num_faults,
+            self.campaign.trials,
+            self.resolved_threads() * 8,
+        )
     }
 
     /// Split slab blocks into schedulable trial ranges. Unlike
@@ -604,44 +548,7 @@ impl CampaignEngine {
     /// invariant either way — trial outcomes never depend on which
     /// block ran them.
     fn decompose_slabs(&self, num_chunks: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let splits_per_chunk = if num_chunks == 0 || num_chunks >= threads {
-            1
-        } else {
-            (threads.div_ceil(num_chunks) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits_per_chunk).max(1);
-        let mut blocks = Vec::with_capacity(num_chunks * splits_per_chunk as usize);
-        for fidx in 0..num_chunks {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
-        }
-        blocks
-    }
-
-    /// Workload seed for one `(fault, trial)` cell — a pure function of
-    /// the campaign seed and grid coordinates, never of scheduling.
-    fn trial_seed(&self, fidx: usize, trial: u32) -> u64 {
-        self.campaign
-            .seed
-            .wrapping_add((fidx as u64) << 20)
-            .wrapping_add(trial as u64)
+        trial_blocks(num_chunks, self.campaign.trials, self.resolved_threads())
     }
 
     fn run_block<B: FaultSimBackend>(
@@ -654,7 +561,8 @@ impl CampaignEngine {
         let mut result = FaultResult::empty(&scenario, block.trials());
         for trial in block.trial_start..block.trial_end {
             backend.reset(Some(&scenario));
-            let mut workload = self.trial_stream(spec, self.trial_seed(block.fidx, trial));
+            let seed = shared_trial_seed(self.campaign.seed, trial);
+            let mut workload = self.trial_stream(spec, seed);
             let out = measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles);
             result.record(&out);
         }
@@ -686,35 +594,6 @@ impl SlabTask for SlabBlock<'_> {
     }
 }
 
-/// One lane's trial outcome as the trace holds it between the slab pass
-/// and event assembly: 16 bytes instead of a [`DetectionOutcome`]'s 40,
-/// with `u64::MAX` for "never" (no cycle index reaches it).
-/// `cycles_run` is implied: detection cycle + 1, else the full horizon.
-#[derive(Debug, Clone, Copy)]
-struct PackedOutcome {
-    first_error: u64,
-    first_detection: u64,
-}
-
-impl PackedOutcome {
-    fn pack(out: &DetectionOutcome) -> Self {
-        PackedOutcome {
-            first_error: out.first_error.unwrap_or(u64::MAX),
-            first_detection: out.first_detection.unwrap_or(u64::MAX),
-        }
-    }
-
-    fn unpack(self, cycles: u64) -> DetectionOutcome {
-        let some = |c: u64| (c != u64::MAX).then_some(c);
-        let first_detection = some(self.first_detection);
-        DetectionOutcome {
-            cycles_run: first_detection.map_or(cycles, |d| d + 1),
-            first_error: some(self.first_error),
-            first_detection,
-        }
-    }
-}
-
 /// Fold the trial-split partials of each grid unit back into one, in
 /// unit order. Blocks are unit-major with ascending trial ranges, so a
 /// unit's partials are adjacent.
@@ -722,17 +601,33 @@ fn merge_partials<T>(partials: Vec<(TrialBlock, T)>, mut merge: impl FnMut(&mut 
     let mut merged: Vec<T> = Vec::new();
     let mut last = usize::MAX;
     for (block, partial) in partials {
-        if block.fidx == last {
+        if block.unit == last {
             merge(
                 merged.last_mut().expect("a merge always follows a push"),
                 partial,
             );
         } else {
             merged.push(partial);
-            last = block.fidx;
+            last = block.unit;
         }
     }
     merged
+}
+
+/// The onset event of a trial that ran `cycles_run` cycles: an SEU
+/// strike at a transient's flip cycle, else an activation at the first
+/// active window (couplings are armed from cycle 0). `None` when the
+/// onset lies past the trial's end.
+pub fn onset_event(process: &FaultProcess, cycles_run: u64) -> Option<(u64, EventKind)> {
+    match *process {
+        FaultProcess::TransientFlip { at } => {
+            (at < cycles_run).then_some((at, EventKind::SeuStrike))
+        }
+        FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
+            (onset < cycles_run).then_some((onset, EventKind::Activate))
+        }
+        FaultProcess::Coupling { .. } => Some((0, EventKind::Activate)),
+    }
 }
 
 /// Append the events of one `(fault, trial)` cell, chronologically
@@ -752,23 +647,13 @@ fn cell_events(
 ) {
     let start = events.len();
     let mut push = |t: u64, kind: EventKind| events.push(Event::cell(t, 0, fault, trial, kind));
-    match scenario.process {
-        FaultProcess::TransientFlip { at } => {
-            if at < out.cycles_run {
-                push(at, EventKind::SeuStrike);
-            }
-        }
-        FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
-            if onset < out.cycles_run {
-                push(onset, EventKind::Activate);
-            }
-        }
-        FaultProcess::Coupling { .. } => push(0, EventKind::Activate),
+    if let Some((t, kind)) = onset_event(&scenario.process, out.cycles_run) {
+        push(t, kind);
     }
     for sweep in 1..=out.cycles_run.checked_div(sweep_len).unwrap_or(0) {
         push(sweep * sweep_len - 1, EventKind::ScrubSweep { sweep });
     }
-    if let (Some(d), Some(latency)) = (out.first_detection, onset_latency(&scenario.process, out)) {
+    if let (Some(d), Some(latency)) = (out.first_detection, out.onset_latency(&scenario.process)) {
         push(d, EventKind::Detect { latency });
     }
     if out.error_escaped() {
@@ -819,17 +704,17 @@ mod tests {
             let mut seen = vec![0u32; faults];
             for b in &blocks {
                 assert!(b.trial_start < b.trial_end, "empty block {b:?}");
-                seen[b.fidx] += b.trial_end - b.trial_start;
+                seen[b.unit] += b.trial_end - b.trial_start;
             }
             assert!(
                 seen.iter().all(|&t| t == trials),
                 "{faults}x{trials}@{threads}: {seen:?}"
             );
-            // Fault-major ordering: fidx never decreases, trial ranges are
+            // Fault-major ordering: units never decrease, trial ranges are
             // contiguous per fault.
             for w in blocks.windows(2) {
-                assert!(w[1].fidx >= w[0].fidx);
-                if w[1].fidx == w[0].fidx {
+                assert!(w[1].unit >= w[0].unit);
+                if w[1].unit == w[0].unit {
                     assert_eq!(w[1].trial_start, w[0].trial_end);
                 }
             }
@@ -1299,6 +1184,49 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
+
+            // One estimator, two executors: the generic executor (the
+            // behavioural backend, one scenario at a time) and the slab
+            // executor must return the same counters on random small
+            // campaigns mixing every process class, with the scrubber on
+            // and off, at any lane width.
+            #[test]
+            fn both_executors_return_the_same_result(
+                cycles in 1u64..200,
+                trials in 1u32..5,
+                seed in any::<u64>(),
+                w in 0u32..17,
+                scrub in 0u64..3,
+                cells in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..24),
+            ) {
+                let campaign = CampaignConfig {
+                    cycles,
+                    trials,
+                    seed,
+                    write_fraction: f64::from(w) / 16.0,
+                };
+                let cfg = config();
+                let scenarios: Vec<FaultScenario> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(kind, a, b))| scenario(&cfg, i, kind, a, b))
+                    .collect();
+                let engine = CampaignEngine::new(campaign).scrub(scrub);
+                let generic = engine.clone().sliced(false).run_scenarios(&cfg, &scenarios);
+                for width in [1usize, 17, 512] {
+                    let sliced = engine
+                        .clone()
+                        .sliced(true)
+                        .lane_width(width)
+                        .run_scenarios(&cfg, &scenarios);
+                    prop_assert_eq!(
+                        generic.determinism_profile(),
+                        sliced.determinism_profile(),
+                        "width {}",
+                        width
+                    );
+                }
+            }
 
             // The trace is derived from the slab executor's per-lane
             // outcomes, so it must equal the behavioural oracle on

@@ -57,6 +57,7 @@ pub mod decoder_unit;
 pub mod design;
 pub mod engine;
 pub mod fault;
+pub mod grid;
 pub mod report;
 pub mod rom_memory;
 pub mod scrub;
@@ -70,7 +71,7 @@ pub use campaign::{run_campaign, CampaignConfig, CampaignResult, FaultResult};
 pub use design::{RamConfig, ReadOutcome, SelfCheckingRam, Verdict};
 pub use engine::{CampaignEngine, LaneOccupancy, DEFAULT_SERIAL_THRESHOLD};
 pub use fault::FaultSite;
-pub use sim::{measure_detection, measure_detection_on, DetectionOutcome};
+pub use sim::{measure_detection, measure_detection_on, DetectionOutcome, PackedOutcome};
 pub use sliced::{
     measure_detection_sliced, slab_words, LaneSet, SlicedBackend, SlicedObservation, SlicedPrefill,
     MAX_SLAB_LANES, MAX_SLAB_WORDS,

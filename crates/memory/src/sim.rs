@@ -8,6 +8,7 @@
 
 use crate::backend::{compare_step, FaultSimBackend};
 use crate::design::SelfCheckingRam;
+use crate::fault::FaultProcess;
 use crate::workload::{Op, OpSource, Workload};
 
 /// Outcome of one measurement run.
@@ -52,11 +53,57 @@ impl DetectionOutcome {
         }
     }
 
+    /// Detection latency of a detected trial, counted from *true* onset:
+    /// the silent-corruption instant when `process` has one (a transient
+    /// flip), the first erroneous output otherwise — exactly the paper's
+    /// definition for permanents. `None` when the trial went undetected.
+    pub fn onset_latency(&self, process: &FaultProcess) -> Option<u64> {
+        let d = self.first_detection?;
+        let observed = self.first_error.unwrap_or(d);
+        let onset = process
+            .corruption_onset()
+            .map_or(observed, |a| a.min(observed))
+            .min(d);
+        Some(d - onset)
+    }
+
     /// Detection latency measured from the first error, when both exist.
     pub fn latency_from_error(&self) -> Option<u64> {
         match (self.first_error, self.first_detection) {
             (Some(e), Some(d)) if d >= e => Some(d - e),
             _ => None,
+        }
+    }
+}
+
+/// One trial outcome as a trace holds it between an executor pass and
+/// event assembly: 16 bytes instead of a [`DetectionOutcome`]'s 40, with
+/// `u64::MAX` for "never" (no cycle index reaches it). `cycles_run` is
+/// implied: detection cycle + 1, else the full horizon.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedOutcome {
+    first_error: u64,
+    first_detection: u64,
+}
+
+impl PackedOutcome {
+    /// Pack an outcome whose trial stopped at detection (or ran the
+    /// horizon).
+    pub fn pack(out: &DetectionOutcome) -> Self {
+        PackedOutcome {
+            first_error: out.first_error.unwrap_or(u64::MAX),
+            first_detection: out.first_detection.unwrap_or(u64::MAX),
+        }
+    }
+
+    /// The outcome back, for a trial horizon of `cycles`.
+    pub fn unpack(self, cycles: u64) -> DetectionOutcome {
+        let some = |c: u64| (c != u64::MAX).then_some(c);
+        let first_detection = some(self.first_detection);
+        DetectionOutcome {
+            cycles_run: first_detection.map_or(cycles, |d| d + 1),
+            first_error: some(self.first_error),
+            first_detection,
         }
     }
 }

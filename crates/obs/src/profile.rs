@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default, Clone)]
 pub struct Profiler {
     enabled: bool,
+    notes: Vec<String>,
     spans: Vec<(String, Duration)>,
 }
 
@@ -23,6 +24,7 @@ impl Profiler {
     pub fn new(enabled: bool) -> Profiler {
         Profiler {
             enabled,
+            notes: Vec::new(),
             spans: Vec::new(),
         }
     }
@@ -50,19 +52,34 @@ impl Profiler {
         }
     }
 
+    /// Record how the run was executed (`key=value`, e.g. which executor
+    /// and lane packing served it): facts that change the wall clock but
+    /// never the deterministic output, so they live with the spans.
+    pub fn note(&mut self, note: impl Into<String>) {
+        if self.enabled {
+            self.notes.push(note.into());
+        }
+    }
+
     /// Recorded `(phase, duration)` spans, in recording order.
     pub fn spans(&self) -> &[(String, Duration)] {
         &self.spans
     }
 
-    /// One `profile:`-prefixed line per span, in recording order, plus
-    /// a total line. Empty string when disabled or nothing recorded —
-    /// callers can always print the result verbatim.
+    /// One `profile:`-prefixed line per note, then per span, in
+    /// recording order, plus a total line. Empty string when disabled or
+    /// nothing recorded — callers can always print the result verbatim.
     pub fn render(&self) -> String {
-        if !self.enabled || self.spans.is_empty() {
+        if !self.enabled || self.spans.is_empty() && self.notes.is_empty() {
             return String::new();
         }
         let mut out = String::new();
+        for note in &self.notes {
+            let _ = writeln!(out, "profile: {note}");
+        }
+        if self.spans.is_empty() {
+            return out;
+        }
         let mut total = Duration::ZERO;
         for (name, elapsed) in &self.spans {
             total += *elapsed;
@@ -83,6 +100,7 @@ mod tests {
         let v = p.time("phase-a", || 41 + 1);
         assert_eq!(v, 42);
         p.record("phase-b", Duration::from_millis(5));
+        p.note("engine=sliced");
         assert!(p.spans().is_empty());
         assert_eq!(p.render(), "");
     }
@@ -92,6 +110,7 @@ mod tests {
         let mut p = Profiler::new(true);
         p.time("fan-out", || ());
         p.record("dictionary-build", Duration::from_micros(250));
+        p.note("engine=sliced");
         let text = p.render();
         for line in text.lines() {
             assert!(line.starts_with("profile: "), "unprefixed line: {line}");
@@ -99,5 +118,6 @@ mod tests {
         assert!(text.contains("phase=fan-out"));
         assert!(text.contains("phase=dictionary-build wall_us=250"));
         assert!(text.contains("phase=total"));
+        assert!(text.starts_with("profile: engine=sliced\n"), "{text}");
     }
 }

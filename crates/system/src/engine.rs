@@ -11,7 +11,8 @@
 //! Determinism is the campaign engine's contract, extended one axis:
 //!
 //! * every trial's traffic stream is seeded purely from
-//!   `(campaign seed, bank, fault index within the bank, trial)`,
+//!   `(campaign seed, bank, trial)` and shared by every fault of the bank
+//!   (common random numbers),
 //! * every bank's prefill image is seeded purely from
 //!   `(campaign seed, bank)`,
 //! * per-fault statistics are sums of per-trial counters, which commute,
@@ -25,25 +26,37 @@
 //! behavioural bank is exactly silent ([`MemorySystem::serve`]'s sanity
 //! anchor, re-checked in the integration tests), so skipping its steps
 //! changes nothing observable while cutting the work `N`-fold.
+//!
+//! Two executors run the one estimator: the slab executor packs a bank's
+//! faults into the lanes of a bit-sliced pass, the generic executor steps
+//! a behavioural bank one fault at a time and is the oracle the slab path
+//! is tested against. Both hand every trial's per-fault
+//! [`DetectionOutcome`] to the same fold — [`SystemFaultResult`]'s
+//! accounting for results, one cell-event builder for traces — so the
+//! executor choice ([`SystemCampaign::sliced`]) cannot change a number.
 
-use crate::clock::SystemClock;
+use crate::clock::{CheckpointSchedule, SystemClock};
 use crate::seu::SeuProcess;
 use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
-use rayon::prelude::*;
 use scm_memory::arena::ARENA_OP_BUDGET;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
+use scm_memory::engine::onset_event;
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
-use scm_memory::sliced::{with_slab_words, LaneSet, SlabTask, SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::grid::{dispatch, trial_blocks, TrialBlock};
+use scm_memory::sim::{DetectionOutcome, PackedOutcome};
+use scm_memory::sliced::{
+    with_slab_words, LaneSet, SlabTask, SlicedBackend, SlicedObservation, MAX_SLAB_LANES,
+};
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Domain-separation tag for the sliced engine's shared traffic streams
-/// (seeded per `(bank, trial)`, never per fault index — lane-packing
-/// invariance demands the stream not know how lanes are grouped).
-const SLICED_TRAFFIC_TAG: u64 = 0x51_1CED;
+/// Domain-separation tag for the shared traffic streams (seeded per
+/// `(bank, trial)`, never per fault index — lane-packing invariance
+/// demands the stream not know how lanes are grouped).
+const TRAFFIC_TAG: u64 = 0x51_1CED;
 
 /// One cell of the campaign universe: a fault scenario in a specific
 /// bank.
@@ -122,6 +135,28 @@ impl SystemFaultResult {
         }
     }
 
+    /// Fold one trial's outcome: detection, onset latency and lost work
+    /// for a detected trial; the whole `horizon` charged as lost
+    /// (censored) for an undetected one; an escape when an erroneous
+    /// output preceded any indication.
+    fn record(&mut self, out: &DetectionOutcome, checkpoint: &CheckpointSchedule, horizon: u64) {
+        match Detection::of(&self.fault.process, out, checkpoint) {
+            Some(d) => {
+                self.detected += 1;
+                self.detection_cycle_sum += d.cycle;
+                self.latency_from_error_sum += d.latency;
+                self.lost_work_sum += d.lost_work;
+            }
+            None => {
+                self.undetected += 1;
+                self.lost_work_sum += horizon;
+            }
+        }
+        if out.error_escaped() {
+            self.error_escapes += 1;
+        }
+    }
+
     /// Add another trial range of the same cell: every counter is a
     /// per-trial sum, so partials merge in any order.
     pub fn merge(&mut self, other: &SystemFaultResult) {
@@ -152,6 +187,37 @@ impl SystemFaultResult {
     /// Mean lost work over all trials.
     pub fn mean_lost_work(&self) -> f64 {
         self.lost_work_sum as f64 / self.trials.max(1) as f64
+    }
+}
+
+/// What a detected trial costs on the global clock.
+struct Detection {
+    /// Cycle of the first indication.
+    cycle: u64,
+    /// Cycles from the true onset — the silent-corruption instant when
+    /// the process has one (a transient strikes its cell silently, the
+    /// Aupy anchor), the first erroneous output otherwise.
+    latency: u64,
+    /// Aupy-style lost work: cycles from the last checkpoint at or
+    /// before the onset through the detection cycle.
+    lost_work: u64,
+}
+
+impl Detection {
+    /// `None` when the trial went undetected.
+    fn of(
+        process: &FaultProcess,
+        out: &DetectionOutcome,
+        checkpoint: &CheckpointSchedule,
+    ) -> Option<Self> {
+        let cycle = out.first_detection?;
+        let latency = out.onset_latency(process)?;
+        let rollback = checkpoint.last_checkpoint_at_or_before(cycle - latency);
+        Some(Detection {
+            cycle,
+            latency,
+            lost_work: cycle - rollback + 1,
+        })
     }
 }
 
@@ -294,17 +360,10 @@ impl SystemResult {
     }
 }
 
-/// One schedulable unit: a contiguous trial range of one universe entry.
-#[derive(Debug, Clone, Copy)]
-struct TrialBlock {
-    uidx: usize,
-    trial_start: u32,
-    trial_end: u32,
-}
-
-/// One lane block of the sliced system path: up to
-/// [`MAX_SLAB_LANES`] universe entries of the same bank, addressed by
-/// their positions in the input universe.
+/// One lane chunk of the grid: universe entries of the same bank,
+/// addressed by their positions in the input universe — up to
+/// [`MAX_SLAB_LANES`] of them on the slab executor, exactly one on the
+/// generic executor.
 #[derive(Debug, Clone)]
 struct LaneChunk {
     bank: usize,
@@ -343,12 +402,12 @@ impl SystemCampaign {
         }
     }
 
-    /// Route [`run`](Self::run) through the bit-sliced backend: faults of
-    /// the same bank pack into lanes of one simulation pass, sharing the
-    /// trial's system event stream. Results stay bit-identical at every
-    /// thread count and lane width, but the shared-stream seeding differs
-    /// from the scalar engine's per-fault streams, so the two engines are
-    /// distinct (both valid) Monte-Carlo estimators.
+    /// Choose the executor behind [`run`](Self::run) and
+    /// [`trace`](Self::trace): `true` packs the faults of one bank into
+    /// the lanes of a bit-sliced pass, `false` steps a behavioural bank
+    /// one fault at a time (the oracle). Both draw each trial's traffic
+    /// from the same `(bank, trial)` stream, so results and traces are
+    /// bit-identical either way — a speed knob, not a modelling one.
     pub fn sliced(mut self, sliced: bool) -> Self {
         self.sliced = sliced;
         self
@@ -454,187 +513,32 @@ impl SystemCampaign {
     /// Run the `bank × fault × trial` grid.
     ///
     /// # Panics
-    /// Panics if a universe entry names a bank outside the system.
+    /// Panics if a universe entry names a bank outside the system, or if
+    /// the slab executor cannot inject one.
     pub fn run(&self, universe: &[SystemFault]) -> SystemResult {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
-        if self.sliced {
-            return self.run_sliced(universe);
-        }
-        // One prefilled template per bank, shared read-only by every
-        // worker; blocks clone only the bank they fault.
-        let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-        let blocks = self.decompose(universe.len());
-        let dispatch = || -> Vec<SystemFaultResult> {
-            blocks
-                .par_iter()
-                .map(|block| self.run_block(&template, universe[block.uidx], *block))
-                .collect()
-        };
-        let partials: Vec<SystemFaultResult> = if self.runs_serially(universe.len()) {
-            // Tiny grid: same blocks, same order, same merge — the
-            // fan-out is skipped, the result is bit-identical.
-            blocks
-                .iter()
-                .map(|block| self.run_block(&template, universe[block.uidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Blocks are universe-major in input order; fold trial splits.
-        let mut per_fault: Vec<SystemFaultResult> = Vec::with_capacity(universe.len());
-        let mut last_uidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.uidx == last_uidx {
-                let acc = per_fault.last_mut().expect("a merge always follows a push");
-                acc.merge(&partial);
-            } else {
-                per_fault.push(partial);
-                last_uidx = block.uidx;
-            }
-        }
-        debug_assert_eq!(per_fault.len(), universe.len());
-        SystemResult {
-            per_fault,
-            campaign: self.campaign,
-            num_banks: self.system.num_banks(),
-            scrub_slots: self.system.scrub.slots_within(self.campaign.cycles),
-            scrub_overhead: self.system.scrub.bandwidth_overhead(),
-        }
-    }
-
-    /// Project one `(bank, trial)` shared system event stream onto the
-    /// bank: the `(global cycle, op)` pairs the bank actually serves
-    /// within the horizon. Pure in `(campaign seed, model, bank,
-    /// trial)` — fault-blind by construction, which is what lets every
-    /// lane chunk of the bank replay the same projection.
-    fn project_bank_traffic(&self, bank: usize, trial: u32) -> Vec<(u64, Op)> {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let traffic = self.model.stream(
-            spec,
-            crate::system::seed_mix(
-                self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                &[bank as u64, trial as u64],
-            ),
-        );
-        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-        let mut events = Vec::new();
-        for cycle in 0..self.campaign.cycles {
-            let (target, op) = clock.next_event().target();
-            if target == bank {
-                events.push((cycle, op));
-            }
-        }
-        events
-    }
-
-    /// The sliced grid: universe entries grouped bank-major into lane
-    /// chunks of [`lane_width`](Self::lane_width) (each chunk simulated
-    /// at the narrowest slab width that holds it), every chunk advancing
-    /// all its lanes through one shared per-trial system event stream.
-    ///
-    /// Under the op budget the engine materialises each `(bank, trial)`
-    /// stream's bank projection **exactly once** up front and replays it
-    /// by reference with gap-advance (idle cycles between two served ops
-    /// collapse into one clock jump); over budget every chunk regenerates
-    /// its streams on the fly. Both paths are bit-identical — the arena
-    /// caches values that were already deterministic.
-    ///
-    /// # Panics
-    /// Panics if the sliced backend cannot inject a universe entry.
-    fn run_sliced(&self, universe: &[SystemFault]) -> SystemResult {
-        if let Some(bad) = universe
-            .iter()
-            .find(|f| !SlicedBackend::<1>::supports(&f.scenario()))
-        {
-            panic!("backend 'sliced' cannot inject {:?}", bad.scenario());
-        }
-        let width = self.lane_width.clamp(1, MAX_SLAB_LANES);
-        let mut chunks: Vec<LaneChunk> = Vec::new();
-        for bank in 0..self.system.num_banks() {
-            let positions: Vec<usize> = (0..universe.len())
-                .filter(|&i| universe[i].bank == bank)
-                .collect();
-            for chunk in positions.chunks(width) {
-                chunks.push(LaneChunk {
-                    bank,
-                    positions: chunk.to_vec(),
-                });
-            }
-        }
-        // The projection arena: one clock walk per (bank, trial),
-        // shared read-only by every lane chunk and trial block of that
-        // bank. Walk cost is banks × trials × cycles, so the same op
-        // budget that bounds the campaign arena bounds it.
-        let banks_used: BTreeSet<usize> = chunks.iter().map(|c| c.bank).collect();
-        let walk_cells = (banks_used.len() as u64)
-            .saturating_mul(self.campaign.trials as u64)
-            .saturating_mul(self.campaign.cycles);
-        let projections: Option<Projections> = (walk_cells <= ARENA_OP_BUDGET).then(|| {
-            let mut map = HashMap::new();
-            for &bank in &banks_used {
-                for trial in 0..self.campaign.trials {
-                    map.insert(
-                        (bank, trial),
-                        Arc::new(self.project_bank_traffic(bank, trial)),
-                    );
+        let (chunks, partials) = self.run_grid(
+            universe,
+            |chunk, block| {
+                chunk
+                    .positions
+                    .iter()
+                    .map(|&p| SystemFaultResult::empty(universe[p], block.trials()))
+                    .collect::<Vec<_>>()
+            },
+            |results, outcomes| {
+                for (result, out) in results.iter_mut().zip(outcomes) {
+                    result.record(out, &self.system.checkpoint, self.campaign.cycles);
                 }
-            }
-            map
-        });
-        let run_block = |chunk: &LaneChunk, block: TrialBlock| -> Vec<SystemFaultResult> {
-            with_slab_words(
-                chunk.positions.len(),
-                SlicedBlock {
-                    campaign: self,
-                    chunk,
-                    universe,
-                    block,
-                    projections: projections.as_ref(),
-                },
-            )
-        };
-        let blocks = self.decompose(chunks.len());
-        let dispatch = || -> Vec<Vec<SystemFaultResult>> {
-            blocks
-                .par_iter()
-                .map(|block| run_block(&chunks[block.uidx], *block))
-                .collect()
-        };
-        let partials: Vec<Vec<SystemFaultResult>> = if self.runs_serially(universe.len()) {
-            // Tiny grid: same chunks, same order, same scatter.
-            blocks
-                .iter()
-                .map(|block| run_block(&chunks[block.uidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+            },
+        );
         // Scatter lane results back onto universe positions; the per-trial
         // counters commute, so trial splits of one chunk just sum.
         let mut per_fault: Vec<SystemFaultResult> = universe
             .iter()
             .map(|&fault| SystemFaultResult::empty(fault, 0))
             .collect();
-        for (block, partial) in blocks.iter().zip(partials) {
-            for (&pos, lane) in chunks[block.uidx].positions.iter().zip(&partial) {
+        for (block, partial) in &partials {
+            for (&pos, lane) in chunks[block.unit].positions.iter().zip(partial) {
                 per_fault[pos].merge(lane);
             }
         }
@@ -647,21 +551,291 @@ impl SystemCampaign {
         }
     }
 
-    /// One trial range of one lane chunk: all packed faults of one bank
-    /// ride the same global event stream; lanes latch their own first
-    /// error / first detection out of the packed observation masks.
+    /// The `bank × fault × trial` grid as a structured event trace on the
+    /// global system clock.
+    ///
+    /// The trace runs the same executor as [`run`](Self::run) — same lane
+    /// chunks, trial blocks, projection arena and thread dispatch — and
+    /// derives each cell's events from the per-lane outcome that pass
+    /// returns, assembled in canonical `(universe position, trial)` order.
+    /// Both executors yield the same outcomes, so the trace is a pure
+    /// function of `(seed, bank, fault index, trial)`: bit-identical at
+    /// any thread count, lane width and executor. It is a second pass,
+    /// not a tap: the result path never consults it, so tracing off costs
+    /// nothing.
+    ///
+    /// # Panics
+    /// As [`run`](Self::run).
+    pub fn trace(&self, universe: &[SystemFault]) -> Vec<Event> {
+        let (chunks, partials) = self.run_grid(
+            universe,
+            |chunk, block| Vec::with_capacity(chunk.positions.len() * block.trials() as usize),
+            |packed: &mut Vec<PackedOutcome>, outcomes| {
+                packed.extend(outcomes.iter().map(PackedOutcome::pack));
+            },
+        );
+        // Where each universe entry rides: (chunk, lane).
+        let mut slot = vec![(0, 0); universe.len()];
+        for (c, chunk) in chunks.iter().enumerate() {
+            for (lane, &pos) in chunk.positions.iter().enumerate() {
+                slot[pos] = (c, lane);
+            }
+        }
+        // A chunk's blocks are adjacent with ascending trial ranges, each
+        // holding its trials' outcomes trial-major.
+        let packs: Vec<&[(TrialBlock, Vec<PackedOutcome>)]> =
+            partials.chunk_by(|a, b| a.0.unit == b.0.unit).collect();
+        let mut events = Vec::new();
+        for (fault, &(c, lane)) in universe.iter().zip(&slot) {
+            let lanes = chunks[c].positions.len();
+            for (block, packed) in packs[c] {
+                for trial in block.trial_start..block.trial_end {
+                    let i = (trial - block.trial_start) as usize * lanes + lane;
+                    let out = packed[i].unpack(self.campaign.cycles);
+                    self.cell_events(fault, trial, &out, &mut events);
+                }
+            }
+        }
+        events
+    }
+
+    /// Append the events of one `(fault, trial)` cell, chronologically
+    /// ordered, as its outcome implies them: the onset, every checkpoint
+    /// write within the trial, the detection with its onset latency and
+    /// the restore with its lost work, and an escape at the first
+    /// erroneous output when that preceded any indication. Undetected
+    /// trials emit no terminal event: their censored lost work is a
+    /// result-path quantity, not a timeline point.
+    fn cell_events(
+        &self,
+        fault: &SystemFault,
+        trial: u32,
+        out: &DetectionOutcome,
+        events: &mut Vec<Event>,
+    ) {
+        let start = events.len();
+        let (bank, index) = (fault.bank as u32, fault.index as u32);
+        let mut push =
+            |t: u64, kind: EventKind| events.push(Event::cell(t, bank, index, trial, kind));
+        if let Some((t, kind)) = onset_event(&fault.process, out.cycles_run) {
+            push(t, kind);
+        }
+        let interval = self.system.checkpoint.interval;
+        if interval > 0 {
+            for k in (1..).take_while(|k| k * interval < out.cycles_run) {
+                push(k * interval, EventKind::CheckpointWrite { index: k });
+            }
+        }
+        if let Some(d) = Detection::of(&fault.process, out, &self.system.checkpoint) {
+            push(d.cycle, EventKind::Detect { latency: d.latency });
+            push(d.cycle, EventKind::CheckpointRestore { lost: d.lost_work });
+        }
+        if out.error_escaped() {
+            let t = out.first_error.expect("an escape implies an error");
+            push(t, EventKind::Escape);
+        }
+        sort_chronological(&mut events[start..]);
+    }
+
+    /// The grid executor behind both [`run`](Self::run) and
+    /// [`trace`](Self::trace). Universe entries group bank-major into
+    /// lane chunks — [`lane_width`](Self::lane_width) wide on the slab
+    /// executor, one fault each on the generic one — chunks split into
+    /// trial blocks ([`decompose`](Self::decompose)), and every block
+    /// runs on the executor [`sliced`](Self::sliced) selects: `init`
+    /// builds the block's accumulator, `fold` takes each trial's
+    /// per-lane outcomes in trial order. Returns the chunks and every
+    /// block with its accumulator, chunk-major with ascending trial
+    /// ranges.
+    fn run_grid<A: Send>(
+        &self,
+        universe: &[SystemFault],
+        init: impl Fn(&LaneChunk, TrialBlock) -> A + Sync,
+        fold: impl Fn(&mut A, &[DetectionOutcome]) + Sync,
+    ) -> (Vec<LaneChunk>, Vec<(TrialBlock, A)>) {
+        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
+            panic!(
+                "fault targets bank {} of a {}-bank system",
+                bad.bank,
+                self.system.num_banks()
+            );
+        }
+        // The slab executor packs `lane_width` faults per chunk and
+        // replays the projection arena; the generic executor runs one
+        // fault per chunk on clones of a prefilled behavioural template.
+        let (width, template, projections) = if self.sliced {
+            if let Some(bad) = universe
+                .iter()
+                .find(|f| !SlicedBackend::<1>::supports(&f.scenario()))
+            {
+                panic!("backend 'sliced' cannot inject {:?}", bad.scenario());
+            }
+            (self.lane_width, None, self.projections(universe))
+        } else {
+            let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
+            (1, Some(template), None)
+        };
+        let mut chunks: Vec<LaneChunk> = Vec::new();
+        for bank in 0..self.system.num_banks() {
+            let positions: Vec<usize> = (0..universe.len())
+                .filter(|&i| universe[i].bank == bank)
+                .collect();
+            for chunk in positions.chunks(width) {
+                chunks.push(LaneChunk {
+                    bank,
+                    positions: chunk.to_vec(),
+                });
+            }
+        }
+        let blocks = self.decompose(chunks.len());
+        let serial = self.runs_serially(universe.len());
+        let partials = dispatch(serial, self.threads, &blocks, |block| {
+            let chunk = &chunks[block.unit];
+            let mut acc = init(chunk, block);
+            let visit = &mut |outcomes: &[DetectionOutcome]| fold(&mut acc, outcomes);
+            match &template {
+                Some(template) => {
+                    self.run_generic_block(template, universe[chunk.positions[0]], block, visit)
+                }
+                None => with_slab_words(
+                    chunk.positions.len(),
+                    SlabBlock {
+                        campaign: self,
+                        chunk,
+                        universe,
+                        block,
+                        projections: projections.as_ref(),
+                        visit,
+                    },
+                ),
+            }
+            acc
+        });
+        (chunks, partials)
+    }
+
+    /// Traffic seed of one `(bank, trial)` system event stream: shared by
+    /// every fault of the bank (common random numbers) and by both
+    /// executors, and never keyed by a fault index, so lane packing
+    /// cannot move it.
+    fn traffic_seed(&self, bank: usize, trial: u32) -> u64 {
+        crate::system::seed_mix(
+            self.campaign.seed ^ TRAFFIC_TAG,
+            &[bank as u64, trial as u64],
+        )
+    }
+
+    /// The projection arena: every `(bank, trial)` event stream projected
+    /// onto its bank once, shared read-only by every lane chunk and trial
+    /// block of that bank. Walk cost is banks × trials × cycles, so the
+    /// op budget that bounds the campaign arena bounds it; over budget
+    /// (`None`) every chunk regenerates its streams on the fly.
+    fn projections(&self, universe: &[SystemFault]) -> Option<Projections> {
+        let banks_used: BTreeSet<usize> = universe.iter().map(|f| f.bank).collect();
+        let walk_cells = (banks_used.len() as u64)
+            .saturating_mul(self.campaign.trials as u64)
+            .saturating_mul(self.campaign.cycles);
+        (walk_cells <= ARENA_OP_BUDGET).then(|| {
+            let mut map = HashMap::new();
+            for &bank in &banks_used {
+                for trial in 0..self.campaign.trials {
+                    map.insert(
+                        (bank, trial),
+                        Arc::new(self.project_bank_traffic(bank, trial)),
+                    );
+                }
+            }
+            map
+        })
+    }
+
+    /// Project one `(bank, trial)` shared system event stream onto the
+    /// bank: the `(global cycle, op)` pairs the bank actually serves
+    /// within the horizon. Pure in `(campaign seed, model, bank,
+    /// trial)` — fault-blind by construction, which is what lets every
+    /// lane chunk of the bank replay the same projection.
+    fn project_bank_traffic(&self, bank: usize, trial: u32) -> Vec<(u64, Op)> {
+        let spec = self.system.workload_spec(self.campaign.write_fraction);
+        let traffic = self.model.stream(spec, self.traffic_seed(bank, trial));
+        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+        let mut events = Vec::new();
+        for cycle in 0..self.campaign.cycles {
+            let (target, op) = clock.next_event().target();
+            if target == bank {
+                events.push((cycle, op));
+            }
+        }
+        events
+    }
+
+    /// One trial range of one fault on the generic executor: a clone of
+    /// the faulted bank's prefilled behavioural backend walks the whole
+    /// global event stream cycle by cycle, and each trial hands its
+    /// outcome to `visit`. This is the oracle the slab executor is held
+    /// to.
+    fn run_generic_block(
+        &self,
+        template: &MemorySystem,
+        fault: SystemFault,
+        block: TrialBlock,
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
+        let spec = self.system.workload_spec(self.campaign.write_fraction);
+        let scenario = fault.scenario();
+        let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
+        for trial in block.trial_start..block.trial_end {
+            backend.reset(Some(&scenario));
+            let traffic = self
+                .model
+                .stream(spec, self.traffic_seed(fault.bank, trial));
+            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+            let mut out = DetectionOutcome {
+                cycles_run: self.campaign.cycles,
+                ..DetectionOutcome::default()
+            };
+            for cycle in 0..self.campaign.cycles {
+                let (bank, op) = clock.next_event().target();
+                if bank != fault.bank {
+                    // Fault-free banks are exactly silent, but the
+                    // faulted bank's temporal process rides the *global*
+                    // clock: an SEU strikes whether or not traffic is
+                    // routed to the bank that cycle.
+                    backend.advance(1);
+                    continue;
+                }
+                let obs = backend.step(op);
+                if obs.erroneous.unwrap_or(false) && out.first_error.is_none() {
+                    out.first_error = Some(cycle);
+                }
+                if obs.detected() {
+                    // Latched indication: the trial is complete.
+                    out.first_detection = Some(cycle);
+                    out.cycles_run = cycle + 1;
+                    break;
+                }
+            }
+            visit(std::slice::from_ref(&out));
+        }
+    }
+
+    /// One trial range of one lane chunk on the slab executor: all
+    /// packed faults of one bank ride the same global event stream,
+    /// lanes latch their own first error / first detection out of the
+    /// packed observation masks, and each trial hands the per-lane
+    /// outcomes to `visit`.
     ///
     /// With a projection arena in hand the trial replays only the
     /// cycles the bank serves, jumping the activation clock over the
     /// gaps — exactly equivalent to stepping idle cycles one by one,
     /// because an unserved bank cycle changes nothing but the clock.
-    fn run_sliced_block<const W: usize>(
+    fn run_slab_block<const W: usize>(
         &self,
         chunk: &LaneChunk,
         universe: &[SystemFault],
         block: TrialBlock,
         projections: Option<&Projections>,
-    ) -> Vec<SystemFaultResult> {
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
         let scenarios: Vec<FaultScenario> = chunk
             .positions
             .iter()
@@ -674,57 +848,49 @@ impl SystemCampaign {
             bank_prefill_seed(self.campaign.seed, chunk.bank),
         );
         let all = backend.lane_mask();
-        let lanes = scenarios.len();
         let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let trials = block.trial_end - block.trial_start;
-        let mut results: Vec<SystemFaultResult> = chunk
-            .positions
-            .iter()
-            .map(|&p| SystemFaultResult::empty(universe[p], trials))
-            .collect();
-        let mut err_cycle = vec![0u64; lanes];
-        let mut det_cycle = vec![0u64; lanes];
+        let horizon = DetectionOutcome {
+            cycles_run: self.campaign.cycles,
+            ..DetectionOutcome::default()
+        };
+        let mut outcomes = vec![horizon; scenarios.len()];
         for trial in block.trial_start..block.trial_end {
             backend.reset();
+            outcomes.fill(horizon);
             let mut seen_err = LaneSet::<W>::EMPTY;
             let mut seen_det = LaneSet::<W>::EMPTY;
-            // Mirror the scalar trial loop per lane: errors latch
+            // Mirror the generic trial loop per lane: errors latch
             // before detection on the same cycle; a detected lane's
-            // trial is over — later cycles no longer touch it (the
-            // caller retires freshly detected lanes so their fault
-            // machinery stops costing per-op work).
-            let mut latch = |cycle: u64,
-                             obs: &scm_memory::sliced::SlicedObservation<W>,
-                             seen_err: &mut LaneSet<W>,
-                             seen_det: &mut LaneSet<W>|
-             -> LaneSet<W> {
-                let pending = !*seen_det;
-                let new_err = obs.erroneous & pending & !*seen_err & all;
-                new_err.for_each_lane(|lane| err_cycle[lane] = cycle);
-                *seen_err |= new_err;
+            // trial is over — later cycles no longer touch it. Returns
+            // the freshly detected lanes for the caller to retire (so
+            // their fault machinery stops costing per-op work), or
+            // `None` once every lane is done.
+            let mut latch = |cycle: u64, obs: &SlicedObservation<W>| -> Option<LaneSet<W>> {
+                let pending = !seen_det;
+                let new_err = obs.erroneous & pending & !seen_err & all;
+                new_err.for_each_lane(|lane| outcomes[lane].first_error = Some(cycle));
+                seen_err |= new_err;
                 let new_det = obs.detected() & pending & all;
-                new_det.for_each_lane(|lane| det_cycle[lane] = cycle);
-                *seen_det |= new_det;
-                new_det
+                new_det.for_each_lane(|lane| {
+                    outcomes[lane].first_detection = Some(cycle);
+                    outcomes[lane].cycles_run = cycle + 1;
+                });
+                seen_det |= new_det;
+                (seen_det != all).then_some(new_det)
             };
             if let Some(events) = projections.map(|p| &p[&(chunk.bank, trial)]) {
                 for &(cycle, op) in events.iter() {
                     backend.advance(cycle - backend.cycle());
                     let obs = backend.step(op);
-                    let new_det = latch(cycle, &obs, &mut seen_err, &mut seen_det);
-                    if seen_det == all {
+                    let Some(new_det) = latch(cycle, &obs) else {
                         break;
-                    }
+                    };
                     backend.retire(new_det);
                 }
             } else {
-                let traffic = self.model.stream(
-                    spec,
-                    crate::system::seed_mix(
-                        self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                        &[chunk.bank as u64, trial as u64],
-                    ),
-                );
+                let traffic = self
+                    .model
+                    .stream(spec, self.traffic_seed(chunk.bank, trial));
                 let mut clock =
                     SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
                 for cycle in 0..self.campaign.cycles {
@@ -734,332 +900,25 @@ impl SystemCampaign {
                         continue;
                     }
                     let obs = backend.step(op);
-                    let new_det = latch(cycle, &obs, &mut seen_err, &mut seen_det);
-                    if seen_det == all {
+                    let Some(new_det) = latch(cycle, &obs) else {
                         break;
-                    }
+                    };
                     backend.retire(new_det);
                 }
             }
-            for (lane, result) in results.iter_mut().enumerate() {
-                if seen_det.test(lane) {
-                    let d = det_cycle[lane];
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    let observed = if seen_err.test(lane) {
-                        err_cycle[lane]
-                    } else {
-                        d
-                    };
-                    let onset = scenarios[lane]
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(observed))
-                        .unwrap_or(observed)
-                        .min(d);
-                    result.latency_from_error_sum += d - onset;
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                    if seen_err.test(lane) && err_cycle[lane] < d {
-                        result.error_escapes += 1;
-                    }
-                } else {
-                    result.undetected += 1;
-                    result.lost_work_sum += self.campaign.cycles;
-                    if seen_err.test(lane) {
-                        result.error_escapes += 1;
-                    }
-                }
-            }
+            visit(&outcomes);
         }
-        results
     }
 
-    /// Replay the `bank × fault × trial` grid as a structured event
-    /// trace on the global system clock.
-    ///
-    /// This is a **canonical replay** (unlike
-    /// [`scm_memory::engine::CampaignEngine::trace_scenarios`], which
-    /// derives its trace from the slab executor's outcomes): it
-    /// always drives the scalar bank backend with the shared-stream
-    /// traffic seeding the sliced engine defines
-    /// (`seed_mix(seed ^ SLICED_TRAFFIC_TAG, [bank, trial])`), which
-    /// the sliced path's lane-exactness makes exactly what every lane
-    /// of the default sliced engine observes. The trace is pure in
-    /// `(seed, bank, fault index, trial)` — bit-identical at any
-    /// thread count, lane width, and engine flag — and the result path
-    /// pays nothing when tracing is off.
-    ///
-    /// Undetected trials emit no terminal event (their censored lost
-    /// work is a result-path quantity, not a timeline point); an
-    /// escape is still emitted if an erroneous output got out.
-    ///
-    /// # Panics
-    /// Panics if a universe entry names a bank outside the system.
-    pub fn trace(&self, universe: &[SystemFault]) -> Vec<Event> {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
-        let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-        let dispatch = || -> Vec<Vec<Event>> {
-            universe
-                .par_iter()
-                .map(|fault| self.trace_fault(&template, *fault))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.runs_serially(universe.len()) {
-            universe
-                .iter()
-                .map(|fault| self.trace_fault(&template, *fault))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
-    }
-
-    /// Replay every trial of one universe entry, emitting chronological
-    /// events. Pure in `(campaign seed, bank, fault index, trial)`.
-    fn trace_fault(&self, template: &MemorySystem, fault: SystemFault) -> Vec<Event> {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let scenario = fault.scenario();
-        let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
-        let (bank, findex) = (fault.bank as u32, fault.index as u32);
-        let mut events = Vec::new();
-        for trial in 0..self.campaign.trials {
-            backend.reset(Some(&scenario));
-            let traffic = self.model.stream(
-                spec,
-                crate::system::seed_mix(
-                    self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                    &[fault.bank as u64, trial as u64],
-                ),
-            );
-            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-            let mut first_error: Option<u64> = None;
-            let mut first_detection: Option<u64> = None;
-            for cycle in 0..self.campaign.cycles {
-                let (target, op) = clock.next_event().target();
-                if target != fault.bank {
-                    backend.advance(1);
-                    continue;
-                }
-                let obs = backend.step(op);
-                if obs.erroneous.unwrap_or(false) && first_error.is_none() {
-                    first_error = Some(cycle);
-                }
-                if obs.detected() {
-                    first_detection = Some(cycle);
-                    break;
-                }
-            }
-            // The trial's simulated extent: detection latches the clock.
-            let end = first_detection.map_or(self.campaign.cycles, |d| d + 1);
-            let mut trial_events = Vec::new();
-            match scenario.process {
-                FaultProcess::TransientFlip { at } => {
-                    if at < end {
-                        trial_events.push(Event::cell(
-                            at,
-                            bank,
-                            findex,
-                            trial,
-                            EventKind::SeuStrike,
-                        ));
-                    }
-                }
-                FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
-                    if onset < end {
-                        trial_events.push(Event::cell(
-                            onset,
-                            bank,
-                            findex,
-                            trial,
-                            EventKind::Activate,
-                        ));
-                    }
-                }
-                FaultProcess::Coupling { .. } => {
-                    trial_events.push(Event::cell(0, bank, findex, trial, EventKind::Activate));
-                }
-            }
-            let interval = self.system.checkpoint.interval;
-            if interval > 0 {
-                let mut k = 1u64;
-                while k * interval < end {
-                    trial_events.push(Event::cell(
-                        k * interval,
-                        bank,
-                        findex,
-                        trial,
-                        EventKind::CheckpointWrite { index: k },
-                    ));
-                    k += 1;
-                }
-            }
-            if let Some(d) = first_detection {
-                let observed = first_error.unwrap_or(d);
-                let onset = scenario
-                    .process
-                    .corruption_onset()
-                    .map(|a| a.min(observed))
-                    .unwrap_or(observed)
-                    .min(d);
-                trial_events.push(Event::cell(
-                    d,
-                    bank,
-                    findex,
-                    trial,
-                    EventKind::Detect { latency: d - onset },
-                ));
-                let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                trial_events.push(Event::cell(
-                    d,
-                    bank,
-                    findex,
-                    trial,
-                    EventKind::CheckpointRestore {
-                        lost: d - rollback + 1,
-                    },
-                ));
-            }
-            if let Some(e) = first_error {
-                if first_detection.is_none_or(|d| e < d) {
-                    trial_events.push(Event::cell(e, bank, findex, trial, EventKind::Escape));
-                }
-            }
-            sort_chronological(&mut trial_events);
-            events.extend(trial_events);
-        }
-        events
-    }
-
-    /// Universe-major block decomposition (the campaign engine's shape:
-    /// one block per fault when faults outnumber workers, trial splits
-    /// otherwise).
-    fn decompose(&self, num_faults: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let target_blocks = threads * 8;
-        let splits = if num_faults == 0 || num_faults >= target_blocks {
-            1
-        } else {
-            (target_blocks.div_ceil(num_faults) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits).max(1);
-        let mut blocks = Vec::with_capacity(num_faults * splits as usize);
-        for uidx in 0..num_faults {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    uidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    uidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
-        }
-        blocks
-    }
-
-    /// Traffic seed for one grid cell — pure in
-    /// `(campaign seed, bank, per-bank fault index, trial)`. Each
-    /// coordinate is folded through its own mix round, so no grid size
-    /// makes neighbouring cells alias (a packed-shift scheme would
-    /// collide once `trials` outgrew its bit field).
-    fn trial_seed(&self, fault: SystemFault, trial: u32) -> u64 {
-        crate::system::seed_mix(
-            self.campaign.seed,
-            &[fault.bank as u64, fault.index as u64, trial as u64],
+    /// Chunk-major block decomposition (the campaign engine's shape: one
+    /// block per lane chunk when chunks outnumber workers 8 to 1, trial
+    /// splits otherwise).
+    fn decompose(&self, num_chunks: usize) -> Vec<TrialBlock> {
+        trial_blocks(
+            num_chunks,
+            self.campaign.trials,
+            self.resolved_threads() * 8,
         )
-    }
-
-    fn run_block(
-        &self,
-        template: &MemorySystem,
-        fault: SystemFault,
-        block: TrialBlock,
-    ) -> SystemFaultResult {
-        let mut result = SystemFaultResult::empty(fault, block.trial_end - block.trial_start);
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let scenario = fault.scenario();
-        let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
-        for trial in block.trial_start..block.trial_end {
-            backend.reset(Some(&scenario));
-            let traffic = self.model.stream(spec, self.trial_seed(fault, trial));
-            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-            let mut first_error: Option<u64> = None;
-            let mut first_detection: Option<u64> = None;
-            for cycle in 0..self.campaign.cycles {
-                let (bank, op) = clock.next_event().target();
-                if bank != fault.bank {
-                    // Fault-free banks are exactly silent, but the
-                    // faulted bank's temporal process rides the *global*
-                    // clock: an SEU strikes whether or not traffic is
-                    // routed to the bank that cycle.
-                    backend.advance(1);
-                    continue;
-                }
-                let obs = backend.step(op);
-                if obs.erroneous.unwrap_or(false) && first_error.is_none() {
-                    first_error = Some(cycle);
-                }
-                if obs.detected() {
-                    first_detection = Some(cycle);
-                    break; // latched indication: trial complete
-                }
-            }
-            match first_detection {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // The true onset: the silent-corruption instant when
-                    // the process has one (a transient strikes the cell
-                    // silently at its arrival cycle — the Aupy anchor),
-                    // the first erroneous output otherwise.
-                    let observed = first_error.unwrap_or(d);
-                    let onset = scenario
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(observed))
-                        .unwrap_or(observed)
-                        .min(d);
-                    result.latency_from_error_sum += d - onset;
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                    if first_error.is_some_and(|e| e < d) {
-                        result.error_escapes += 1;
-                    }
-                }
-                None => {
-                    result.undetected += 1;
-                    // Censored: the whole horizon is charged as lost.
-                    result.lost_work_sum += self.campaign.cycles;
-                    if first_error.is_some() {
-                        result.error_escapes += 1;
-                    }
-                }
-            }
-        }
-        result
     }
 }
 
@@ -1067,20 +926,26 @@ impl SystemCampaign {
 type Projections = HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>;
 
 /// One trial block of one lane chunk, runnable at any slab width.
-struct SlicedBlock<'a> {
+struct SlabBlock<'a> {
     campaign: &'a SystemCampaign,
     chunk: &'a LaneChunk,
     universe: &'a [SystemFault],
     block: TrialBlock,
     projections: Option<&'a Projections>,
+    visit: &'a mut dyn FnMut(&[DetectionOutcome]),
 }
 
-impl SlabTask for SlicedBlock<'_> {
-    type Output = Vec<SystemFaultResult>;
+impl SlabTask for SlabBlock<'_> {
+    type Output = ();
 
-    fn run<const W: usize>(self) -> Self::Output {
-        self.campaign
-            .run_sliced_block::<W>(self.chunk, self.universe, self.block, self.projections)
+    fn run<const W: usize>(self) {
+        self.campaign.run_slab_block::<W>(
+            self.chunk,
+            self.universe,
+            self.block,
+            self.projections,
+            self.visit,
+        );
     }
 }
 
@@ -1144,7 +1009,7 @@ mod tests {
         let mut seen = vec![0u32; 5];
         for b in &blocks {
             assert!(b.trial_start < b.trial_end);
-            seen[b.uidx] += b.trial_end - b.trial_start;
+            seen[b.unit] += b.trial_end - b.trial_start;
         }
         assert!(seen.iter().all(|&t| t == campaign().trials), "{seen:?}");
     }
@@ -1380,46 +1245,107 @@ mod tests {
 
     mod trace_props {
         use super::*;
+        use crate::clock::{CheckpointSchedule, ScrubSchedule};
+        use crate::interleave::Interleaving;
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(8))]
+            #![proptest_config(ProptestConfig::with_cases(12))]
 
-            // The system trace replays the sliced engine's shared-seed
-            // conventions regardless of how the result path is
-            // configured, so random small campaigns must trace
-            // identically at every thread count and under either
-            // engine flag.
+            // One estimator, two executors: over random small campaigns
+            // (decoder permanents, SEU strikes, an intermittent cell;
+            // scrub and checkpoint schedules on and off; either
+            // interleaving) the slab executor must reproduce the generic
+            // executor's results and traces at every lane width and
+            // thread count. The generic executor's trace is the oracle:
+            // it walks every global cycle on a behavioural bank. Each
+            // fault's Detect / Escape / restore events must also account
+            // for exactly its result counters, which catches a lane- or
+            // position-order slip the two executors could share.
             #[test]
-            fn trace_is_thread_and_engine_invariant_over_random_campaigns(
-                cycles in 8u64..64,
+            fn executors_agree_on_results_and_traces_over_random_campaigns(
+                cycles in 8u64..160,
                 trials in 1u32..5,
                 seed in any::<u64>(),
-                per_bank in 1usize..4,
+                per_bank in 1usize..6,
+                scrub in 0u64..3,
+                interval in 0usize..3,
+                high_order in any::<bool>(),
             ) {
+                let mut system = config();
+                system.scrub = ScrubSchedule { period: 2 * scrub };
+                system.checkpoint = CheckpointSchedule {
+                    interval: [0, 8, 32][interval],
+                };
+                if high_order {
+                    system.interleaving = Interleaving::HighOrder;
+                }
                 let campaign = CampaignConfig {
                     cycles,
                     trials,
                     seed,
                     write_fraction: 0.1,
                 };
-                let engine = SystemCampaign::new(config(), campaign).threads(1);
-                let universe = engine.decoder_universe(per_bank);
-                let reference = engine.trace(&universe);
-                for threads in [2usize, 4, 8] {
-                    let trace = SystemCampaign::new(config(), campaign)
-                        .threads(threads)
-                        .serial_threshold(0)
-                        .trace(&universe);
-                    prop_assert_eq!(&trace, &reference, "threads = {}", threads);
+                let oracle = SystemCampaign::new(system, campaign).threads(1);
+                let mut universe = oracle.decoder_universe(per_bank);
+                for mut fault in oracle.seu_universe(per_bank, &SeuProcess::new(cycles as f64 / 4.0)) {
+                    fault.index += 1000;
+                    universe.push(fault);
                 }
-                for sliced in [false, true] {
-                    let trace = SystemCampaign::new(config(), campaign)
-                        .sliced(sliced)
-                        .threads(2)
-                        .serial_threshold(0)
-                        .trace(&universe);
-                    prop_assert_eq!(&trace, &reference, "sliced = {}", sliced);
+                universe.push(SystemFault {
+                    bank: 1,
+                    index: 2000,
+                    site: FaultSite::Cell {
+                        row: 1,
+                        col: 7,
+                        stuck: true,
+                    },
+                    process: FaultProcess::Intermittent {
+                        onset: 3,
+                        period: 6,
+                        duty: 2,
+                    },
+                });
+                let reference = oracle.run(&universe);
+                let trace = oracle.trace(&universe);
+                let fanned = oracle.clone().threads(4).serial_threshold(0);
+                prop_assert_eq!(fanned.run(&universe), reference.clone());
+                prop_assert_eq!(&fanned.trace(&universe), &trace);
+                for width in [1usize, 17, 512] {
+                    for threads in [1usize, 2, 4] {
+                        let slab = oracle
+                            .clone()
+                            .sliced(true)
+                            .lane_width(width)
+                            .threads(threads)
+                            .serial_threshold(if threads == 1 { DEFAULT_SERIAL_THRESHOLD } else { 0 });
+                        prop_assert_eq!(
+                            slab.run(&universe).determinism_profile(),
+                            reference.determinism_profile(),
+                            "width {} threads {}", width, threads
+                        );
+                        prop_assert_eq!(&slab.trace(&universe), &trace, "width {} threads {}", width, threads);
+                    }
+                }
+                for fr in &reference.per_fault {
+                    let (mut detected, mut escapes, mut latency, mut lost) = (0u32, 0u32, 0u64, 0u64);
+                    let cell = |e: &&Event| e.bank == fr.fault.bank as u32 && e.fault == fr.fault.index as u32;
+                    for e in trace.iter().filter(cell) {
+                        match e.kind {
+                            EventKind::Detect { latency: l } => {
+                                detected += 1;
+                                latency += l;
+                            }
+                            EventKind::CheckpointRestore { lost: l } => lost += l,
+                            EventKind::Escape => escapes += 1,
+                            _ => {}
+                        }
+                    }
+                    lost += u64::from(fr.undetected) * cycles;
+                    prop_assert_eq!(detected, fr.detected, "{:?} detects", fr.fault);
+                    prop_assert_eq!(escapes, fr.error_escapes, "{:?} escapes", fr.fault);
+                    prop_assert_eq!(latency, fr.latency_from_error_sum, "{:?} latency", fr.fault);
+                    prop_assert_eq!(lost, fr.lost_work_sum, "{:?} lost work", fr.fault);
                 }
             }
         }

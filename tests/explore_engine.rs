@@ -76,10 +76,13 @@ fn sliced_adjudication_is_bit_identical_at_every_thread_count() {
         let result = sliced_evaluator(threads).evaluate_space(&space);
         assert_eq!(reference, result, "{threads} threads diverged");
     }
-    // The sliced engine shares one op stream across all fault lanes, so
-    // its trial estimates legitimately differ from the scalar engine's
-    // per-fault streams — but every point must still adjudicate to a
-    // probability, not a panic or a NaN.
+    // One estimator, two executors: the slab path adjudicates every
+    // point exactly as the generic-backend oracle does.
+    assert_eq!(
+        reference,
+        evaluator(1).evaluate_space(&space),
+        "executors diverged"
+    );
     for eval in reference.into_iter().flatten() {
         let emp = eval.empirical.expect("adjudicated");
         assert!(emp.worst_escape.is_finite() && emp.worst_escape <= 1.0);

@@ -78,6 +78,10 @@ fn scrubbing_rescues_detection_under_a_starving_workload() {
     // High-order interleaving + a zipf hotspot leaves the last bank
     // almost untouched by traffic; the scrubber's periodic sweep is then
     // the only detection path, so switching it on must raise coverage.
+    // Every fault of a bank shares the trial's traffic stream, so the
+    // trial count is the number of independent streams: 64 of them are
+    // enough for a stream that misses a fault to turn up (4 were not —
+    // every one of them reached all eight faults).
     let mk = |period: u64| {
         let config = SystemConfig {
             banks: vec![bank(64, 8), bank(64, 8), bank(64, 8), bank(64, 8)],
@@ -89,7 +93,7 @@ fn scrubbing_rescues_detection_under_a_starving_workload() {
             config,
             CampaignConfig {
                 cycles: 800,
-                trials: 4,
+                trials: 64,
                 seed: 0xFA11,
                 write_fraction: 0.1,
             },
