@@ -541,8 +541,10 @@ impl CampaignEngine {
     /// Split slab blocks into schedulable trial ranges. Unlike
     /// [`decompose`](Self::decompose), which over-decomposes by 8× for
     /// work stealing, this only splits trials as far as the worker
-    /// count demands: every extra trial range rebuilds the block's
-    /// fault tables (the dominant fixed cost of a wide slab), so a
+    /// count demands: every extra trial range builds another backend,
+    /// whose fixed cost is the prefill and the slab-per-cell
+    /// materialisation (fault tables expand lazily per touched row, and
+    /// a reset between trials costs only the sites a trial wrote), so a
     /// serial run gets exactly one backend per block and a parallel
     /// run pays construction only once per worker. Results are
     /// invariant either way — trial outcomes never depend on which

@@ -40,10 +40,11 @@
 //! op stream — observation by observation, cycle by cycle, at every slab
 //! width. Everything the scalar model does is reproduced lane-masked:
 //!
-//! * decoder faults become precomputed per-address selection/verdict
-//!   tables (no-line precharge, double-selection wired-OR, ROM-word code
+//! * decoder faults become per-address selection/verdict tables
+//!   (no-line precharge, double-selection wired-OR, ROM-word code
 //!   verdicts), applied only while the scenario's [`FaultProcess`] pins
-//!   the site;
+//!   the site — column tables at construction, each row's on the first
+//!   step that applies it;
 //! * pinned cell faults are read overlays over intact underlying state
 //!   (writes land underneath, exactly like [`CellArray`]'s stuck bits);
 //! * transient cell flips fire once on the activation clock; coupling
@@ -81,7 +82,6 @@ use crate::sim::DetectionOutcome;
 use crate::workload::{Op, OpSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scm_rom::RomMatrix;
 
 /// Domain-separation tag for the shared-stream trial seeding of sliced
 /// campaign runs.
@@ -315,19 +315,17 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
     }
 }
 
-/// One lane's position inside a slab: word index plus bit mask. Every
-/// per-lane fault entry (pinned cell, double selection, activation
-/// window, coupling…) stores one of these instead of a full
-/// [`LaneSet<W>`], so the per-operation scans cost O(1) per entry at
-/// any slab width — storing whole-slab masks there would make every
-/// scan O(entries × W) and erase the multi-word win.
-/// Pending-lane floor and ceiling for a batched retirement sweep — see
+/// Pending-lane floor for a batched retirement sweep — see
 /// [`SlicedBackend::retire`]. A sweep walks every per-`rv` entry list,
 /// so it only pays for itself once a meaningful fraction of the slab's
 /// lanes is waiting; single-lane dribble (late transients) rides along
 /// until a word dies or the batch fills. The trigger scales with
-/// occupancy (a quarter of the packed lanes) between these bounds.
+/// occupancy (a quarter of the packed lanes), clamped to this floor and
+/// [`RETIRE_SWEEP_MAX`].
 const RETIRE_SWEEP_MIN: u32 = 8;
+
+/// Pending-lane ceiling for a batched retirement sweep: wide slabs
+/// sweep once this many lanes wait, however many are packed.
 const RETIRE_SWEEP_MAX: u32 = 64;
 
 /// The indices of the words of `set` holding any lane.
@@ -342,6 +340,12 @@ fn live_words<const W: usize>(set: &LaneSet<W>, out: &mut Vec<usize>) {
     );
 }
 
+/// One lane's position inside a slab: word index plus bit mask. Every
+/// per-lane fault entry (pinned cell, double selection, activation
+/// window, coupling…) stores one of these instead of a full
+/// [`LaneSet<W>`], so the per-operation scans cost O(1) per entry at
+/// any slab width — storing whole-slab masks there would make every
+/// scan O(entries × W) and erase the multi-word win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneSlot {
     word: usize,
@@ -392,6 +396,15 @@ fn full_word(width: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << width) - 1
+    }
+}
+
+/// `word` with bit `bit` forced to `stuck` — a stuck ROM output column.
+fn force_bit(word: u64, bit: u32, stuck: bool) -> u64 {
+    if stuck {
+        word | (1u64 << bit)
+    } else {
+        word & !(1u64 << bit)
     }
 }
 
@@ -449,17 +462,130 @@ impl<const W: usize> ImageStore<W> {
         }
     }
 
-    /// Expand into full slab-per-cell form (the working `cells` state).
-    fn materialize_into(&self, cells: &mut [LaneSet<W>]) {
+    /// Expand the cell indices `range` into slab form (the working
+    /// `cells` state): the whole array on a build or a full reset, one
+    /// site's cells on a dirty-site reset.
+    fn materialize(&self, range: std::ops::Range<usize>, cells: &mut [LaneSet<W>]) {
         match self {
             ImageStore::Uniform(bits) => {
-                for (idx, cell) in cells.iter_mut().enumerate() {
+                for (idx, cell) in range.clone().zip(&mut cells[range]) {
                     *cell = LaneSet::splat(uniform_bit(bits, idx));
                 }
             }
-            ImageStore::PerLane(img) => cells.copy_from_slice(img),
+            ImageStore::PerLane(img) => cells[range.clone()].copy_from_slice(&img[range]),
         }
     }
+
+    /// Copy the cell indices `range` from `other`, a store of the same
+    /// shape.
+    fn copy_range_from(&mut self, other: &Self, range: std::ops::Range<usize>) {
+        match (self, other) {
+            (ImageStore::Uniform(a), ImageStore::Uniform(b)) => {
+                for idx in range {
+                    set_uniform_bit(a, idx, uniform_bit(b, idx));
+                }
+            }
+            (ImageStore::PerLane(a), ImageStore::PerLane(b)) => {
+                a[range.clone()].copy_from_slice(&b[range]);
+            }
+            _ => unreachable!("the golden image keeps the prefill's shape"),
+        }
+    }
+}
+
+/// Pack the [`BehavioralBackend::prefilled`] image of `seed` into `bits`
+/// (zeroed on entry), one bit per cell index. `mux` is a power of two,
+/// so the site of address `addr` is `addr` itself and its cells are the
+/// `stride` consecutive indices from `addr · stride`: the image is each
+/// word's `value | parity << m`, laid end to end in address order from
+/// the same `SmallRng` stream, `stride ≤ 65` bits at a time.
+///
+/// [`BehavioralBackend::prefilled`]: crate::backend::BehavioralBackend::prefilled
+fn pack_prefill(config: &RamConfig, seed: u64, bits: &mut [u64]) {
+    let org = config.org();
+    let m = org.word_bits();
+    let stride = m as usize + 1;
+    let value_mask = if m >= 64 { u64::MAX } else { (1u64 << m) - 1 };
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for addr in 0..org.words() as usize {
+        let value = rng.gen::<u64>() & value_mask;
+        let parity = (value.count_ones() & 1) as u128;
+        let pos = addr * stride;
+        let packed = (value as u128 | parity << m) << (pos & 63);
+        bits[pos >> 6] |= packed as u64;
+        let high = (packed >> 64) as u64;
+        if high != 0 {
+            bits[(pos >> 6) + 1] |= high;
+        }
+    }
+}
+
+/// The sites (word addresses) whose cells or golden image may differ
+/// from the prefill since the last reset: a bitmap for O(1) membership
+/// plus the list [`reset`](SlicedBackend::reset) walks. Writes, their
+/// double-selection companions, one-shot flips and coupling victims
+/// mark their site. The list is capped at `cap`; past it the set gives
+/// up (`overflow`) and the next reset re-materialises the whole array,
+/// so a long trial never grows the list beyond an eighth of the sites.
+#[derive(Debug, Clone)]
+struct DirtySites {
+    bits: Vec<u64>,
+    list: Vec<usize>,
+    cap: usize,
+    overflow: bool,
+}
+
+impl DirtySites {
+    fn new(sites: usize) -> Self {
+        DirtySites {
+            bits: vec![0; sites.div_ceil(64)],
+            list: Vec::new(),
+            cap: (sites / 8).max(64),
+            overflow: false,
+        }
+    }
+
+    /// Record a change at `site`.
+    #[inline]
+    fn mark(&mut self, site: usize) {
+        if self.overflow {
+            return;
+        }
+        let (w, bit) = (site >> 6, 1u64 << (site & 63));
+        if self.bits[w] & bit != 0 {
+            return;
+        }
+        if self.list.len() == self.cap {
+            self.overflow = true;
+            return;
+        }
+        self.bits[w] |= bit;
+        self.list.push(site);
+    }
+
+    /// Forget every mark.
+    fn clear(&mut self) {
+        if self.overflow {
+            self.bits.fill(0);
+            self.overflow = false;
+        } else {
+            for &site in &self.list {
+                self.bits[site >> 6] = 0;
+            }
+        }
+        self.list.clear();
+    }
+}
+
+/// A row-side decoder or ROM fault, kept as injected until a step first
+/// applies a row value: [`SlicedBackend::expand_row`] then derives that
+/// row's selection and verdict entries, so a build never walks the
+/// rows its trials do not touch.
+#[derive(Debug, Clone, Copy)]
+enum RowFault {
+    Decoder(BehavioralDecoder),
+    RomBit { line: u64, bit: u32 },
+    RomColumn { bit: u32, stuck: bool },
 }
 
 /// A coupling defect with every address precomputed: the victim's cell
@@ -566,17 +692,30 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// Lanes whose scenario corrupts stored state (eligible for
     /// detect-and-restore healing).
     corrupts_state: LaneSet<W>,
-    /// Per applied row value: lanes whose row decoder selects no line.
+    /// Row-side decoder and ROM faults in lane order, expanded into the
+    /// per-row tables below one row value at a time.
+    row_faults: Vec<(LaneSlot, RowFault)>,
+    /// Per row value: have its `row_none` / `row_two` / `row_err`
+    /// entries been expanded?
+    row_ready: Vec<bool>,
+    /// Rows expanded while some lanes were retired. Their tables lack
+    /// those lanes, so [`reset`](Self::reset) un-expands them.
+    row_partial: Vec<usize>,
+    /// Fault-free row ROM words, looked up per line on first use.
+    row_words: Vec<Option<u64>>,
+    /// Per applied row value: lanes whose row decoder selects no line
+    /// (valid once the row is expanded).
     row_none: Vec<LaneSet<W>>,
     /// Per applied column value: lanes whose column decoder selects none.
     col_none: Vec<LaneSet<W>>,
     /// Per applied row value: `(lane, companion row)` double
-    /// selections.
+    /// selections (valid once the row is expanded).
     row_two: Vec<Vec<(LaneSlot, u64)>>,
     /// Per applied column value: `(lane, companion column-select)`.
     col_two: Vec<Vec<(LaneSlot, u64)>>,
     /// Per applied row value: lanes whose ROM word fails the row code
-    /// check *while their fault is active*.
+    /// check *while their fault is active* (valid once the row is
+    /// expanded).
     row_err: Vec<LaneSet<W>>,
     /// Per applied column value: lanes failing the column code check.
     col_err: Vec<LaneSet<W>>,
@@ -584,6 +723,11 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// a retirement sweep mutates (activity/verdict masks stay intact;
     /// callers already ignore retired lanes' observation bits).
     live_len: LiveLens,
+    /// Has a retirement sweep shortened the live prefixes since the
+    /// last reset? Only then does reset walk the per-value lists.
+    swept: bool,
+    /// Sites to restore on the next reset.
+    dirty: DirtySites,
     /// Lanes dropped by [`retire`](Self::retire) since the last reset.
     retired: LaneSet<W>,
     /// Retired lanes not yet swept out of the fault tables. Sweeps are
@@ -650,31 +794,19 @@ impl<const W: usize> SlicedBackend<W> {
         let stride = m as usize + 1;
         let lanes = scenarios.len();
         let all_mask = LaneSet::first_n(lanes);
-        let row_rom = RomMatrix::from_map(config.row_map());
-        let col_rom = RomMatrix::from_map(config.col_map());
+        let row_width = config.row_map().width();
+        let col_words = config.col_map().table();
+        let col_width = config.col_map().width();
         // Physical column `col` sits in bit group `col / mux` of column
         // value `col % mux`; its slab lives at this contiguous index.
         let cell_idx = |row: usize, col: usize| (row * mux + col % mux) * stride + col / mux;
 
-        let mut row_none = vec![LaneSet::EMPTY; rows];
+        // Column tables span only `mux` values, so they are built here;
+        // row tables wait for the first step that applies each row.
         let mut col_none = vec![LaneSet::EMPTY; mux];
-        // Each decoder scenario contributes at most one entry per value
-        // list, so sizing the lists to the scenario counts up front turns
-        // thousands of incremental pushes into one allocation per value.
-        let row_dec = scenarios
-            .iter()
-            .filter(|s| matches!(s.site, FaultSite::RowDecoder(_)))
-            .count();
-        let col_dec = scenarios
-            .iter()
-            .filter(|s| matches!(s.site, FaultSite::ColDecoder(_)))
-            .count();
-        let mut row_two: Vec<Vec<(LaneSlot, u64)>> =
-            (0..rows).map(|_| Vec::with_capacity(row_dec)).collect();
-        let mut col_two: Vec<Vec<(LaneSlot, u64)>> =
-            (0..mux).map(|_| Vec::with_capacity(col_dec)).collect();
-        let mut row_err = vec![LaneSet::EMPTY; rows];
+        let mut col_two: Vec<Vec<(LaneSlot, u64)>> = vec![Vec::new(); mux];
         let mut col_err = vec![LaneSet::EMPTY; mux];
+        let mut row_faults = Vec::new();
         let mut const_active = LaneSet::EMPTY;
         let mut temporal = Vec::new();
         let mut cell_flips: Vec<(LaneSlot, usize, u64)> = Vec::new();
@@ -739,6 +871,12 @@ impl<const W: usize> SlicedBackend<W> {
                 FaultProcess::Permanent { onset: 0 } => slot.set_in(&mut const_active),
                 p => temporal.push((slot, p)),
             }
+            // The column-side verdict of one column value under `word`.
+            let mut col_verdict = |cv: usize, word: u64| {
+                if !config.col_map().is_codeword(word) {
+                    slot.set_in(&mut col_err[cv]);
+                }
+            };
             match s.site {
                 FaultSite::Cell { row, col, stuck } => {
                     assert!(
@@ -750,101 +888,45 @@ impl<const W: usize> SlicedBackend<W> {
                 FaultSite::RowDecoder(f) => {
                     let mut dec = BehavioralDecoder::new(org.row_bits());
                     dec.inject(f);
-                    for rv in 0..rows as u64 {
-                        let lines = dec.decode(rv);
-                        match lines {
-                            ActiveLines::None => slot.set_in(&mut row_none[rv as usize]),
-                            ActiveLines::One(_) => {}
-                            ActiveLines::Two(_, companion) => {
-                                row_two[rv as usize].push((slot, companion));
-                            }
-                        }
-                        let word = lines.iter().fold(full_word(row_rom.width()), |acc, line| {
-                            acc & row_rom.word(line as usize)
-                        });
-                        if !config.row_map().is_codeword(word) {
-                            slot.set_in(&mut row_err[rv as usize]);
-                        }
-                    }
+                    row_faults.push((slot, RowFault::Decoder(dec)));
                 }
                 FaultSite::ColDecoder(f) => {
                     let mut dec = BehavioralDecoder::new(org.col_bits().max(1));
                     dec.inject(f);
-                    for cv in 0..mux as u64 {
-                        let lines = dec.decode(cv);
+                    for cv in 0..mux {
+                        let lines = dec.decode(cv as u64);
                         match lines {
-                            ActiveLines::None => slot.set_in(&mut col_none[cv as usize]),
+                            ActiveLines::None => slot.set_in(&mut col_none[cv]),
                             ActiveLines::One(_) => {}
-                            ActiveLines::Two(_, companion) => {
-                                col_two[cv as usize].push((slot, companion));
-                            }
+                            ActiveLines::Two(_, companion) => col_two[cv].push((slot, companion)),
                         }
-                        let word = lines.iter().fold(full_word(col_rom.width()), |acc, line| {
-                            acc & col_rom.word(line as usize)
+                        let word = lines.iter().fold(full_word(col_width), |acc, line| {
+                            acc & col_words[line as usize]
                         });
-                        if !config.col_map().is_codeword(word) {
-                            slot.set_in(&mut col_err[cv as usize]);
-                        }
+                        col_verdict(cv, word);
                     }
                 }
                 FaultSite::RowRomBit { line, bit } => {
                     assert!(line < rows as u64, "row ROM line out of range");
-                    assert!((bit as usize) < row_rom.width(), "row ROM bit out of range");
-                    for rv in 0..rows as u64 {
-                        let flip = if rv == line { 1u64 << bit } else { 0 };
-                        if !config
-                            .row_map()
-                            .is_codeword(row_rom.word(rv as usize) ^ flip)
-                        {
-                            slot.set_in(&mut row_err[rv as usize]);
-                        }
-                    }
+                    assert!((bit as usize) < row_width, "row ROM bit out of range");
+                    row_faults.push((slot, RowFault::RomBit { line, bit }));
                 }
                 FaultSite::ColRomBit { line, bit } => {
                     assert!(line < mux as u64, "col ROM line out of range");
-                    assert!((bit as usize) < col_rom.width(), "col ROM bit out of range");
-                    for cv in 0..mux as u64 {
-                        let flip = if cv == line { 1u64 << bit } else { 0 };
-                        if !config
-                            .col_map()
-                            .is_codeword(col_rom.word(cv as usize) ^ flip)
-                        {
-                            slot.set_in(&mut col_err[cv as usize]);
-                        }
+                    assert!((bit as usize) < col_width, "col ROM bit out of range");
+                    for (cv, &w) in col_words.iter().enumerate() {
+                        let flip = if cv as u64 == line { 1u64 << bit } else { 0 };
+                        col_verdict(cv, w ^ flip);
                     }
                 }
                 FaultSite::RowRomColumn { bit, stuck } => {
-                    assert!(
-                        (bit as usize) < row_rom.width(),
-                        "row ROM column out of range"
-                    );
-                    for rv in 0..rows as u64 {
-                        let w = row_rom.word(rv as usize);
-                        let word = if stuck {
-                            w | (1u64 << bit)
-                        } else {
-                            w & !(1u64 << bit)
-                        };
-                        if !config.row_map().is_codeword(word) {
-                            slot.set_in(&mut row_err[rv as usize]);
-                        }
-                    }
+                    assert!((bit as usize) < row_width, "row ROM column out of range");
+                    row_faults.push((slot, RowFault::RomColumn { bit, stuck }));
                 }
                 FaultSite::ColRomColumn { bit, stuck } => {
-                    assert!(
-                        (bit as usize) < col_rom.width(),
-                        "col ROM column out of range"
-                    );
-                    for cv in 0..mux as u64 {
-                        let w = col_rom.word(cv as usize);
-                        let word = if stuck {
-                            w | (1u64 << bit)
-                        } else {
-                            w & !(1u64 << bit)
-                        };
-                        if !config.col_map().is_codeword(word) {
-                            slot.set_in(&mut col_err[cv as usize]);
-                        }
+                    assert!((bit as usize) < col_width, "col ROM column out of range");
+                    for (cv, &w) in col_words.iter().enumerate() {
+                        col_verdict(cv, force_bit(w, bit, stuck));
                     }
                 }
                 FaultSite::DataRegisterBit { bit, stuck } => {
@@ -855,9 +937,9 @@ impl<const W: usize> SlicedBackend<W> {
         }
 
         let base = Self::prefill_image(config, &prefill, lanes);
-        let cell_count = rows * pcols;
-        let mut cells = vec![LaneSet::EMPTY; cell_count];
-        base.materialize_into(&mut cells);
+        let sites = org.words() as usize;
+        let mut cells = vec![LaneSet::EMPTY; sites * stride];
+        base.materialize(0..cells.len(), &mut cells);
         let flips_all = cell_flips.iter().fold(LaneSet::EMPTY, |acc, f| {
             let mut acc = acc;
             f.0.set_in(&mut acc);
@@ -869,7 +951,7 @@ impl<const W: usize> SlicedBackend<W> {
             stuck_cells: stuck_cells.len(),
             couplings: couplings.len(),
             data_reg: data_reg.len(),
-            row_two: row_two.iter().map(|l| l.len() as u32).collect(),
+            row_two: vec![0; rows],
             col_two: col_two.iter().map(|l| l.len() as u32).collect(),
         };
         SlicedBackend {
@@ -894,13 +976,21 @@ impl<const W: usize> SlicedBackend<W> {
             couplings,
             data_reg,
             corrupts_state,
-            row_none,
+            // With no row-side fault every row's tables are empty from
+            // the start.
+            row_ready: vec![row_faults.is_empty(); rows],
+            row_faults,
+            row_partial: Vec::new(),
+            row_words: vec![None; rows],
+            row_none: vec![LaneSet::EMPTY; rows],
             col_none,
-            row_two,
+            row_two: vec![Vec::new(); rows],
             col_two,
-            row_err,
+            row_err: vec![LaneSet::EMPTY; rows],
             col_err,
             live_len,
+            swept: false,
+            dirty: DirtySites::new(sites),
             retired: LaneSet::EMPTY,
             pending_retire: LaneSet::EMPTY,
             live: {
@@ -926,50 +1016,24 @@ impl<const W: usize> SlicedBackend<W> {
 
     fn prefill_image(config: &RamConfig, prefill: &SlicedPrefill, lanes: usize) -> ImageStore<W> {
         let org = config.org();
-        let mux = org.mux_factor() as usize;
-        let m = org.word_bits();
-        let stride = m as usize + 1;
-        let value_mask = if m >= 64 { u64::MAX } else { (1u64 << m) - 1 };
-        let cell_count = org.rows() as usize * org.physical_cols() as usize;
-        // Bit-exact replay of BehavioralBackend::prefilled: one seeded
-        // write per word in address order. Each (addr, bit group) pair
-        // maps to a distinct cell index, so single-pass set suffices.
-        let replay = |seed: u64, store: &mut dyn FnMut(usize, bool)| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for addr in 0..org.words() {
-                let value = rng.gen::<u64>() & value_mask;
-                let parity = value.count_ones() % 2 == 1;
-                let (rv, cv) = config.split_address(addr);
-                let site = (rv as usize * mux + cv as usize) * stride;
-                for k in 0..=m as usize {
-                    let wbit = if k == m as usize {
-                        parity
-                    } else {
-                        value >> k & 1 == 1
-                    };
-                    store(site + k, wbit);
-                }
-            }
-        };
+        let cell_count = org.words() as usize * (org.word_bits() as usize + 1);
+        let mut bits = vec![0u64; cell_count.div_ceil(64)];
         match prefill {
-            SlicedPrefill::Zeroed => ImageStore::Uniform(vec![0u64; cell_count.div_ceil(64)]),
+            SlicedPrefill::Zeroed => ImageStore::Uniform(bits),
             SlicedPrefill::Shared(seed) => {
-                let mut bits = vec![0u64; cell_count.div_ceil(64)];
-                replay(*seed, &mut |idx, wbit| {
-                    set_uniform_bit(&mut bits, idx, wbit)
-                });
+                pack_prefill(config, *seed, &mut bits);
                 ImageStore::Uniform(bits)
             }
             SlicedPrefill::PerLane(seeds) => {
                 assert_eq!(seeds.len(), lanes, "one prefill seed per lane");
                 let mut img = vec![LaneSet::EMPTY; cell_count];
                 for (lane, &seed) in seeds.iter().enumerate() {
-                    let mask = LaneSet::bit(lane);
-                    replay(seed, &mut |idx, wbit| {
-                        if wbit {
-                            img[idx] |= mask;
-                        }
-                    });
+                    let slot = LaneSlot::of(lane);
+                    bits.fill(0);
+                    pack_prefill(config, seed, &mut bits);
+                    for (w, &word) in bits.iter().enumerate() {
+                        for_each_lane(word, |b| slot.set_in(&mut img[w * 64 + b]));
+                    }
                 }
                 ImageStore::PerLane(img)
             }
@@ -1007,12 +1071,34 @@ impl<const W: usize> SlicedBackend<W> {
         self.cycle
     }
 
-    /// Restore the pre-fault image on every lane and restart the
-    /// activation clock at cycle 0, un-retiring every retired lane.
-    /// Allocation-free (table restoration reuses the live vectors).
+    /// Restore the pre-fault image and restart the activation clock at
+    /// cycle 0, un-retiring every retired lane. Only the sites written,
+    /// flipped or coupled into since the last reset are copied back (on
+    /// every lane of each), so a short trial resets in
+    /// O(sites touched) rather than O(array); a trial that touched more
+    /// than an eighth of the sites re-materialises the whole array
+    /// instead. Rows whose tables were expanded while lanes were retired
+    /// are un-expanded. Allocation-free.
     pub fn reset(&mut self) {
-        self.base.materialize_into(&mut self.cells);
-        self.gold.clone_from_store(&self.base);
+        let stride = self.stride;
+        if self.dirty.overflow {
+            self.base.materialize(0..self.cells.len(), &mut self.cells);
+            self.gold.clone_from_store(&self.base);
+        } else {
+            for &site in &self.dirty.list {
+                let range = site * stride..(site + 1) * stride;
+                self.base.materialize(range.clone(), &mut self.cells);
+                self.gold.copy_range_from(&self.base, range);
+            }
+        }
+        self.dirty.clear();
+        for rv in self.row_partial.drain(..) {
+            self.row_ready[rv] = false;
+            self.row_none[rv] = LaneSet::EMPTY;
+            self.row_err[rv] = LaneSet::EMPTY;
+            self.row_two[rv].clear();
+            self.live_len.row_two[rv] = 0;
+        }
         self.cycle = 0;
         self.fired = LaneSet::EMPTY;
         self.retired = LaneSet::EMPTY;
@@ -1025,11 +1111,13 @@ impl<const W: usize> SlicedBackend<W> {
         self.live_len.stuck_cells = self.stuck_cells.len();
         self.live_len.couplings = self.couplings.len();
         self.live_len.data_reg = self.data_reg.len();
-        for (list, live) in self.row_two.iter().zip(self.live_len.row_two.iter_mut()) {
-            *live = list.len() as u32;
-        }
-        for (list, live) in self.col_two.iter().zip(self.live_len.col_two.iter_mut()) {
-            *live = list.len() as u32;
+        if std::mem::take(&mut self.swept) {
+            for (list, live) in self.row_two.iter().zip(self.live_len.row_two.iter_mut()) {
+                *live = list.len() as u32;
+            }
+            for (list, live) in self.col_two.iter().zip(self.live_len.col_two.iter_mut()) {
+                *live = list.len() as u32;
+            }
         }
     }
 
@@ -1070,6 +1158,7 @@ impl<const W: usize> SlicedBackend<W> {
             return;
         }
         self.pending_retire = LaneSet::EMPTY;
+        self.swept = true;
         let dead = self.retired;
         self.live_len.temporal =
             partition_live(&mut self.temporal, self.live_len.temporal, &dead, |e| e.0);
@@ -1126,13 +1215,16 @@ impl<const W: usize> SlicedBackend<W> {
                 ref live_len,
                 ref mut cells,
                 ref mut fired,
+                ref mut dirty,
                 cycle,
+                stride,
                 ..
             } = *self;
             for &(slot, idx, at) in &cell_flips[..live_len.cell_flips] {
                 if !slot.in_set(fired) && cycle >= at {
                     cells[idx].0[slot.word] ^= slot.bit;
                     slot.set_in(fired);
+                    dirty.mark(idx / stride);
                 }
             }
         }
@@ -1142,27 +1234,87 @@ impl<const W: usize> SlicedBackend<W> {
                 slot.set_in(&mut active);
             }
         }
+        let (Op::Read(addr) | Op::Write(addr, _)) = op;
+        let (rv, cv) = self.config.split_address(addr);
+        let (rv, cv) = (rv as usize, cv as usize);
+        if !self.row_ready[rv] {
+            self.expand_row(rv);
+        }
         let obs = match op {
-            Op::Read(addr) => {
-                let obs = self.read(addr, active);
+            Op::Read(_) => {
+                let obs = self.read(rv, cv, active);
                 // Detect-and-restore, lane-masked: an indication on a
                 // read of state-resident corruption heals the addressed
                 // word from the golden image on exactly those lanes.
                 let restore = obs.detected() & self.corrupts_state;
                 if restore.any() {
-                    self.restore(addr, restore);
+                    self.restore(rv * self.mux + cv, restore);
                 }
                 obs
             }
-            Op::Write(addr, value) => self.write(addr, value, active),
+            Op::Write(_, value) => self.write(rv, cv, value, active),
         };
         self.cycle += 1;
         obs
     }
 
-    fn read(&mut self, addr: u64, active: LaneSet<W>) -> SlicedObservation<W> {
-        let (rv64, cv64) = self.config.split_address(addr);
-        let (rv, cv) = (rv64 as usize, cv64 as usize);
+    /// Expand row value `rv`'s selection and verdict entries from the
+    /// row-side faults, in lane order. Retired lanes are skipped (their
+    /// observations no longer count), which leaves the row partial until
+    /// [`reset`](Self::reset) un-expands it.
+    fn expand_row(&mut self, rv: usize) {
+        let SlicedBackend {
+            ref config,
+            ref row_faults,
+            ref retired,
+            ref mut row_ready,
+            ref mut row_partial,
+            ref mut row_words,
+            ref mut row_none,
+            ref mut row_two,
+            ref mut row_err,
+            ref mut live_len,
+            ..
+        } = *self;
+        let map = config.row_map();
+        let mut rom_word =
+            |line: usize| *row_words[line].get_or_insert_with(|| map.codeword_for(line as u64));
+        let mut partial = false;
+        for &(slot, fault) in row_faults {
+            if slot.in_set(retired) {
+                partial = true;
+                continue;
+            }
+            let word = match fault {
+                RowFault::Decoder(dec) => {
+                    let lines = dec.decode(rv as u64);
+                    match lines {
+                        ActiveLines::None => slot.set_in(&mut row_none[rv]),
+                        ActiveLines::One(_) => {}
+                        ActiveLines::Two(_, companion) => row_two[rv].push((slot, companion)),
+                    }
+                    lines.iter().fold(full_word(map.width()), |acc, line| {
+                        acc & rom_word(line as usize)
+                    })
+                }
+                RowFault::RomBit { line, bit } => {
+                    let flip = if rv as u64 == line { 1u64 << bit } else { 0 };
+                    rom_word(rv) ^ flip
+                }
+                RowFault::RomColumn { bit, stuck } => force_bit(rom_word(rv), bit, stuck),
+            };
+            if !map.is_codeword(word) {
+                slot.set_in(&mut row_err[rv]);
+            }
+        }
+        live_len.row_two[rv] = row_two[rv].len() as u32;
+        row_ready[rv] = true;
+        if partial {
+            row_partial.push(rv);
+        }
+    }
+
+    fn read(&mut self, rv: usize, cv: usize, active: LaneSet<W>) -> SlicedObservation<W> {
         let stride = self.stride;
         let site = (rv * self.mux + cv) * stride;
         let SlicedBackend {
@@ -1275,9 +1427,13 @@ impl<const W: usize> SlicedBackend<W> {
         }
     }
 
-    fn write(&mut self, addr: u64, value: u64, active: LaneSet<W>) -> SlicedObservation<W> {
-        let (rv64, cv64) = self.config.split_address(addr);
-        let (rv, cv) = (rv64 as usize, cv64 as usize);
+    fn write(
+        &mut self,
+        rv: usize,
+        cv: usize,
+        value: u64,
+        active: LaneSet<W>,
+    ) -> SlicedObservation<W> {
         let m = self.m;
         let value = if m == 64 {
             value
@@ -1293,6 +1449,7 @@ impl<const W: usize> SlicedBackend<W> {
         let SlicedBackend {
             ref mut cells,
             ref mut gold,
+            ref mut dirty,
             ref row_two,
             ref col_two,
             ref couplings,
@@ -1325,6 +1482,7 @@ impl<const W: usize> SlicedBackend<W> {
                 }
             }
         }
+        dirty.mark(rv * mux + cv);
         if live.len() == W {
             for k in 0..stride {
                 let wbit = wbit_at(k);
@@ -1345,7 +1503,9 @@ impl<const W: usize> SlicedBackend<W> {
         // Entry-outer order keeps the activity test out of the bit loop.
         for &(slot, companion) in &row_two[rv][..live_len.row_two[rv] as usize] {
             if slot.in_set(&active) {
-                let cbase = (companion as usize * mux + cv) * stride;
+                let csite = companion as usize * mux + cv;
+                dirty.mark(csite);
+                let cbase = csite * stride;
                 for k in 0..stride {
                     slot.assign_in(&mut cells[cbase + k], wbit_at(k));
                 }
@@ -1353,7 +1513,9 @@ impl<const W: usize> SlicedBackend<W> {
         }
         for &(slot, companion) in &col_two[cv][..live_len.col_two[cv] as usize] {
             if slot.in_set(&active) {
-                let cbase = (rv * mux + companion as usize) * stride;
+                let csite = rv * mux + companion as usize;
+                dirty.mark(csite);
+                let cbase = csite * stride;
                 for k in 0..stride {
                     slot.assign_in(&mut cells[cbase + k], wbit_at(k));
                 }
@@ -1377,6 +1539,7 @@ impl<const W: usize> SlicedBackend<W> {
         if toggled.any() {
             for c in couplings {
                 if c.slot.in_set(&toggled) {
+                    dirty.mark(c.victim_idx / stride);
                     match c.kind {
                         CouplingKind::Inversion => {
                             cells[c.victim_idx].0[c.slot.word] ^= c.slot.bit;
@@ -1396,10 +1559,12 @@ impl<const W: usize> SlicedBackend<W> {
         }
     }
 
-    fn restore(&mut self, addr: u64, mask: LaneSet<W>) {
-        let (rv64, cv64) = self.config.split_address(addr);
-        let (rv, cv) = (rv64 as usize, cv64 as usize);
-        let site = (rv * self.mux + cv) * self.stride;
+    /// Heal `mask`'s lanes of word address `site` from the golden image.
+    /// A heal needs no dirty mark: the golden image differs from the
+    /// prefill only at written sites, which are marked already, so
+    /// healing an unmarked site leaves it at its prefill.
+    fn restore(&mut self, site: usize, mask: LaneSet<W>) {
+        let site = site * self.stride;
         for k in 0..self.stride {
             let idx = site + k;
             let gval = match &self.gold {

@@ -1,9 +1,11 @@
 use super::*;
+use crate::arena::ReplayOps;
 use crate::backend::{BehavioralBackend, FaultSimBackend};
 use crate::campaign::decoder_fault_universe;
 use crate::decoder_unit::DecoderFault;
 use crate::sim::measure_detection_on;
 use crate::workload::{model_by_name, WorkloadSpec};
+use proptest::prelude::*;
 use scm_area::RamOrganization;
 use scm_codes::{CodewordMap, MOutOfN};
 
@@ -541,4 +543,336 @@ fn coupling_on_non_cell_site_panics() {
         },
     }];
     let _ = SlicedBackend::<1>::new(&cfg, &scenarios);
+}
+
+/// The per-bit reference for the packed prefill: one seeded write per
+/// word in address order, each bit stored at its `split_address` cell
+/// index.
+fn per_bit_prefill(cfg: &RamConfig, seed: u64) -> Vec<u64> {
+    let org = cfg.org();
+    let mux = org.mux_factor() as usize;
+    let m = org.word_bits() as usize;
+    let stride = m + 1;
+    let value_mask = if m >= 64 { u64::MAX } else { (1u64 << m) - 1 };
+    let mut bits = vec![0u64; (org.words() as usize * stride).div_ceil(64)];
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for addr in 0..org.words() {
+        let value = rng.gen::<u64>() & value_mask;
+        let parity = value.count_ones() % 2 == 1;
+        let (rv, cv) = cfg.split_address(addr);
+        let site = (rv as usize * mux + cv as usize) * stride;
+        for k in 0..stride {
+            let wbit = if k == m { parity } else { value >> k & 1 == 1 };
+            set_uniform_bit(&mut bits, site + k, wbit);
+        }
+    }
+    bits
+}
+
+#[test]
+fn packed_prefill_matches_the_per_bit_replay_and_the_scalar_image() {
+    let probe: FaultScenario = FaultSite::DataRegisterBit {
+        bit: 0,
+        stuck: true,
+    }
+    .into();
+    for m in [1u32, 7, 16, 63, 64] {
+        for mux in [1u32, 2, 8] {
+            let words = 16 * mux as u64;
+            let org = RamOrganization::new(words, m, mux);
+            let cfg = RamConfig::new(
+                org,
+                CodewordMap::input_parity(words / mux as u64),
+                CodewordMap::input_parity(mux as u64),
+            );
+            let stride = m as usize + 1;
+            let (seed, other) = (0x5EED ^ (m as u64) << 8 ^ mux as u64, 99);
+            let reference = per_bit_prefill(&cfg, seed);
+            let shared = SlicedBackend::<1>::prefilled(&cfg, &[probe], seed);
+            let ImageStore::Uniform(bits) = &shared.base else {
+                panic!("a shared prefill is lane-uniform");
+            };
+            assert_eq!(bits, &reference, "m {m} mux {mux}: shared image");
+            let scalar = BehavioralBackend::prefilled(&cfg, seed);
+            for addr in 0..words {
+                let read = scalar.faulty().read(addr);
+                let site = addr as usize * stride;
+                let data = (0..m as usize).fold(0u64, |acc, k| {
+                    acc | (uniform_bit(bits, site + k) as u64) << k
+                });
+                assert_eq!(data, read.data, "m {m} mux {mux} addr {addr}: data");
+                assert_eq!(
+                    uniform_bit(bits, site + m as usize),
+                    read.parity_bit,
+                    "m {m} mux {mux} addr {addr}: parity"
+                );
+            }
+            let per_lane = SlicedBackend::<1>::with_prefill(
+                &cfg,
+                &[probe, probe],
+                SlicedPrefill::PerLane(vec![seed, other]),
+            );
+            let ImageStore::PerLane(img) = &per_lane.base else {
+                panic!("a per-lane prefill keeps a slab per cell");
+            };
+            let other_ref = per_bit_prefill(&cfg, other);
+            for (idx, slab) in img.iter().enumerate() {
+                assert_eq!(
+                    slab.test(0),
+                    uniform_bit(&reference, idx),
+                    "lane 0 cell {idx}"
+                );
+                assert_eq!(
+                    slab.test(1),
+                    uniform_bit(&other_ref, idx),
+                    "lane 1 cell {idx}"
+                );
+                assert_eq!(slab.0[0] >> 2, 0, "no bits above the packed lanes");
+            }
+        }
+    }
+}
+
+/// 1K words × 4 bits, 1-of-4 mux: 1024 sites, so the dirty list caps at
+/// 128 and a long write-heavy trial overflows it. Both mappings alias
+/// (rows mod 9, columns mod 3), so some double selections pass the code
+/// check and their companion writes linger into later reads.
+fn reuse_config() -> RamConfig {
+    let org = RamOrganization::new(1024, 4, 4);
+    let code = MOutOfN::new(3, 5).unwrap();
+    RamConfig::new(
+        org,
+        CodewordMap::mod_a(code, 9, 256).unwrap(),
+        CodewordMap::mod_a(code, 3, 4).unwrap(),
+    )
+}
+
+/// A lane that never detects anything: its delayed onset lies beyond
+/// every trial, so a pack holding it runs each trial to the horizon.
+fn dormant() -> FaultScenario {
+    FaultScenario {
+        site: FaultSite::Cell {
+            row: 0,
+            col: 0,
+            stuck: true,
+        },
+        process: FaultProcess::Permanent { onset: u64::MAX },
+    }
+}
+
+/// Every site class and process on [`reuse_config`], decoder and ROM
+/// faults included, in a pool of more than 512 scenarios.
+fn reuse_pool() -> Vec<FaultScenario> {
+    let cell = |row, col, stuck| FaultSite::Cell { row, col, stuck };
+    let mut v: Vec<FaultScenario> = vec![
+        cell(3, 7, true).into(),
+        cell(200, 19, false).into(),
+        FaultScenario::transient(cell(5, 2, true), 0),
+        FaultScenario::transient(cell(17, 11, false), 6),
+        FaultScenario::transient(cell(255, 19, false), 40),
+        FaultScenario {
+            site: cell(9, 4, true),
+            process: FaultProcess::Intermittent {
+                onset: 3,
+                period: 5,
+                duty: 2,
+            },
+        },
+        FaultScenario {
+            site: cell(12, 8, false),
+            process: FaultProcess::Permanent { onset: 9 },
+        },
+        FaultScenario {
+            site: cell(1, 0, false),
+            process: FaultProcess::Coupling {
+                aggressor: CellRef { row: 3, col: 2 },
+                kind: CouplingKind::Inversion,
+            },
+        },
+        FaultScenario {
+            site: cell(64, 17, false),
+            process: FaultProcess::Coupling {
+                aggressor: CellRef { row: 64, col: 16 },
+                kind: CouplingKind::Idempotent { value: true },
+            },
+        },
+        FaultSite::RowRomBit { line: 7, bit: 2 }.into(),
+        FaultScenario::transient(FaultSite::RowRomBit { line: 130, bit: 0 }, 4),
+        FaultSite::ColRomBit { line: 1, bit: 0 }.into(),
+        FaultSite::RowRomColumn {
+            bit: 0,
+            stuck: true,
+        }
+        .into(),
+        FaultSite::RowRomColumn {
+            bit: 4,
+            stuck: false,
+        }
+        .into(),
+        FaultSite::ColRomColumn {
+            bit: 3,
+            stuck: false,
+        }
+        .into(),
+        FaultSite::DataRegisterBit {
+            bit: 3,
+            stuck: true,
+        }
+        .into(),
+    ];
+    for (i, f) in decoder_fault_universe(2).into_iter().enumerate() {
+        let site = FaultSite::ColDecoder(f);
+        v.push(if i % 3 == 0 {
+            FaultScenario::transient(site, i as u64)
+        } else {
+            site.into()
+        });
+    }
+    for (i, f) in decoder_fault_universe(8).into_iter().enumerate() {
+        let site = FaultSite::RowDecoder(f);
+        v.push(match i % 4 {
+            0 => FaultScenario::transient(site, i as u64 % 50),
+            1 => FaultScenario {
+                site,
+                process: FaultProcess::Intermittent {
+                    onset: 1,
+                    period: 6,
+                    duty: 3,
+                },
+            },
+            _ => site.into(),
+        });
+    }
+    assert!(v.len() > 512, "the pool must fill the widest slab");
+    v
+}
+
+/// Run every trial of `trials` on one backend reused through `reset`
+/// (checking after each reset that its cells and golden image are the
+/// fresh build's) and on a fresh backend per trial; return the reused run's per-trial
+/// outcomes, the fresh runs', and whether any reused trial overflowed
+/// the dirty list.
+fn reuse_and_fresh<const W: usize>(
+    cfg: &RamConfig,
+    pack: &[FaultScenario],
+    prefill: &SlicedPrefill,
+    trials: &[Vec<Op>],
+) -> (Vec<Vec<DetectionOutcome>>, Vec<Vec<DetectionOutcome>>, bool) {
+    let run = |backend: &mut SlicedBackend<W>, ops: &[Op]| {
+        measure_detection_sliced(backend, &mut ReplayOps::new(ops), ops.len() as u64)
+    };
+    let pristine = SlicedBackend::<W>::with_prefill(cfg, pack, prefill.clone());
+    let mut reused = pristine.clone();
+    let mut overflowed = false;
+    let mut again = Vec::new();
+    for ops in trials {
+        reused.reset();
+        // Every change the last trial made — companion writes included,
+        // even those no later observation happens to read — is undone.
+        assert!(reused.cells == pristine.cells && reused.gold == pristine.gold);
+        again.push(run(&mut reused, ops));
+        overflowed |= reused.dirty.overflow;
+    }
+    let fresh = trials
+        .iter()
+        .map(|ops| {
+            run(
+                &mut SlicedBackend::<W>::with_prefill(cfg, pack, prefill.clone()),
+                ops,
+            )
+        })
+        .collect();
+    (again, fresh, overflowed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_reset_reuse_matches_a_fresh_backend_per_trial(
+        width_idx in 0usize..3,
+        per_lane in 0u8..2,
+        long in 0u8..2,
+        offset in 0usize..600,
+        trials in 2usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let cfg = reuse_config();
+        let lanes = [1usize, 17, 512][width_idx];
+        let pool = reuse_pool();
+        // Packs wider than one lane lead with the dormant lane, so their
+        // trials run to the horizon and a long one overflows the list.
+        let mut pack: Vec<FaultScenario> = Vec::with_capacity(lanes);
+        if lanes > 1 {
+            pack.push(dormant());
+        }
+        pack.extend(pool.iter().cycle().skip(offset).take(lanes - pack.len()).cloned());
+        let prefill = if per_lane == 1 {
+            SlicedPrefill::PerLane((0..lanes as u64).map(|l| seed ^ l.wrapping_mul(0x9E37)).collect())
+        } else {
+            SlicedPrefill::Shared(seed)
+        };
+        let model = model_by_name("uniform").unwrap();
+        let spec = WorkloadSpec { words: 1024, word_bits: 4, write_fraction: 0.5 };
+        let cycles = if long == 1 { 1200 } else { 12 };
+        let streams: Vec<Vec<Op>> = (0..trials as u64)
+            .map(|t| {
+                let mut stream = model.stream(spec, seed.wrapping_add(t));
+                (0..cycles).map(|_| stream.next_op()).collect()
+            })
+            .collect();
+        let (reused, fresh, overflowed) = if lanes > 64 {
+            reuse_and_fresh::<8>(&cfg, &pack, &prefill, &streams)
+        } else {
+            reuse_and_fresh::<1>(&cfg, &pack, &prefill, &streams)
+        };
+        prop_assert_eq!(reused, fresh);
+        // One lane's 12 ops mark at most 36 sites (the addressed word, a
+        // companion, and a flip, victim or heal) — inside the cap of
+        // 128; wide packs add a companion per double-selecting lane.
+        // 600 writes over 1024 sites overflow it at any width.
+        if long == 0 && lanes == 1 {
+            prop_assert!(!overflowed, "a short trial stays on the bounded path");
+        } else if long == 1 && lanes > 1 {
+            prop_assert!(overflowed, "a long trial falls back to the full reset");
+        }
+    }
+}
+
+#[test]
+fn rows_first_touched_after_a_retirement_are_re_expanded_on_reset() {
+    let cfg = small_config();
+    // Lane 0: row-decoder stuck-at-0 on row value 3 (no line selected,
+    // a code error on every access there). Lane 1: a ROM bit fault on
+    // line 9. Both detect on their own rows only.
+    let scenarios: Vec<FaultScenario> = vec![
+        FaultSite::RowDecoder(DecoderFault {
+            bits: 4,
+            offset: 0,
+            value: 3,
+            stuck_one: false,
+        })
+        .into(),
+        FaultSite::RowRomBit { line: 9, bit: 1 }.into(),
+    ];
+    let row9 = 9 * 4;
+    let row3 = 3 * 4;
+    let mut b = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
+    assert!(b.step(Op::Read(row3)).row_code_error.test(0));
+    b.retire(LaneSet::bit(0));
+    // Row 9 is first applied with lane 0 retired: its tables skip lane 0.
+    let obs = b.step(Op::Read(row9));
+    assert!(obs.row_code_error.test(1));
+    assert_eq!(b.row_partial, vec![9]);
+    b.reset();
+    assert!(b.row_partial.is_empty() && !b.row_ready[9]);
+    let mut fresh = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
+    for op in [
+        Op::Read(row9),
+        Op::Write(row9, 0xA5),
+        Op::Read(row3),
+        Op::Read(row9),
+    ] {
+        assert_eq!(b.step(op), fresh.step(op), "{op:?}");
+    }
 }
