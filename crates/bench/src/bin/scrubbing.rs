@@ -14,7 +14,7 @@ use scm_memory::design::RamConfig;
 use scm_memory::engine::CampaignEngine;
 use scm_memory::fault::FaultSite;
 use scm_memory::scrub::sweep_bound;
-use scm_memory::workload::AddressPattern;
+use scm_memory::workload::SequentialScan;
 
 fn main() {
     let n = 7u32; // the 1K×16 row decoder
@@ -52,7 +52,7 @@ fn main() {
             write_fraction: 0.0,
         };
         let result = CampaignEngine::new(campaign)
-            .pattern(AddressPattern::Sequential)
+            .workload(SequentialScan)
             .run(&config, &faults);
 
         let mut never_detected = 0usize;

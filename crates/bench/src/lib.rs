@@ -5,22 +5,24 @@
 //! binary ([`cli`]), whose subcommands are thin wrappers over the
 //! `scm-explore` evaluation engine:
 //!
-//! | Experiment | Command | Criterion bench |
+//! | Experiment | Command | perfbench workload |
 //! |---|---|---|
-//! | Table 1 (`c` sweep at `Pndc = 1e-9`) | `scm table1` | `benches/table1.rs` |
-//! | Table 2 (`Pndc` sweep at `c = 10`) | `scm table2` | `benches/table2.rs` |
-//! | Area-vs-latency trade-off (title figure) | `scm pareto` | `benches/pareto.rs` |
+//! | Table 1 (`c` sweep at `Pndc = 1e-9`) | `scm table1` | — |
+//! | Table 2 (`Pndc` sweep at `c = 10`) | `scm table2` | — |
+//! | Area-vs-latency trade-off (title figure) | `scm pareto` | — |
 //! | Design-choice ablations | `scm ablations` | — |
-//! | Free design-space exploration | `scm explore` | `benches/explore_scaling.rs` |
-//! | Fault campaign under a chosen workload | `scm campaign` | `benches/campaign_scaling.rs` |
+//! | Free design-space exploration | `scm explore` | `guided-million` (`--guided`) |
+//! | Fault campaign under a chosen workload | `scm campaign` | `campaign-mix`, `campaign-observed` (`--metrics`) |
 //! | §II safety example | `section2_safety` binary | — |
 //! | §IV worked example | `section4_example` binary | — |
-//! | Monte-Carlo validation of the bound | `montecarlo_validation` binary | `benches/faultsim.rs` |
+//! | Monte-Carlo validation of the bound | `montecarlo_validation` binary | — |
 //!
 //! The drivers print the paper's published values side by side with the
 //! regenerated ones and flag deviations; EXPERIMENTS.md records the full
 //! comparison, and `tests/cli_fixtures.rs` pins the table/Pareto stdout
-//! byte-for-byte.
+//! byte-for-byte. Speed is measured by `perfbench/` (its own package; see
+//! its README), which drives the named workloads through the same library
+//! entry points the subcommands call.
 
 #![forbid(unsafe_code)]
 

@@ -17,9 +17,9 @@
 use crate::dictionary::FaultDictionary;
 use crate::repair::SpareBudget;
 use crate::session::{run_session, SessionOutcome};
-use rayon::prelude::*;
 use scm_memory::campaign::CampaignConfig;
 use scm_memory::fault::FaultSite;
+use scm_memory::grid::par_map;
 use std::collections::BTreeMap;
 
 /// The parallel session runner.
@@ -52,29 +52,15 @@ impl DiagnosisCampaign {
     /// Run every site of the universe through the session pipeline,
     /// input order preserved.
     pub fn run(&self, dictionary: &FaultDictionary, universe: &[FaultSite]) -> Vec<SessionOutcome> {
-        let dispatch = || -> Vec<SessionOutcome> {
-            universe
-                .par_iter()
-                .map(|&site| {
-                    run_session(
-                        dictionary,
-                        site,
-                        self.budget,
-                        self.mission,
-                        self.prefill_seed,
-                    )
-                })
-                .collect()
-        };
-        if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        }
+        par_map(self.threads, universe, |&site| {
+            run_session(
+                dictionary,
+                site,
+                self.budget,
+                self.mission,
+                self.prefill_seed,
+            )
+        })
     }
 }
 

@@ -37,10 +37,10 @@ use crate::march::{
     materialize_session, run_march, run_march_sliced_ops, MarchLog, MarchSessionOp, MarchTest,
     SyndromeEvent,
 };
-use rayon::prelude::*;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::design::RamConfig;
 use scm_memory::fault::{FaultScenario, FaultSite};
+use scm_memory::grid::par_map;
 use scm_memory::sliced::{with_slab_words, SlabTask, SlicedBackend, MAX_SLAB_LANES};
 use std::collections::BTreeMap;
 
@@ -136,16 +136,7 @@ impl FaultDictionary {
             let log = run_march(&mut backend, test, seed);
             (log.events, log.truncated)
         };
-        let dispatch = || -> Vec<Signature> { candidates.par_iter().map(simulate).collect() };
-        let signatures: Vec<Signature> = if threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let signatures = par_map(threads, candidates, simulate);
         Self::file(config, test, seed, candidates, signatures)
     }
 
@@ -206,17 +197,10 @@ impl FaultDictionary {
                 },
             )
         };
-        let dispatch = || -> Vec<Vec<Signature>> { chunks.par_iter().map(simulate).collect() };
-        let per_chunk: Vec<Vec<Signature>> = if threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        let signatures: Vec<Signature> = per_chunk.into_iter().flatten().collect();
+        let signatures: Vec<Signature> = par_map(threads, &chunks, simulate)
+            .into_iter()
+            .flatten()
+            .collect();
         Self::file(config, test, seed, candidates, signatures)
     }
 

@@ -27,7 +27,6 @@
 //! engine makes, lifted to the whole design space.
 
 use crate::space::{DesignPoint, ExplorationSpace, FaultMix, ScrubPolicy};
-use rayon::prelude::*;
 use scm_area::repair_overhead;
 use scm_area::{scheme_overhead, OverheadBreakdown, RamOrganization, TechnologyParams};
 use scm_codes::selection::{select_code, CodePlan, LatencyBudget, SelectionPolicy};
@@ -43,6 +42,7 @@ use scm_memory::campaign::{
 use scm_memory::design::RamConfig;
 use scm_memory::engine::CampaignEngine;
 use scm_memory::fault::{FaultScenario, FaultSite};
+use scm_memory::grid::par_map;
 use scm_memory::scrub::{sweep_bound, SweepBound};
 use scm_memory::sliced::MAX_SLAB_LANES;
 use scm_memory::workload::{builtin_models, WorkloadModel};
@@ -1016,21 +1016,9 @@ impl Evaluator {
         points: &[DesignPoint],
         trials: Option<u32>,
     ) -> Vec<Result<Evaluation, ExploreError>> {
-        let dispatch = || {
-            points
-                .par_iter()
-                .map(|p| self.evaluate_at_fidelity(p, trials))
-                .collect()
-        };
-        if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        }
+        par_map(self.threads, points, |p| {
+            self.evaluate_at_fidelity(p, trials)
+        })
     }
 
     /// How many fault scenarios the adjudication stage would campaign

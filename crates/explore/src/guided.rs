@@ -325,8 +325,7 @@ pub fn empirical_front(evaluations: &[Evaluation]) -> Vec<Evaluation> {
 }
 
 /// Evaluate a whole space at full fidelity and extract the empirical
-/// front — the baseline [`GuidedSearch`] is certified against in tests
-/// and benches.
+/// front — the baseline [`GuidedSearch`] is certified against in tests.
 ///
 /// # Errors
 /// [`ExploreError::AdjudicationRequired`] when the evaluator has no

@@ -244,7 +244,7 @@ impl ExplorationSpace {
     }
 
     /// The worked reference space of the CLI's `explore` report and the
-    /// guided-search acceptance benches: the paper's 16×1K RAM, both
+    /// guided-search acceptance tests: the paper's 16×1K RAM, both
     /// tables' latency/escape budget axes, both selection policies — 72
     /// points, small enough to adjudicate exhaustively, rich enough that
     /// most of it is Pareto-dominated.

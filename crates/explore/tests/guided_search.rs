@@ -3,8 +3,8 @@
 //! multi-fidelity climb must recover **exactly** the front the
 //! exhaustive full-fidelity sweep finds — at every thread count, under
 //! any candidate ordering — and on the worked reference space it must do
-//! so for at most 20 % of the exhaustive scenario-trial spend (the
-//! paper-repro acceptance figure recorded in `BENCH_explore.json`).
+//! so for at most 20 % of the exhaustive scenario-trial spend (it takes
+//! 12.5 %; EXPERIMENTS.md records the figure).
 
 use proptest::prelude::*;
 use scm_area::RamOrganization;
@@ -133,7 +133,7 @@ proptest! {
     }
 }
 
-/// The PR's acceptance figure: on the worked reference space the guided
+/// The acceptance figure: on the worked reference space the guided
 /// search recovers the exact exhaustive front for ≤ 20 % of the
 /// exhaustive scenario-trial spend.
 #[test]

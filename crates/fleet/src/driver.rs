@@ -38,10 +38,10 @@
 use crate::device::simulate_device;
 use crate::spec::FleetSpec;
 use crate::telemetry::CohortTelemetry;
-use rayon::prelude::*;
 use scm_diag::{cell_universe, FaultDictionary};
 use scm_memory::campaign::decoder_fault_universe;
 use scm_memory::fault::FaultSite;
+use scm_memory::grid::par_map;
 use scm_obs::{Event, EventKind};
 use scm_system::seed_mix;
 use std::fmt::Write as _;
@@ -308,24 +308,10 @@ impl FleetDriver {
     /// Drive the remaining chunks to completion (or to the halt point).
     pub fn run(&mut self) -> Result<FleetProgress, String> {
         let wave_len = (self.resolved_threads() * 4).max(1);
-        let pool = (self.options.threads > 0)
-            .then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.options.threads)
-                    .build()
-                    .expect("thread pool construction is infallible")
-            })
-            .map(Arc::new);
         while self.next_chunk < self.chunks.len() {
             let end = self.wave_end(wave_len);
             let wave: Vec<Chunk> = self.chunks[self.next_chunk..end].to_vec();
-            let work = || -> Vec<CohortTelemetry> {
-                wave.par_iter().map(|&c| self.chunk_telemetry(c)).collect()
-            };
-            let partials = match &pool {
-                Some(pool) => pool.install(work),
-                None => work(),
-            };
+            let partials = par_map(self.options.threads, &wave, |&c| self.chunk_telemetry(c));
             // Merge in canonical chunk order — the only order-sensitive
             // step, kept on the driver thread.
             for (chunk, partial) in wave.iter().zip(&partials) {

@@ -10,12 +10,10 @@
 //! This module owns the campaign *vocabulary* — configuration, fault
 //! universes, per-fault and whole-campaign statistics. Execution lives in
 //! [`crate::engine::CampaignEngine`], which spreads the fault × trial grid
-//! over a thread pool; [`run_campaign`] is the single-call convenience
-//! wrapper around it.
+//! over a thread pool.
 
 use crate::decoder_unit::{multilevel_blocks, DecoderFault};
 use crate::design::RamConfig;
-use crate::engine::CampaignEngine;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
 use crate::sim::DetectionOutcome;
 use rand::rngs::SmallRng;
@@ -412,23 +410,10 @@ pub fn mixed_universe(
     universe
 }
 
-/// Run a campaign over the given fault universe on the ambient rayon
-/// thread pool.
-///
-/// Convenience wrapper over [`CampaignEngine`]; results are bit-identical
-/// at every thread count (trial seeds are pure functions of the grid
-/// coordinates, never of scheduling).
-pub fn run_campaign(
-    config: &RamConfig,
-    faults: &[FaultSite],
-    campaign: CampaignConfig,
-) -> CampaignResult {
-    CampaignEngine::new(campaign).run(config, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CampaignEngine;
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
 
@@ -456,16 +441,13 @@ mod tests {
             .into_iter()
             .map(FaultSite::RowDecoder)
             .collect();
-        let result = run_campaign(
-            &cfg,
-            &faults,
-            CampaignConfig {
-                cycles: 20,
-                trials: 8,
-                seed: 7,
-                write_fraction: 0.1,
-            },
-        );
+        let result = CampaignEngine::new(CampaignConfig {
+            cycles: 20,
+            trials: 8,
+            seed: 7,
+            write_fraction: 0.1,
+        })
+        .run(&cfg, &faults);
         assert_eq!(result.per_fault.len(), 64);
         // SA0 faults: detected whenever the stuck line's field is applied;
         // escape only if the field never comes up — possible but should be
@@ -502,16 +484,13 @@ mod tests {
             value: 14, // 14 mod 9 = 5; collides with nothing in 0..16? 5 also → 5,14 collide!
             stuck_one: true,
         });
-        let result = run_campaign(
-            &cfg,
-            &[colliding, clean],
-            CampaignConfig {
-                cycles: 1,
-                trials: 400,
-                seed: 3,
-                write_fraction: 0.0,
-            },
-        );
+        let result = CampaignEngine::new(CampaignConfig {
+            cycles: 1,
+            trials: 400,
+            seed: 3,
+            write_fraction: 0.0,
+        })
+        .run(&cfg, &[colliding, clean]);
         // Both have one colliding partner; empirical single-cycle escape
         // should be near the analytical 2/16 + no-error 1/16 … simply check
         // it is well below 1 and above 0.

@@ -41,10 +41,7 @@ use crate::sliced::{
     measure_detection_sliced, shared_trial_seed, slab_words, with_slab_words, SlabTask,
     SlicedBackend, MAX_SLAB_LANES,
 };
-use crate::workload::{
-    AddressPattern, FixedPattern, Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel,
-    WorkloadSpec,
-};
+use crate::workload::{Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::sync::Arc;
 
@@ -78,9 +75,10 @@ pub struct LaneOccupancy {
 }
 
 /// Grids of at most this many `scenario × trial` cells run serially by
-/// default: below it the rayon fan-out (block construction, work-steal
-/// queues, and — with pinned threads — pool construction) costs more
-/// than it buys (`BENCH_system.json` tiny-grid rows).
+/// default: below it the rayon fan-out (block construction and fresh
+/// scoped workers per fan-out) costs more than it buys. perfbench's
+/// `rayon.par_wave_us` prices one two-thread fan-out of trivial items at
+/// tens of microseconds.
 pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
 
 impl CampaignEngine {
@@ -116,13 +114,6 @@ impl CampaignEngine {
     pub fn scrub(mut self, period: u64) -> Self {
         self.scrub_period = period;
         self
-    }
-
-    /// Override the workload's address pattern (legacy convenience for the
-    /// fixed [`AddressPattern`] shapes; equivalent to
-    /// `workload_model(Arc::new(FixedPattern(pattern)))`).
-    pub fn pattern(self, pattern: AddressPattern) -> Self {
-        self.workload(FixedPattern(pattern))
     }
 
     /// Plug in a workload model by value.
@@ -669,6 +660,7 @@ fn cell_events(
 mod tests {
     use super::*;
     use crate::campaign::decoder_fault_universe;
+    use crate::workload::SequentialScan;
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
 
@@ -809,7 +801,7 @@ mod tests {
         };
         let uniform = CampaignEngine::new(campaign).run(&cfg, &faults);
         let sequential = CampaignEngine::new(campaign)
-            .pattern(AddressPattern::Sequential)
+            .workload(SequentialScan)
             .run(&cfg, &faults);
         assert_ne!(
             uniform.determinism_profile(),

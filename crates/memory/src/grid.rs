@@ -1,6 +1,7 @@
 //! Grid scheduling shared by the campaign executors: the trial-block
-//! decomposition of a `unit × trial` grid and its serial / ambient /
-//! pinned-pool dispatch.
+//! decomposition of a `unit × trial` grid, its serial / ambient /
+//! pinned-pool dispatch, and the order-preserving [`par_map`] under it
+//! that every other fan-out in the workspace goes through too.
 //!
 //! A unit is whatever one block simulates — a fault scenario on the
 //! generic executor, a lane pack or chunk on the slab executor. Blocks
@@ -60,10 +61,32 @@ pub fn trial_blocks(units: usize, trials: u32, target: usize) -> Vec<TrialBlock>
     blocks
 }
 
+/// Map `f` over `items` in parallel — on the ambient rayon pool when
+/// `threads == 0`, else on a pool pinned to `threads` — and return the
+/// outputs in input order, whatever order they ran in. The one fan-out
+/// every engine's thread-count contract rests on: with `f` pure, the
+/// result is bit-identical at any `threads`.
+pub fn par_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let run = || items.par_iter().map(&f).collect();
+    if threads == 0 {
+        run()
+    } else {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool construction is infallible")
+            .install(run)
+    }
+}
+
 /// Run `work` on every block — inline on the calling thread when
-/// `serial`, else on the ambient rayon pool (`threads == 0`) or a pool
-/// pinned to `threads` — and collect each block with its output, in block
-/// order. Purely scheduling: the same blocks run either way.
+/// `serial`, else through [`par_map`] — and collect each block with its
+/// output, in block order. Purely scheduling: the same blocks run either
+/// way.
 pub fn dispatch<T: Send>(
     serial: bool,
     threads: usize,
@@ -73,14 +96,8 @@ pub fn dispatch<T: Send>(
     let run = |block: &TrialBlock| (*block, work(*block));
     if serial {
         blocks.iter().map(run).collect()
-    } else if threads == 0 {
-        blocks.par_iter().map(run).collect()
     } else {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool construction is infallible")
-            .install(|| blocks.par_iter().map(run).collect())
+        par_map(threads, blocks, run)
     }
 }
 
@@ -93,5 +110,25 @@ mod tests {
         let blocks = trial_blocks(3, 0, 8);
         assert_eq!(blocks.len(), 3);
         assert!(blocks.iter().all(|b| b.trials() == 0));
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_at_every_thread_count() {
+        // Per-item cost varies, so workers finish out of input order.
+        let items: Vec<(usize, u64)> = (0..97).map(|i| (i, (i as u64 * 37) % 11)).collect();
+        let work = |&(i, cost): &(usize, u64)| -> (usize, u64) {
+            (
+                i,
+                (0..cost * 500).fold(cost, |acc, k| acc.wrapping_mul(31) ^ k),
+            )
+        };
+        let expected: Vec<(usize, u64)> = items.iter().map(work).collect();
+        for threads in [0, 1, 2, 4] {
+            assert_eq!(
+                par_map(threads, &items, work),
+                expected,
+                "threads = {threads}"
+            );
+        }
     }
 }

@@ -67,7 +67,7 @@ pub mod workload;
 
 pub use arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 pub use backend::{BehavioralBackend, CycleObservation, FaultSimBackend, GateLevelBackend};
-pub use campaign::{run_campaign, CampaignConfig, CampaignResult, FaultResult};
+pub use campaign::{CampaignConfig, CampaignResult, FaultResult};
 pub use design::{RamConfig, ReadOutcome, SelfCheckingRam, Verdict};
 pub use engine::{CampaignEngine, LaneOccupancy, DEFAULT_SERIAL_THRESHOLD};
 pub use fault::FaultSite;

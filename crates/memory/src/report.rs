@@ -116,8 +116,9 @@ pub fn worst_offenders(result: &CampaignResult, k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{decoder_fault_universe, run_campaign, CampaignConfig};
+    use crate::campaign::{decoder_fault_universe, CampaignConfig};
     use crate::design::RamConfig;
+    use crate::engine::CampaignEngine;
     use crate::fault::FaultSite;
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
@@ -135,16 +136,13 @@ mod tests {
             .take(16)
             .map(FaultSite::RowDecoder)
             .collect();
-        run_campaign(
-            &cfg,
-            &faults,
-            CampaignConfig {
-                cycles: 5,
-                trials: 4,
-                seed: 1,
-                write_fraction: 0.1,
-            },
-        )
+        CampaignEngine::new(CampaignConfig {
+            cycles: 5,
+            trials: 4,
+            seed: 1,
+            write_fraction: 0.1,
+        })
+        .run(&cfg, &faults)
     }
 
     #[test]

@@ -194,10 +194,10 @@ pub struct UniformRandom;
 
 impl WorkloadModel for UniformRandom {
     fn name(&self) -> &'static str {
-        FixedPattern(AddressPattern::UniformRandom).name()
+        "uniform"
     }
     fn stream(&self, spec: WorkloadSpec, seed: u64) -> OpStream {
-        FixedPattern(AddressPattern::UniformRandom).stream(spec, seed)
+        pattern_stream(AddressPattern::UniformRandom, spec, seed)
     }
 }
 
@@ -207,36 +207,23 @@ pub struct SequentialScan;
 
 impl WorkloadModel for SequentialScan {
     fn name(&self) -> &'static str {
-        FixedPattern(AddressPattern::Sequential).name()
+        "sequential"
     }
     fn stream(&self, spec: WorkloadSpec, seed: u64) -> OpStream {
-        FixedPattern(AddressPattern::Sequential).stream(spec, seed)
+        pattern_stream(AddressPattern::Sequential, spec, seed)
     }
 }
 
-/// Legacy adapter: any fixed [`AddressPattern`] as a model (what the
-/// engine's `pattern(..)` convenience plugs in).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedPattern(pub AddressPattern);
-
-impl WorkloadModel for FixedPattern {
-    fn name(&self) -> &'static str {
-        match self.0 {
-            AddressPattern::UniformRandom => "uniform",
-            AddressPattern::Sequential => "sequential",
-            AddressPattern::Strided { .. } => "strided",
-            AddressPattern::HotSpot { .. } => "hotspot-window",
-        }
-    }
-    fn stream(&self, spec: WorkloadSpec, seed: u64) -> OpStream {
-        Box::new(Workload::new(
-            self.0,
-            spec.words,
-            spec.word_bits,
-            spec.write_fraction,
-            seed,
-        ))
-    }
+/// A [`Workload`] over one fixed [`AddressPattern`], boxed as a model's
+/// per-trial stream.
+fn pattern_stream(pattern: AddressPattern, spec: WorkloadSpec, seed: u64) -> OpStream {
+    Box::new(Workload::new(
+        pattern,
+        spec.words,
+        spec.word_bits,
+        spec.write_fraction,
+        seed,
+    ))
 }
 
 /// Bursty locality: pick a random base address, stream `burst` sequential

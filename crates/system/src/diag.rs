@@ -39,13 +39,13 @@
 use crate::clock::SystemClock;
 use crate::engine::SystemFault;
 use crate::system::{bank_prefill_seed, seed_mix, MemorySystem, SystemConfig};
-use rayon::prelude::*;
 use scm_diag::dictionary::FaultDictionary;
 use scm_diag::march::{MarchSession, MarchTest};
 use scm_diag::repair::{RepairOutcome, RepairedRam, SpareAllocator, SpareBudget};
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::CampaignConfig;
 use scm_memory::fault::FaultSite;
+use scm_memory::grid::par_map;
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind, NullSink, TraceSink, VecSink, Verdict};
 use std::sync::Arc;
@@ -350,8 +350,7 @@ impl DiagCampaign {
                         &self.policy.test,
                         self.policy.session_seed,
                         &candidates,
-                        // Ambient: dictionary builds ride the outer pool.
-                        0,
+                        self.threads,
                     )
                 })
             })
@@ -376,21 +375,9 @@ impl DiagCampaign {
         self.validate(universe);
         let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
         let dictionaries = self.dictionaries(universe);
-        let dispatch = || -> Vec<DiagFaultResult> {
-            universe
-                .par_iter()
-                .map(|&fault| self.run_fault_with(&template, &dictionaries, fault, &mut NullSink))
-                .collect()
-        };
-        let per_fault = if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let per_fault = par_map(self.threads, universe, |&fault| {
+            self.run_fault_with(&template, &dictionaries, fault, &mut NullSink)
+        });
         DiagSystemResult {
             per_fault,
             campaign: self.campaign,
@@ -462,22 +449,10 @@ impl DiagCampaign {
             }
             events
         };
-        let dispatch = || -> Vec<Vec<Event>> {
-            universe
-                .par_iter()
-                .map(|&fault| trace_fault(fault))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
+        par_map(self.threads, universe, |&fault| trace_fault(fault))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     fn run_fault_with<K: TraceSink>(

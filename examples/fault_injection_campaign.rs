@@ -10,7 +10,8 @@
 //! Run: `cargo run --release --example fault_injection_campaign`
 
 use scm_core::prelude::*;
-use scm_memory::campaign::{run_campaign, standard_fault_universe, CampaignConfig};
+use scm_memory::campaign::{standard_fault_universe, CampaignConfig};
+use scm_memory::engine::CampaignEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = SelfCheckingRamBuilder::new(256, 8)
@@ -23,16 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faults = standard_fault_universe(config, 24, 0xFEED);
     println!("fault universe: {} faults", faults.len());
 
-    let result = run_campaign(
-        config,
-        &faults,
-        CampaignConfig {
-            cycles: 10,
-            trials: 48,
-            seed: 42,
-            write_fraction: 0.15,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 10,
+        trials: 48,
+        seed: 42,
+        write_fraction: 0.15,
+    })
+    .run(config, &faults);
 
     println!();
     println!(

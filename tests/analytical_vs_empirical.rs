@@ -9,8 +9,9 @@ use scm_area::RamOrganization;
 use scm_codes::mapping::MappingKind;
 use scm_codes::{CodewordMap, MOutOfN};
 use scm_latency::escape::collision_count;
-use scm_memory::campaign::{decoder_fault_universe, run_campaign, CampaignConfig};
+use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::design::RamConfig;
+use scm_memory::engine::CampaignEngine;
 use scm_memory::fault::FaultSite;
 
 fn config() -> RamConfig {
@@ -34,16 +35,13 @@ fn per_fault_single_cycle_escape_matches_collision_count() {
             .collect();
     let sites: Vec<FaultSite> = faults.iter().map(|(_, s)| *s).collect();
     let trials = 600u32;
-    let result = run_campaign(
-        &cfg,
-        &sites,
-        CampaignConfig {
-            cycles: 1,
-            trials,
-            seed: 0xAB,
-            write_fraction: 0.0,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 1,
+        trials,
+        seed: 0xAB,
+        write_fraction: 0.0,
+    })
+    .run(&cfg, &sites);
 
     let mut checked = 0usize;
     for ((decoder_fault, _), fr) in faults.iter().zip(&result.per_fault) {
@@ -86,16 +84,13 @@ fn error_escape_respects_paper_bound_statistically() {
         .filter(|f| f.stuck_one)
         .map(FaultSite::RowDecoder)
         .collect();
-    let result = run_campaign(
-        &cfg,
-        &sites,
-        CampaignConfig {
-            cycles: 10,
-            trials: 64,
-            seed: 0xCD,
-            write_fraction: 0.1,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 10,
+        trials: 64,
+        seed: 0xCD,
+        write_fraction: 0.1,
+    })
+    .run(&cfg, &sites);
     // Paper bound for a = 9 on a 6-bit decoder: governing block i = 4 →
     // ⌈16/9⌉/16 = 1/8. Empirical per-fault error escape over 10 cycles must
     // stay near or below it (max over ~200 binomials ⇒ generous slack).
@@ -119,16 +114,13 @@ fn berger_identity_mapping_has_zero_error_escape() {
         .into_iter()
         .map(FaultSite::RowDecoder)
         .collect();
-    let result = run_campaign(
-        &config,
-        &sites,
-        CampaignConfig {
-            cycles: 10,
-            trials: 16,
-            seed: 0xEF,
-            write_fraction: 0.1,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 10,
+        trials: 16,
+        seed: 0xEF,
+        write_fraction: 0.1,
+    })
+    .run(&config, &sites);
     assert_eq!(
         result.worst_error_escape(),
         0.0,

@@ -7,13 +7,11 @@
 //! 2. **Backend equivalence** — behavioural and gate-level backends agree
 //!    on decoder-checker verdicts over a small decoder, driven through the
 //!    one `FaultSimBackend` interface by the same engine.
-//! 3. **Wrapper compatibility** — `run_campaign` is exactly the engine at
-//!    ambient width.
 
 use scm_area::RamOrganization;
 use scm_codes::{CodewordMap, MOutOfN};
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend, GateLevelBackend};
-use scm_memory::campaign::{decoder_fault_universe, run_campaign, CampaignConfig, CampaignResult};
+use scm_memory::campaign::{decoder_fault_universe, CampaignConfig, CampaignResult};
 use scm_memory::design::RamConfig;
 use scm_memory::engine::CampaignEngine;
 use scm_memory::fault::FaultSite;
@@ -92,23 +90,6 @@ fn trial_split_regime_is_deterministic_too() {
             "{threads} threads"
         );
     }
-}
-
-#[test]
-fn run_campaign_wrapper_matches_engine() {
-    let config = small_config();
-    let faults = decoder_faults();
-    let campaign = CampaignConfig {
-        cycles: 10,
-        trials: 6,
-        seed: 11,
-        write_fraction: 0.1,
-    };
-    let wrapped = run_campaign(&config, &faults, campaign);
-    let direct = CampaignEngine::new(campaign)
-        .threads(1)
-        .run(&config, &faults);
-    assert_eq!(wrapped.determinism_profile(), direct.determinism_profile());
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! across many geometries and budgets.
 
 use scm_core::prelude::*;
-use scm_memory::campaign::{decoder_fault_universe, run_campaign, CampaignConfig};
+use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::decoder_unit::DecoderFault;
+use scm_memory::engine::CampaignEngine;
 use scm_memory::sim::measure_detection;
 
 fn build(words: u64, bits: u32, mux: u32, c: u32, pndc: f64) -> Design {
@@ -60,16 +61,13 @@ fn every_sa0_decoder_fault_has_zero_error_escape() {
         .filter(|f| !f.stuck_one)
         .map(FaultSite::RowDecoder)
         .collect();
-    let result = run_campaign(
-        config,
-        &faults,
-        CampaignConfig {
-            cycles: 50,
-            trials: 12,
-            seed: 9,
-            write_fraction: 0.2,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 50,
+        trials: 12,
+        seed: 9,
+        write_fraction: 0.2,
+    })
+    .run(config, &faults);
     for f in &result.per_fault {
         assert_eq!(f.error_escapes, 0, "SA0 error escaped for {:?}", f.site);
     }
@@ -92,16 +90,13 @@ fn budget_is_respected_empirically_for_moderate_codes() {
         .filter(|f| f.stuck_one)
         .map(FaultSite::RowDecoder)
         .collect();
-    let result = run_campaign(
-        config,
-        &faults,
-        CampaignConfig {
-            cycles: 10,
-            trials: 64,
-            seed: 5,
-            write_fraction: 0.1,
-        },
-    );
+    let result = CampaignEngine::new(CampaignConfig {
+        cycles: 10,
+        trials: 64,
+        seed: 5,
+        write_fraction: 0.1,
+    })
+    .run(config, &faults);
     // Worst error escape must stay within the analytical per-cycle bound
     // (0.5) with generous statistical slack.
     assert!(
@@ -149,16 +144,13 @@ fn detection_latency_scales_with_code_strength() {
             .filter(|f| f.stuck_one)
             .map(FaultSite::RowDecoder)
             .collect();
-        let result = run_campaign(
-            config,
-            &faults,
-            CampaignConfig {
-                cycles: 5,
-                trials: 24,
-                seed: 77,
-                write_fraction: 0.1,
-            },
-        );
+        let result = CampaignEngine::new(CampaignConfig {
+            cycles: 5,
+            trials: 24,
+            seed: 77,
+            write_fraction: 0.1,
+        })
+        .run(config, &faults);
         escapes.push((label, result.worst_error_escape()));
     }
     assert!(escapes[0].1 >= escapes[1].1, "{escapes:?}");
