@@ -676,8 +676,9 @@ impl Evaluator {
             ScrubPolicy::Off => 0,
             ScrubPolicy::SequentialSweep => adjudication.scrub_period,
         };
-        // Ambient threads: the engine's grid rides the same rayon pool as
-        // the outer point sweep (work stealing balances both levels).
+        // Ambient threads: inside a worker of the outer point sweep this
+        // grid runs inline, so the sweep alone holds `threads` workers;
+        // a one-point sweep runs inline and hands the grid its count.
         let result = CampaignEngine::new(campaign)
             .workload_model(model)
             .scrub(scrub_period)
@@ -735,8 +736,8 @@ impl Evaluator {
             seed: stage.seed,
             write_fraction: stage.write_fraction,
         };
-        // Ambient threads: the system grid rides the same rayon pool as
-        // the outer point sweep, like the adjudication stage.
+        // Ambient threads: inline inside the outer sweep's workers, like
+        // the adjudication stage.
         let engine = SystemCampaign::new(system, campaign)
             .workload_model(model)
             .sliced(stage.sliced)
@@ -841,8 +842,8 @@ impl Evaluator {
             seed: stage.seed,
             write_fraction: stage.write_fraction,
         };
-        // Ambient threads: the diag grid rides the same rayon pool as
-        // the outer point sweep, like the other optional stages.
+        // Ambient threads: inline inside the outer sweep's workers, like
+        // the other optional stages.
         let engine = DiagCampaign::new(system, policy, campaign).workload_model(model);
         let universe = engine.diag_universe(stage.cells_per_bank, 0);
         let result = engine.run(&universe);

@@ -41,7 +41,7 @@ use crate::telemetry::CohortTelemetry;
 use scm_diag::{cell_universe, FaultDictionary};
 use scm_memory::campaign::decoder_fault_universe;
 use scm_memory::fault::FaultSite;
-use scm_memory::grid::par_map;
+use scm_memory::grid::{par_map, resolve_threads};
 use scm_obs::{Event, EventKind};
 use scm_system::seed_mix;
 use std::fmt::Write as _;
@@ -257,15 +257,6 @@ impl FleetDriver {
         &self.events
     }
 
-    /// Worker threads the driver will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.options.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.options.threads
-        }
-    }
-
     /// One chunk's telemetry: its devices in index order, inline.
     fn chunk_telemetry(&self, chunk: Chunk) -> CohortTelemetry {
         let cohort = &self.spec.cohorts[chunk.cohort];
@@ -307,7 +298,7 @@ impl FleetDriver {
 
     /// Drive the remaining chunks to completion (or to the halt point).
     pub fn run(&mut self) -> Result<FleetProgress, String> {
-        let wave_len = (self.resolved_threads() * 4).max(1);
+        let wave_len = (resolve_threads(self.options.threads) * 4).max(1);
         while self.next_chunk < self.chunks.len() {
             let end = self.wave_end(wave_len);
             let wave: Vec<Chunk> = self.chunks[self.next_chunk..end].to_vec();

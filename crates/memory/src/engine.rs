@@ -22,20 +22,21 @@
 //! executor; the lane-exactness contract (DESIGN.md §3a) makes both
 //! return the same [`CampaignResult`] bit for bit.
 //!
-//! The grid is decomposed fault-major into trial blocks: when the
-//! fault universe is wide (the common case — thousands of collapsed
-//! stuck-ats), each block is one fault's full trial set; when callers
-//! probe few faults with many trials, trial ranges split so every worker
-//! still gets enough blocks to steal. Blocks are the scheduling unit;
-//! workers pull them off a shared queue, so a fault whose trials detect
-//! in one cycle doesn't leave its thread idle while a slow fault finishes.
+//! The grid is decomposed fault-major into trial blocks
+//! ([`trial_blocks`] at the worker count): when the fault universe is
+//! wide (the common case — thousands of collapsed stuck-ats), each block
+//! is one fault's full trial set; when callers probe few faults with
+//! many trials, trial ranges split so every worker still gets a block.
+//! Blocks are the scheduling unit; workers pull them off a shared queue,
+//! so a fault whose trials detect in one cycle doesn't leave its thread
+//! idle while a slow fault finishes.
 
 use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
 use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
-use crate::grid::{dispatch, trial_blocks, TrialBlock};
+use crate::grid::{dispatch, resolve_threads, trial_blocks, TrialBlock, DEFAULT_SERIAL_THRESHOLD};
 use crate::sim::{measure_detection_on, DetectionOutcome, PackedOutcome};
 use crate::sliced::{
     measure_detection_sliced, shared_trial_seed, slab_words, with_slab_words, SlabTask,
@@ -73,13 +74,6 @@ pub struct LaneOccupancy {
     /// The configured lane width (scenarios per block, before rounding).
     pub width: usize,
 }
-
-/// Grids of at most this many `scenario × trial` cells run serially by
-/// default: below it the rayon fan-out (block construction and fresh
-/// scoped workers per fan-out) costs more than it buys. perfbench's
-/// `rayon.par_wave_us` prices one two-thread fan-out of trivial items at
-/// tens of microseconds.
-pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
 
 impl CampaignEngine {
     /// Engine with the given campaign parameters, the paper's uniform
@@ -194,15 +188,6 @@ impl CampaignEngine {
         &self.campaign
     }
 
-    /// Threads the engine will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Run over the behavioural backend with the campaign convention's
     /// random prefill (the classic `run_campaign` entry point; every
     /// fault pinned from cycle 0).
@@ -284,7 +269,7 @@ impl CampaignEngine {
     /// The slab-block executor behind both the result path and the
     /// trace. Scenarios chunk into lane packs of
     /// [`lane_width`](Self::lane_width), packs split into trial blocks
-    /// ([`decompose_slabs`](Self::decompose_slabs)), and every block runs
+    /// ([`trial_blocks`] at the worker count), and every block runs
     /// at the narrowest slab that fits its pack: `init` builds the
     /// block's accumulator, `fold` takes each trial's per-lane outcomes
     /// in trial order. Returns every block with its accumulator,
@@ -304,7 +289,11 @@ impl CampaignEngine {
             panic!("backend 'sliced' cannot inject {bad:?}");
         }
         let chunks: Vec<&[FaultScenario]> = scenarios.chunks(self.lane_width).collect();
-        let blocks = self.decompose_slabs(chunks.len());
+        let blocks = trial_blocks(
+            chunks.len(),
+            self.campaign.trials,
+            resolve_threads(self.threads),
+        );
         let streams: Option<Vec<Arc<Vec<Op>>>> = (u64::from(self.campaign.trials)
             .saturating_mul(self.campaign.cycles)
             <= ARENA_OP_BUDGET)
@@ -398,7 +387,11 @@ impl CampaignEngine {
         if let Some(bad) = scenarios.iter().find(|s| !backend.supports(s)) {
             panic!("backend '{}' cannot inject {bad:?}", backend.name());
         }
-        let blocks = self.decompose(scenarios.len());
+        let blocks = trial_blocks(
+            scenarios.len(),
+            self.campaign.trials,
+            resolve_threads(self.threads),
+        );
         let serial = self.runs_serially(scenarios.len());
         let partials = dispatch(serial, self.threads, &blocks, |block| {
             self.run_block(backend.clone(), scenarios[block.unit], block)
@@ -516,32 +509,6 @@ impl CampaignEngine {
     /// and the sliced backend.
     fn prefill_seed(&self) -> u64 {
         self.campaign.seed ^ 0xF1E1D1
-    }
-
-    /// Split the grid into schedulable blocks: one per fault when faults
-    /// outnumber workers 8 to 1 (room for work stealing), trial-splitting
-    /// otherwise.
-    fn decompose(&self, num_faults: usize) -> Vec<TrialBlock> {
-        trial_blocks(
-            num_faults,
-            self.campaign.trials,
-            self.resolved_threads() * 8,
-        )
-    }
-
-    /// Split slab blocks into schedulable trial ranges. Unlike
-    /// [`decompose`](Self::decompose), which over-decomposes by 8× for
-    /// work stealing, this only splits trials as far as the worker
-    /// count demands: every extra trial range builds another backend,
-    /// whose fixed cost is the prefill and the slab-per-cell
-    /// materialisation (fault tables expand lazily per touched row, and
-    /// a reset between trials costs only the sites a trial wrote), so a
-    /// serial run gets exactly one backend per block and a parallel
-    /// run pays construction only once per worker. Results are
-    /// invariant either way — trial outcomes never depend on which
-    /// block ran them.
-    fn decompose_slabs(&self, num_chunks: usize) -> Vec<TrialBlock> {
-        trial_blocks(num_chunks, self.campaign.trials, self.resolved_threads())
     }
 
     fn run_block<B: FaultSimBackend>(
@@ -679,40 +646,6 @@ mod tests {
             .into_iter()
             .map(FaultSite::RowDecoder)
             .collect()
-    }
-
-    #[test]
-    fn grid_decomposition_covers_every_cell_once() {
-        for (faults, trials, threads) in [
-            (64usize, 8u32, 4usize),
-            (3, 100, 8),
-            (1, 7, 2),
-            (200, 1, 16),
-        ] {
-            let engine = CampaignEngine::new(CampaignConfig {
-                trials,
-                ..CampaignConfig::default()
-            })
-            .threads(threads);
-            let blocks = engine.decompose(faults);
-            let mut seen = vec![0u32; faults];
-            for b in &blocks {
-                assert!(b.trial_start < b.trial_end, "empty block {b:?}");
-                seen[b.unit] += b.trial_end - b.trial_start;
-            }
-            assert!(
-                seen.iter().all(|&t| t == trials),
-                "{faults}x{trials}@{threads}: {seen:?}"
-            );
-            // Fault-major ordering: units never decrease, trial ranges are
-            // contiguous per fault.
-            for w in blocks.windows(2) {
-                assert!(w[1].unit >= w[0].unit);
-                if w[1].unit == w[0].unit {
-                    assert_eq!(w[1].trial_start, w[0].trial_end);
-                }
-            }
-        }
     }
 
     #[test]

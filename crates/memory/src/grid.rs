@@ -1,7 +1,8 @@
-//! Grid scheduling shared by the campaign executors: the trial-block
-//! decomposition of a `unit × trial` grid, its serial / ambient /
-//! pinned-pool dispatch, and the order-preserving [`par_map`] under it
-//! that every other fan-out in the workspace goes through too.
+//! Grid scheduling shared by the campaign executors: the thread-count
+//! rule ([`resolve_threads`]), the trial-block decomposition of a
+//! `unit × trial` grid, its serial / ambient / pinned-pool dispatch with
+//! the one serial threshold, and the order-preserving [`par_map`] under
+//! it that every other fan-out in the workspace goes through too.
 //!
 //! A unit is whatever one block simulates — a fault scenario on the
 //! generic executor, a lane pack or chunk on the slab executor. Blocks
@@ -10,6 +11,24 @@
 //! bit-identical at every thread count.
 
 use rayon::prelude::*;
+
+/// Grids of at most this many `unit × trial` cells run serially by
+/// default: below it the rayon fan-out (block construction and fresh
+/// scoped workers per fan-out) costs more than it buys. perfbench's
+/// `rayon.par_wave_us` prices one two-thread fan-out of trivial items at
+/// tens of microseconds.
+pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
+
+/// The worker count a `threads` setting stands for: `threads` itself
+/// when pinned, else the ambient rayon count — the machine default, or
+/// 1 inside another fan-out's worker.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        rayon::current_num_threads()
+    } else {
+        threads
+    }
+}
 
 /// One schedulable unit of work: a contiguous trial range of one grid
 /// unit.
@@ -35,6 +54,13 @@ impl TrialBlock {
 /// otherwise each unit's trials cut into just enough ranges to reach it.
 /// Unit-major with ascending trial ranges; a zero-trial grid still gets
 /// one empty block per unit, so every unit appears in the output.
+///
+/// Executors pass the worker count ([`resolve_threads`]) as `target`:
+/// every extra trial range builds another backend, so trials split only
+/// as far as the workers demand, and a serial run gets one backend per
+/// unit. The pool's dynamic chunking balances uneven units; results are
+/// invariant either way, since no trial outcome depends on the block
+/// that ran it.
 pub fn trial_blocks(units: usize, trials: u32, target: usize) -> Vec<TrialBlock> {
     let splits = if units == 0 || units >= target {
         1
@@ -104,6 +130,44 @@ pub fn dispatch<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trial_blocks_cover_every_cell_once_in_unit_major_order() {
+        for (units, trials, target) in [
+            (64usize, 8u32, 4usize),
+            (3, 100, 8),
+            (1, 7, 2),
+            (200, 1, 16),
+        ] {
+            let blocks = trial_blocks(units, trials, target);
+            let mut seen = vec![0u32; units];
+            for b in &blocks {
+                assert!(b.trial_start < b.trial_end, "empty block {b:?}");
+                seen[b.unit] += b.trial_end - b.trial_start;
+            }
+            assert!(
+                seen.iter().all(|&t| t == trials),
+                "{units}x{trials}@{target}: {seen:?}"
+            );
+            // Units never decrease; trial ranges are contiguous per unit.
+            for w in blocks.windows(2) {
+                assert!(w[1].unit >= w[0].unit);
+                if w[1].unit == w[0].unit {
+                    assert_eq!(w[1].trial_start, w[0].trial_end);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nested_fan_outs_run_inline_inside_a_pinned_pool() {
+        // Each item would fan out again on the ambient pool: inside
+        // `par_map(2, ..)`'s workers that must be one thread, not the
+        // machine default, so `--threads 2` never runs more than two.
+        let items = [0u8; 8];
+        let seen = par_map(2, &items, |_| resolve_threads(0));
+        assert_eq!(seen, vec![1; items.len()]);
+    }
 
     #[test]
     fn zero_trial_grids_keep_one_empty_block_per_unit() {

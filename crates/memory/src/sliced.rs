@@ -25,13 +25,10 @@
 //!
 //! # Lane semantics
 //!
-//! * **lane = scenario** (the campaign engine's packing): all lanes share
-//!   one prefill image ([`SlicedPrefill::Shared`]) and one op stream —
-//!   the common-random-numbers Monte-Carlo design. Differences between
-//!   lanes are produced *only* by their fault scenarios.
-//! * **lane = trial** ([`SlicedPrefill::PerLane`]): one scenario
-//!   replicated across lanes, each with its own prefill image, still
-//!   under a shared stream.
+//! Lane = scenario: all lanes share one prefill image (zeroed, or the
+//! campaign's seeded fill) and one op stream — the common-random-numbers
+//! Monte-Carlo design. Differences between lanes are produced *only* by
+//! their fault scenarios.
 //!
 //! # Exactness contract
 //!
@@ -62,10 +59,10 @@
 //! `(row value, column value)` site — `m` data bits plus the parity
 //! bit — occupy adjacent slabs, so a read or write touches one
 //! contiguous run of `(m + 1) · W` words instead of `m + 1` strided
-//! ones. The fault-free golden twin is kept as a packed one-bit-per-cell
-//! bitmap whenever every lane shares one image ([`SlicedPrefill::Zeroed`]
-//! / [`SlicedPrefill::Shared`] — writes keep it lane-uniform forever),
-//! which cuts golden-image traffic by `64 · W×` on the common path.
+//! ones. The prefill image and the fault-free golden twin are packed
+//! one-bit-per-cell bitmaps: every lane starts from the same image and
+//! the twin's writes are lane-uniform, so a slab per cell would only
+//! repeat one bit `64 · W` times.
 //!
 //! The differential proptests in `tests/differential_backends.rs` and the
 //! unit tests in `sliced/tests.rs` enforce the contract against the
@@ -283,28 +280,6 @@ impl<const W: usize> SlicedObservation<W> {
     }
 }
 
-/// How the pre-fault memory image of a sliced run is prepared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlicedPrefill {
-    /// All cells zero — the [`BehavioralBackend::new`] convention the
-    /// March dictionary builds on.
-    ///
-    /// [`BehavioralBackend::new`]: crate::backend::BehavioralBackend::new
-    Zeroed,
-    /// Every lane shares one deterministic random fill, bit-identical to
-    /// [`BehavioralBackend::prefilled`] with the same seed (lane =
-    /// scenario packing).
-    ///
-    /// [`BehavioralBackend::prefilled`]: crate::backend::BehavioralBackend::prefilled
-    Shared(u64),
-    /// One independent prefill stream per lane (lane = trial packing);
-    /// lane `L`'s image is [`BehavioralBackend::prefilled`] with
-    /// `seeds[L]`.
-    ///
-    /// [`BehavioralBackend::prefilled`]: crate::backend::BehavioralBackend::prefilled
-    PerLane(Vec<u64>),
-}
-
 /// Iterate the set bit positions of `mask` in ascending order — the
 /// single-word trailing-zero scan; slab consumers use
 /// [`LaneSet::for_each_lane`].
@@ -441,55 +416,15 @@ fn set_uniform_bit(bits: &mut [u64], idx: usize, value: bool) {
     }
 }
 
-/// Cell-image storage: lane-uniform images (the zeroed and shared-seed
-/// prefills, preserved by writes, which are lane-uniform on the golden
-/// twin) pack one bit per cell; per-lane images carry a full slab.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ImageStore<const W: usize> {
-    /// Packed bitmap, one bit per cell index.
-    Uniform(Vec<u64>),
-    /// One slab per cell index.
-    PerLane(Vec<LaneSet<W>>),
-}
-
-impl<const W: usize> ImageStore<W> {
-    /// Allocation-free refresh from another store of the same shape.
-    fn clone_from_store(&mut self, other: &Self) {
-        match (self, other) {
-            (ImageStore::Uniform(a), ImageStore::Uniform(b)) => a.clone_from(b),
-            (ImageStore::PerLane(a), ImageStore::PerLane(b)) => a.clone_from(b),
-            (a, b) => *a = b.clone(),
-        }
-    }
-
-    /// Expand the cell indices `range` into slab form (the working
-    /// `cells` state): the whole array on a build or a full reset, one
-    /// site's cells on a dirty-site reset.
-    fn materialize(&self, range: std::ops::Range<usize>, cells: &mut [LaneSet<W>]) {
-        match self {
-            ImageStore::Uniform(bits) => {
-                for (idx, cell) in range.clone().zip(&mut cells[range]) {
-                    *cell = LaneSet::splat(uniform_bit(bits, idx));
-                }
-            }
-            ImageStore::PerLane(img) => cells[range.clone()].copy_from_slice(&img[range]),
-        }
-    }
-
-    /// Copy the cell indices `range` from `other`, a store of the same
-    /// shape.
-    fn copy_range_from(&mut self, other: &Self, range: std::ops::Range<usize>) {
-        match (self, other) {
-            (ImageStore::Uniform(a), ImageStore::Uniform(b)) => {
-                for idx in range {
-                    set_uniform_bit(a, idx, uniform_bit(b, idx));
-                }
-            }
-            (ImageStore::PerLane(a), ImageStore::PerLane(b)) => {
-                a[range.clone()].copy_from_slice(&b[range]);
-            }
-            _ => unreachable!("the golden image keeps the prefill's shape"),
-        }
+/// Expand the image bits `range` into slab form (the working `cells`
+/// state): every lane of each cell takes the image's bit.
+fn materialize<const W: usize>(
+    image: &[u64],
+    range: std::ops::Range<usize>,
+    cells: &mut [LaneSet<W>],
+) {
+    for (idx, cell) in range.clone().zip(&mut cells[range]) {
+        *cell = LaneSet::splat(uniform_bit(image, idx));
     }
 }
 
@@ -521,59 +456,34 @@ fn pack_prefill(config: &RamConfig, seed: u64, bits: &mut [u64]) {
 }
 
 /// The sites (word addresses) whose cells or golden image may differ
-/// from the prefill since the last reset: a bitmap for O(1) membership
-/// plus the list [`reset`](SlicedBackend::reset) walks. Writes, their
-/// double-selection companions, one-shot flips and coupling victims
-/// mark their site. The list is capped at `cap`; past it the set gives
-/// up (`overflow`) and the next reset re-materialises the whole array,
-/// so a long trial never grows the list beyond an eighth of the sites.
+/// from the prefill since the last reset, one bit per site. Writes,
+/// their double-selection companions, one-shot flips and coupling
+/// victims mark their site; [`reset`](SlicedBackend::reset) drains the
+/// set.
 #[derive(Debug, Clone)]
 struct DirtySites {
     bits: Vec<u64>,
-    list: Vec<usize>,
-    cap: usize,
-    overflow: bool,
 }
 
 impl DirtySites {
     fn new(sites: usize) -> Self {
         DirtySites {
             bits: vec![0; sites.div_ceil(64)],
-            list: Vec::new(),
-            cap: (sites / 8).max(64),
-            overflow: false,
         }
     }
 
     /// Record a change at `site`.
     #[inline]
     fn mark(&mut self, site: usize) {
-        if self.overflow {
-            return;
-        }
-        let (w, bit) = (site >> 6, 1u64 << (site & 63));
-        if self.bits[w] & bit != 0 {
-            return;
-        }
-        if self.list.len() == self.cap {
-            self.overflow = true;
-            return;
-        }
-        self.bits[w] |= bit;
-        self.list.push(site);
+        self.bits[site >> 6] |= 1u64 << (site & 63);
     }
 
-    /// Forget every mark.
-    fn clear(&mut self) {
-        if self.overflow {
-            self.bits.fill(0);
-            self.overflow = false;
-        } else {
-            for &site in &self.list {
-                self.bits[site >> 6] = 0;
-            }
+    /// Hand every marked site to `f` in ascending order, clearing the
+    /// marks: O(sites / 64 + marked).
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            for_each_lane(std::mem::take(word), |b| f(w * 64 + b));
         }
-        self.list.clear();
     }
 }
 
@@ -656,17 +566,17 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// Slabs per `(row value, column value)` site: `m` data bit groups
     /// plus the parity group.
     stride: usize,
-    /// Pre-fault image.
-    base: ImageStore<W>,
+    /// Pre-fault image, one bit per cell index (every lane shares it).
+    base: Vec<u64>,
     /// Faulty underlying state, one slab per cell, access-contiguous:
     /// index `(rv · mux + cv) · stride + k`. Pinned-cell overlays apply
     /// at read time, like [`CellArray`].
     ///
     /// [`CellArray`]: crate::array::CellArray
     cells: Vec<LaneSet<W>>,
-    /// The fault-free golden twin's state (lane-uniform unless the
-    /// prefill was per-lane).
-    gold: ImageStore<W>,
+    /// The fault-free golden twin's state, one bit per cell index (its
+    /// writes are lane-uniform).
+    gold: Vec<u64>,
     /// Reusable read buffer (`stride` slabs) — keeps `read` off the
     /// stack-zeroing path a `[LaneSet<W>; 65]` local would pay.
     scratch: Vec<LaneSet<W>>,
@@ -754,7 +664,7 @@ impl<const W: usize> SlicedBackend<W> {
     /// out-of-range fault coordinates, or on a coupling scenario whose
     /// victim is not a cell.
     pub fn new(config: &RamConfig, scenarios: &[FaultScenario]) -> Self {
-        Self::with_prefill(config, scenarios, SlicedPrefill::Zeroed)
+        Self::build(config, scenarios, None)
     }
 
     /// Sliced backend whose shared pre-fault state replays
@@ -766,20 +676,14 @@ impl<const W: usize> SlicedBackend<W> {
     ///
     /// [`BehavioralBackend::prefilled`]: crate::backend::BehavioralBackend::prefilled
     pub fn prefilled(config: &RamConfig, scenarios: &[FaultScenario], seed: u64) -> Self {
-        Self::with_prefill(config, scenarios, SlicedPrefill::Shared(seed))
+        Self::build(config, scenarios, Some(seed))
     }
 
-    /// Sliced backend with an explicit prefill policy.
+    /// The one constructor: a zeroed image without `seed`, the shared
+    /// [`BehavioralBackend::prefilled`] image with it.
     ///
-    /// # Panics
-    /// As [`SlicedBackend::new`]; additionally if a
-    /// [`SlicedPrefill::PerLane`] seed count disagrees with the scenario
-    /// count.
-    pub fn with_prefill(
-        config: &RamConfig,
-        scenarios: &[FaultScenario],
-        prefill: SlicedPrefill,
-    ) -> Self {
+    /// [`BehavioralBackend::prefilled`]: crate::backend::BehavioralBackend::prefilled
+    fn build(config: &RamConfig, scenarios: &[FaultScenario], seed: Option<u64>) -> Self {
         assert!(
             !scenarios.is_empty() && scenarios.len() <= 64 * W,
             "a sliced backend packs 1..={} scenarios, got {}",
@@ -936,10 +840,13 @@ impl<const W: usize> SlicedBackend<W> {
             }
         }
 
-        let base = Self::prefill_image(config, &prefill, lanes);
         let sites = org.words() as usize;
+        let mut base = vec![0u64; (sites * stride).div_ceil(64)];
+        if let Some(seed) = seed {
+            pack_prefill(config, seed, &mut base);
+        }
         let mut cells = vec![LaneSet::EMPTY; sites * stride];
-        base.materialize(0..cells.len(), &mut cells);
+        materialize(&base, 0..cells.len(), &mut cells);
         let flips_all = cell_flips.iter().fold(LaneSet::EMPTY, |acc, f| {
             let mut acc = acc;
             f.0.set_in(&mut acc);
@@ -1014,32 +921,6 @@ impl<const W: usize> SlicedBackend<W> {
         }
     }
 
-    fn prefill_image(config: &RamConfig, prefill: &SlicedPrefill, lanes: usize) -> ImageStore<W> {
-        let org = config.org();
-        let cell_count = org.words() as usize * (org.word_bits() as usize + 1);
-        let mut bits = vec![0u64; cell_count.div_ceil(64)];
-        match prefill {
-            SlicedPrefill::Zeroed => ImageStore::Uniform(bits),
-            SlicedPrefill::Shared(seed) => {
-                pack_prefill(config, *seed, &mut bits);
-                ImageStore::Uniform(bits)
-            }
-            SlicedPrefill::PerLane(seeds) => {
-                assert_eq!(seeds.len(), lanes, "one prefill seed per lane");
-                let mut img = vec![LaneSet::EMPTY; cell_count];
-                for (lane, &seed) in seeds.iter().enumerate() {
-                    let slot = LaneSlot::of(lane);
-                    bits.fill(0);
-                    pack_prefill(config, seed, &mut bits);
-                    for (w, &word) in bits.iter().enumerate() {
-                        for_each_lane(word, |b| slot.set_in(&mut img[w * 64 + b]));
-                    }
-                }
-                ImageStore::PerLane(img)
-            }
-        }
-    }
-
     /// Number of packed lanes.
     pub fn lanes(&self) -> usize {
         self.lanes
@@ -1074,24 +955,28 @@ impl<const W: usize> SlicedBackend<W> {
     /// Restore the pre-fault image and restart the activation clock at
     /// cycle 0, un-retiring every retired lane. Only the sites written,
     /// flipped or coupled into since the last reset are copied back (on
-    /// every lane of each), so a short trial resets in
-    /// O(sites touched) rather than O(array); a trial that touched more
-    /// than an eighth of the sites re-materialises the whole array
-    /// instead. Rows whose tables were expanded while lanes were retired
-    /// are un-expanded. Allocation-free.
+    /// every lane of each): the walk over the dirty-site bitmap costs
+    /// O(sites / 64 + sites touched), so a short trial resets without
+    /// touching the rest of the array, and a trial that dirtied every
+    /// site costs one full materialisation. Rows whose tables were
+    /// expanded while lanes were retired are un-expanded.
+    /// Allocation-free.
     pub fn reset(&mut self) {
-        let stride = self.stride;
-        if self.dirty.overflow {
-            self.base.materialize(0..self.cells.len(), &mut self.cells);
-            self.gold.clone_from_store(&self.base);
-        } else {
-            for &site in &self.dirty.list {
-                let range = site * stride..(site + 1) * stride;
-                self.base.materialize(range.clone(), &mut self.cells);
-                self.gold.copy_range_from(&self.base, range);
+        let SlicedBackend {
+            ref base,
+            ref mut cells,
+            ref mut gold,
+            ref mut dirty,
+            stride,
+            ..
+        } = *self;
+        dirty.drain(|site| {
+            let range = site * stride..(site + 1) * stride;
+            materialize(base, range.clone(), cells);
+            for idx in range {
+                set_uniform_bit(gold, idx, uniform_bit(base, idx));
             }
-        }
-        self.dirty.clear();
+        });
         for rv in self.row_partial.drain(..) {
             self.row_ready[rv] = false;
             self.row_none[rv] = LaneSet::EMPTY;
@@ -1386,36 +1271,18 @@ impl<const W: usize> SlicedBackend<W> {
         }
         let mut err = LaneSet::EMPTY;
         let mut par = LaneSet::EMPTY;
-        match gold {
-            ImageStore::Uniform(bits) if full => {
-                for (k, &d) in scratch.iter().enumerate() {
-                    err |= if uniform_bit(bits, site + k) { !d } else { d };
-                    par ^= d;
-                }
+        if full {
+            for (k, &d) in scratch.iter().enumerate() {
+                err |= if uniform_bit(gold, site + k) { !d } else { d };
+                par ^= d;
             }
-            ImageStore::Uniform(bits) => {
-                for (k, d) in scratch.iter().enumerate() {
-                    let stored_one = uniform_bit(bits, site + k);
-                    for &w in live {
-                        let dw = d.0[w];
-                        err.0[w] |= if stored_one { !dw } else { dw };
-                        par.0[w] ^= dw;
-                    }
-                }
-            }
-            ImageStore::PerLane(g) if full => {
-                for (k, &d) in scratch.iter().enumerate() {
-                    err |= d ^ g[site + k];
-                    par ^= d;
-                }
-            }
-            ImageStore::PerLane(g) => {
-                for (k, d) in scratch.iter().enumerate() {
-                    for &w in live {
-                        let dw = d.0[w];
-                        err.0[w] |= dw ^ g[site + k].0[w];
-                        par.0[w] ^= dw;
-                    }
+        } else {
+            for (k, d) in scratch.iter().enumerate() {
+                let stored_one = uniform_bit(gold, site + k);
+                for &w in live {
+                    let dw = d.0[w];
+                    err.0[w] |= if stored_one { !dw } else { dw };
+                    par.0[w] ^= dw;
                 }
             }
         }
@@ -1521,19 +1388,10 @@ impl<const W: usize> SlicedBackend<W> {
                 }
             }
         }
-        // The fault-free twin always writes (its decoders are clean);
-        // lane-uniform images stay uniform under writes.
-        match gold {
-            ImageStore::Uniform(bits) => {
-                for k in 0..stride {
-                    set_uniform_bit(bits, site + k, wbit_at(k));
-                }
-            }
-            ImageStore::PerLane(g) => {
-                for (k, slab) in g[site..site + stride].iter_mut().enumerate() {
-                    *slab = LaneSet::splat(wbit_at(k));
-                }
-            }
+        // The fault-free twin always writes (its decoders are clean), on
+        // every lane alike.
+        for k in 0..stride {
+            set_uniform_bit(gold, site + k, wbit_at(k));
         }
         // Coupling acts after the write settles.
         if toggled.any() {
@@ -1567,10 +1425,7 @@ impl<const W: usize> SlicedBackend<W> {
         let site = site * self.stride;
         for k in 0..self.stride {
             let idx = site + k;
-            let gval = match &self.gold {
-                ImageStore::Uniform(bits) => LaneSet::splat(uniform_bit(bits, idx)),
-                ImageStore::PerLane(g) => g[idx],
-            };
+            let gval = LaneSet::splat(uniform_bit(&self.gold, idx));
             self.cells[idx] = (self.cells[idx] & !mask) | (gval & mask);
         }
     }

@@ -356,36 +356,6 @@ fn sliced_slab_reset_replays_identically() {
 }
 
 #[test]
-fn per_lane_prefill_matches_scalar_prefills() {
-    let cfg = small_config();
-    // 70 lanes spill the per-lane image into a second slab word.
-    let seeds: Vec<u64> = (0..70).map(|k| 1000 + k * 37).collect();
-    // One scenario replicated per lane — the lane = trial packing.
-    let scenario: FaultScenario = FaultSite::DataRegisterBit {
-        bit: 1,
-        stuck: true,
-    }
-    .into();
-    let scenarios = vec![scenario; seeds.len()];
-    let mut sliced =
-        SlicedBackend::<2>::with_prefill(&cfg, &scenarios, SlicedPrefill::PerLane(seeds.clone()));
-    let stream = ops(71, 80, 0.2);
-    let per_cycle: Vec<SlicedObservation<2>> = stream.iter().map(|&op| sliced.step(op)).collect();
-    for (lane, &seed) in seeds.iter().enumerate() {
-        let mut scalar = BehavioralBackend::prefilled(&cfg, seed);
-        scalar.reset(Some(&scenario));
-        for (cycle, &op) in stream.iter().enumerate() {
-            let expect = scalar.step(op);
-            assert_eq!(
-                per_cycle[cycle].lane(lane),
-                expect,
-                "lane {lane} seed {seed} cycle {cycle}"
-            );
-        }
-    }
-}
-
-#[test]
 fn advance_keeps_the_activation_clock_global() {
     let cfg = small_config();
     let addr = 2 * 4 + 1;
@@ -586,13 +556,9 @@ fn packed_prefill_matches_the_per_bit_replay_and_the_scalar_image() {
                 CodewordMap::input_parity(mux as u64),
             );
             let stride = m as usize + 1;
-            let (seed, other) = (0x5EED ^ (m as u64) << 8 ^ mux as u64, 99);
-            let reference = per_bit_prefill(&cfg, seed);
-            let shared = SlicedBackend::<1>::prefilled(&cfg, &[probe], seed);
-            let ImageStore::Uniform(bits) = &shared.base else {
-                panic!("a shared prefill is lane-uniform");
-            };
-            assert_eq!(bits, &reference, "m {m} mux {mux}: shared image");
+            let seed = 0x5EED ^ (m as u64) << 8 ^ mux as u64;
+            let bits = &SlicedBackend::<1>::prefilled(&cfg, &[probe], seed).base;
+            assert_eq!(bits, &per_bit_prefill(&cfg, seed), "m {m} mux {mux}: image");
             let scalar = BehavioralBackend::prefilled(&cfg, seed);
             for addr in 0..words {
                 let read = scalar.faulty().read(addr);
@@ -607,34 +573,11 @@ fn packed_prefill_matches_the_per_bit_replay_and_the_scalar_image() {
                     "m {m} mux {mux} addr {addr}: parity"
                 );
             }
-            let per_lane = SlicedBackend::<1>::with_prefill(
-                &cfg,
-                &[probe, probe],
-                SlicedPrefill::PerLane(vec![seed, other]),
-            );
-            let ImageStore::PerLane(img) = &per_lane.base else {
-                panic!("a per-lane prefill keeps a slab per cell");
-            };
-            let other_ref = per_bit_prefill(&cfg, other);
-            for (idx, slab) in img.iter().enumerate() {
-                assert_eq!(
-                    slab.test(0),
-                    uniform_bit(&reference, idx),
-                    "lane 0 cell {idx}"
-                );
-                assert_eq!(
-                    slab.test(1),
-                    uniform_bit(&other_ref, idx),
-                    "lane 1 cell {idx}"
-                );
-                assert_eq!(slab.0[0] >> 2, 0, "no bits above the packed lanes");
-            }
         }
     }
 }
 
-/// 1K words × 4 bits, 1-of-4 mux: 1024 sites, so the dirty list caps at
-/// 128 and a long write-heavy trial overflows it. Both mappings alias
+/// 1K words × 4 bits, 1-of-4 mux: 1024 sites. Both mappings alias
 /// (rows mod 9, columns mod 3), so some double selections pass the code
 /// check and their companion writes linger into later reads.
 fn reuse_config() -> RamConfig {
@@ -749,21 +692,25 @@ fn reuse_pool() -> Vec<FaultScenario> {
 
 /// Run every trial of `trials` on one backend reused through `reset`
 /// (checking after each reset that its cells and golden image are the
-/// fresh build's) and on a fresh backend per trial; return the reused run's per-trial
-/// outcomes, the fresh runs', and whether any reused trial overflowed
-/// the dirty list.
+/// fresh build's) and on a fresh backend per trial; return the reused
+/// run's per-trial outcomes, the fresh runs', and how many sites each
+/// reused trial left dirty.
 fn reuse_and_fresh<const W: usize>(
     cfg: &RamConfig,
     pack: &[FaultScenario],
-    prefill: &SlicedPrefill,
+    seed: u64,
     trials: &[Vec<Op>],
-) -> (Vec<Vec<DetectionOutcome>>, Vec<Vec<DetectionOutcome>>, bool) {
+) -> (
+    Vec<Vec<DetectionOutcome>>,
+    Vec<Vec<DetectionOutcome>>,
+    Vec<u32>,
+) {
     let run = |backend: &mut SlicedBackend<W>, ops: &[Op]| {
         measure_detection_sliced(backend, &mut ReplayOps::new(ops), ops.len() as u64)
     };
-    let pristine = SlicedBackend::<W>::with_prefill(cfg, pack, prefill.clone());
+    let pristine = SlicedBackend::<W>::prefilled(cfg, pack, seed);
     let mut reused = pristine.clone();
-    let mut overflowed = false;
+    let mut dirtied = Vec::new();
     let mut again = Vec::new();
     for ops in trials {
         reused.reset();
@@ -771,18 +718,13 @@ fn reuse_and_fresh<const W: usize>(
         // even those no later observation happens to read — is undone.
         assert!(reused.cells == pristine.cells && reused.gold == pristine.gold);
         again.push(run(&mut reused, ops));
-        overflowed |= reused.dirty.overflow;
+        dirtied.push(reused.dirty.bits.iter().map(|w| w.count_ones()).sum());
     }
     let fresh = trials
         .iter()
-        .map(|ops| {
-            run(
-                &mut SlicedBackend::<W>::with_prefill(cfg, pack, prefill.clone()),
-                ops,
-            )
-        })
+        .map(|ops| run(&mut SlicedBackend::<W>::prefilled(cfg, pack, seed), ops))
         .collect();
-    (again, fresh, overflowed)
+    (again, fresh, dirtied)
 }
 
 proptest! {
@@ -791,7 +733,6 @@ proptest! {
     #[test]
     fn prop_reset_reuse_matches_a_fresh_backend_per_trial(
         width_idx in 0usize..3,
-        per_lane in 0u8..2,
         long in 0u8..2,
         offset in 0usize..600,
         trials in 2usize..=3,
@@ -801,40 +742,42 @@ proptest! {
         let lanes = [1usize, 17, 512][width_idx];
         let pool = reuse_pool();
         // Packs wider than one lane lead with the dormant lane, so their
-        // trials run to the horizon and a long one overflows the list.
+        // trials run to the horizon and a long one dirties every site.
         let mut pack: Vec<FaultScenario> = Vec::with_capacity(lanes);
         if lanes > 1 {
             pack.push(dormant());
         }
         pack.extend(pool.iter().cycle().skip(offset).take(lanes - pack.len()).cloned());
-        let prefill = if per_lane == 1 {
-            SlicedPrefill::PerLane((0..lanes as u64).map(|l| seed ^ l.wrapping_mul(0x9E37)).collect())
-        } else {
-            SlicedPrefill::Shared(seed)
-        };
         let model = model_by_name("uniform").unwrap();
         let spec = WorkloadSpec { words: 1024, word_bits: 4, write_fraction: 0.5 };
         let cycles = if long == 1 { 1200 } else { 12 };
+        // A long trial also writes every word once, interleaved with its
+        // first 1024 ops.
         let streams: Vec<Vec<Op>> = (0..trials as u64)
             .map(|t| {
                 let mut stream = model.stream(spec, seed.wrapping_add(t));
-                (0..cycles).map(|_| stream.next_op()).collect()
+                let mut ops = Vec::new();
+                for cycle in 0..cycles {
+                    ops.push(stream.next_op());
+                    if long == 1 && cycle < 1024 {
+                        ops.push(Op::Write(cycle, seed.rotate_left(cycle as u32)));
+                    }
+                }
+                ops
             })
             .collect();
-        let (reused, fresh, overflowed) = if lanes > 64 {
-            reuse_and_fresh::<8>(&cfg, &pack, &prefill, &streams)
+        let (reused, fresh, dirtied) = if lanes > 64 {
+            reuse_and_fresh::<8>(&cfg, &pack, seed, &streams)
         } else {
-            reuse_and_fresh::<1>(&cfg, &pack, &prefill, &streams)
+            reuse_and_fresh::<1>(&cfg, &pack, seed, &streams)
         };
         prop_assert_eq!(reused, fresh);
         // One lane's 12 ops mark at most 36 sites (the addressed word, a
-        // companion, and a flip, victim or heal) — inside the cap of
-        // 128; wide packs add a companion per double-selecting lane.
-        // 600 writes over 1024 sites overflow it at any width.
+        // companion, and a flip or victim); the sweep marks all 1024.
         if long == 0 && lanes == 1 {
-            prop_assert!(!overflowed, "a short trial stays on the bounded path");
+            prop_assert!(dirtied.iter().all(|&n| n <= 36), "{:?}", dirtied);
         } else if long == 1 && lanes > 1 {
-            prop_assert!(overflowed, "a long trial falls back to the full reset");
+            prop_assert!(dirtied.iter().all(|&n| n == 1024), "{:?}", dirtied);
         }
     }
 }

@@ -43,7 +43,9 @@ use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::engine::onset_event;
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
-use scm_memory::grid::{dispatch, trial_blocks, TrialBlock};
+use scm_memory::grid::{
+    dispatch, resolve_threads, trial_blocks, TrialBlock, DEFAULT_SERIAL_THRESHOLD,
+};
 use scm_memory::sim::{DetectionOutcome, PackedOutcome};
 use scm_memory::sliced::{
     with_slab_words, LaneSet, SlabTask, SlicedBackend, SlicedObservation, MAX_SLAB_LANES,
@@ -382,10 +384,6 @@ pub struct SystemCampaign {
     serial_threshold: u64,
 }
 
-/// Grids of at most this many `fault × trial` cells run inline on the
-/// calling thread: below it the rayon fan-out costs more than it buys.
-pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
-
 impl SystemCampaign {
     /// Campaign over `system` with the given grid parameters
     /// (`campaign.cycles` is the per-trial horizon in system cycles),
@@ -499,15 +497,6 @@ impl SystemCampaign {
             }
         }
         universe
-    }
-
-    /// Threads the campaign will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
     }
 
     /// Run the `bank × fault × trial` grid.
@@ -641,7 +630,7 @@ impl SystemCampaign {
     /// [`trace`](Self::trace). Universe entries group bank-major into
     /// lane chunks — [`lane_width`](Self::lane_width) wide on the slab
     /// executor, one fault each on the generic one — chunks split into
-    /// trial blocks ([`decompose`](Self::decompose)), and every block
+    /// trial blocks ([`trial_blocks`] at the worker count), and every block
     /// runs on the executor [`sliced`](Self::sliced) selects: `init`
     /// builds the block's accumulator, `fold` takes each trial's
     /// per-lane outcomes in trial order. Returns the chunks and every
@@ -687,7 +676,11 @@ impl SystemCampaign {
                 });
             }
         }
-        let blocks = self.decompose(chunks.len());
+        let blocks = trial_blocks(
+            chunks.len(),
+            self.campaign.trials,
+            resolve_threads(self.threads),
+        );
         let serial = self.runs_serially(universe.len());
         let partials = dispatch(serial, self.threads, &blocks, |block| {
             let chunk = &chunks[block.unit];
@@ -909,17 +902,6 @@ impl SystemCampaign {
             visit(&outcomes);
         }
     }
-
-    /// Chunk-major block decomposition (the campaign engine's shape: one
-    /// block per lane chunk when chunks outnumber workers 8 to 1, trial
-    /// splits otherwise).
-    fn decompose(&self, num_chunks: usize) -> Vec<TrialBlock> {
-        trial_blocks(
-            num_chunks,
-            self.campaign.trials,
-            self.resolved_threads() * 8,
-        )
-    }
 }
 
 /// Bank-projected op streams, keyed `(bank, trial)`.
@@ -1003,15 +985,33 @@ mod tests {
     }
 
     #[test]
-    fn grid_decomposition_covers_every_cell_once() {
-        let engine = SystemCampaign::new(config(), campaign()).threads(4);
-        let blocks = engine.decompose(5);
-        let mut seen = vec![0u32; 5];
-        for b in &blocks {
-            assert!(b.trial_start < b.trial_end);
-            seen[b.unit] += b.trial_end - b.trial_start;
-        }
-        assert!(seen.iter().all(|&t| t == campaign().trials), "{seen:?}");
+    fn slab_grid_splits_trials_only_as_far_as_the_workers_demand() {
+        // `scm system`'s shape: four banks (one lane chunk each) × 8
+        // trials. Two workers need no trial split, so each chunk is one
+        // block covering every trial — one backend build per chunk.
+        let mut system = config();
+        system.banks.push(bank(64));
+        let engine = SystemCampaign::new(
+            system,
+            CampaignConfig {
+                trials: 8,
+                ..campaign()
+            },
+        )
+        .sliced(true)
+        .threads(2);
+        let universe = engine.decoder_universe(12);
+        let (chunks, partials) = engine.run_grid(&universe, |_, _| (), |_, _| ());
+        assert_eq!(chunks.len(), 4);
+        let blocks: Vec<TrialBlock> = partials.iter().map(|(b, ())| *b).collect();
+        let expect: Vec<TrialBlock> = (0..4)
+            .map(|unit| TrialBlock {
+                unit,
+                trial_start: 0,
+                trial_end: 8,
+            })
+            .collect();
+        assert_eq!(blocks, expect);
     }
 
     #[test]

@@ -65,11 +65,9 @@ pub mod system;
 
 pub use clock::{CheckpointSchedule, ScrubSchedule, SystemClock, SystemEvent};
 pub use diag::{DiagCampaign, DiagFaultResult, DiagPolicy, DiagSystemResult};
-pub use engine::{
-    BankSummary, SystemCampaign, SystemFault, SystemFaultResult, SystemResult,
-    DEFAULT_SERIAL_THRESHOLD,
-};
+pub use engine::{BankSummary, SystemCampaign, SystemFault, SystemFaultResult, SystemResult};
 pub use interleave::{Interleaver, Interleaving};
 pub use report::system_report;
+pub use scm_memory::grid::DEFAULT_SERIAL_THRESHOLD;
 pub use seu::SeuProcess;
 pub use system::{seed_mix, MemorySystem, ServiceSummary, SystemConfig};
