@@ -88,8 +88,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     "--trials",
                     "--threads",
                     "--fault-mix",
-                    "--engine",
-                    "--lane-width",
                     "--budget",
                     "--space",
                 ],
@@ -121,8 +119,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     "--threads",
                     "--fault-model",
                     "--scrub-period",
-                    "--engine",
-                    "--lane-width",
                 ],
                 &["--metrics", "--profile"],
                 &["--trace"],
@@ -142,8 +138,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     "--checkpoint",
                     "--fault-model",
                     "--seu-mean",
-                    "--engine",
-                    "--lane-width",
                 ],
                 &["--metrics", "--profile"],
                 &["--trace"],
@@ -161,8 +155,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     "--seed",
                     "--threads",
                     "--fault-model",
-                    "--engine",
-                    "--lane-width",
                 ],
                 &["--metrics", "--profile"],
                 &["--trace"],
@@ -177,8 +169,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     "--devices",
                     "--seed",
                     "--threads",
-                    "--engine",
-                    "--lane-width",
                     "--checkpoint-every",
                     "--checkpoint",
                     "--resume",
@@ -277,49 +267,6 @@ fn fault_model_or_default<'a>(flags: &'a Flags, allowed: &[&'a str]) -> Result<&
     ))
 }
 
-/// Resolve `--engine` to the executor it selects: `scalar` (the
-/// generic-backend oracle) or `sliced` (the bit-parallel slab path, the
-/// default everywhere). Both run the same estimator, so the choice moves
-/// the wall clock and the `profile:` lines, never a byte of the rest of
-/// stdout.
-fn engine_choice(flags: &Flags) -> Result<bool, String> {
-    match flags.value_of("--engine") {
-        None => Ok(true),
-        Some("scalar") => Ok(false),
-        Some("sliced") => Ok(true),
-        Some(other) => {
-            let hint = match suggest(other, ["scalar", "sliced"]) {
-                Some(known) => format!(" (did you mean '{known}'?)"),
-                None => String::new(),
-            };
-            Err(format!("unknown engine '{other}'{hint} (scalar | sliced)"))
-        }
-    }
-}
-
-/// The `profile:` note naming the executor a run used.
-fn engine_note(sliced: bool) -> &'static str {
-    if sliced {
-        "engine=sliced"
-    } else {
-        "engine=scalar"
-    }
-}
-
-/// Resolve `--lane-width`: scenarios packed per sliced simulation pass
-/// (`1..=`[`MAX_SLAB_LANES`], default the maximum). Pure scheduling,
-/// like `--threads`: results are bit-identical at every width, so only
-/// the `occupancy:` line (and the wall clock) can tell widths apart.
-fn lane_width_flag(flags: &Flags) -> Result<usize, String> {
-    let width: usize = flags.parsed("--lane-width", MAX_SLAB_LANES)?;
-    if width == 0 || width > MAX_SLAB_LANES {
-        return Err(format!(
-            "--lane-width must be between 1 and {MAX_SLAB_LANES}, got {width}"
-        ));
-    }
-    Ok(width)
-}
-
 /// The uniform unknown-workload message: did-you-mean hint first (when a
 /// model name is within edit distance 2), the full list always.
 fn unknown_workload(name: &str) -> String {
@@ -361,30 +308,26 @@ pub fn usage() -> String {
          \x20 ablations                  design-choice ablations (odd-a, arity, completion fix)\n\
          \x20 explore [--policy P|both] [--workload W|all] [--scrub S] [--fault-mix M|all]\n\
          \x20         [--adjudicate] [--trials N (implies --adjudicate)] [--threads N]\n\
-         \x20         [--engine E] [--lane-width L]\n\
          \x20                            design-space exploration + Pareto front(s)\n\
          \x20 explore --guided [--budget N] [--space worked|million] [--trials N]\n\
-         \x20         [--threads N] [--engine E] [--lane-width L]\n\
+         \x20         [--threads N]\n\
          \x20                            budget-bounded multi-fidelity Pareto search\n\
          \x20                            (successive halving; --budget in scenario-trials,\n\
          \x20                            0 = unbounded; --budget/--space imply --guided)\n\
          \x20 campaign [--workload W] [--trials N] [--cycles C] [--seed S] [--threads N]\n\
-         \x20          [--fault-model M] [--scrub-period P] [--engine E]\n\
-         \x20          [--lane-width L]\n\
+         \x20          [--fault-model M] [--scrub-period P]\n\
          \x20                            fault campaign on the 1Kx16 worked example\n\
          \x20 system [--workload W] [--trials N] [--cycles C] [--seed S] [--threads N]\n\
          \x20        [--interleave I] [--scrub-period P] [--checkpoint K]\n\
-         \x20        [--fault-model permanent|transient] [--seu-mean G] [--engine E]\n\
-         \x20        [--lane-width L]\n\
+         \x20        [--fault-model permanent|transient] [--seu-mean G]\n\
          \x20                            sharded multi-bank system campaign (scrubs +\n\
          \x20                            checkpoints competing with live traffic)\n\
          \x20 diag [--march T] [--spare-rows R] [--spare-cols C] [--trials N]\n\
          \x20      [--cycles C] [--seed S] [--threads N] [--fault-model permanent|transient]\n\
-         \x20      [--engine E] [--lane-width L]\n\
          \x20                            March-BIST diagnosis, fault localization and\n\
          \x20                            spare repair, memory and system views\n\
          \x20 fleet [--preset P | --spec FILE] [--devices N] [--seed S] [--threads N]\n\
-         \x20       [--engine E] [--lane-width L] [--checkpoint-every C] [--checkpoint PATH]\n\
+         \x20       [--checkpoint-every C] [--checkpoint PATH]\n\
          \x20       [--resume PATH] [--halt-after D] [--json PATH|-]\n\
          \x20                            fleet-scale streaming campaign over device\n\
          \x20                            cohorts: FIT rates, spare forecasts, SLO\n\
@@ -395,9 +338,8 @@ pub fn usage() -> String {
          \n\
          observability (campaign | system | diag | fleet | explore):\n\
          \x20 --trace[=PATH]             deterministic event trace on the simulated clock\n\
-         \x20                            (stdout, or PATH; bit-identical at any --threads,\n\
-         \x20                            --engine and --lane-width; on explore implies\n\
-         \x20                            --guided)\n\
+         \x20                            (stdout, or PATH; bit-identical at any --threads;\n\
+         \x20                            on explore implies --guided)\n\
          \x20 --metrics                  counter/histogram registry aggregated from the\n\
          \x20                            same events (fleet adds its telemetry fold)\n\
          \x20 --profile                  wall-clock phase spans ('profile:' lines,\n\
@@ -407,11 +349,6 @@ pub fn usage() -> String {
          presets:      {}\n\
          scrubs:       off | sequential-sweep\n\
          interleave:   low-order | high-order\n\
-         engines:      sliced (default; up to 512 fault lanes per slab pass) | scalar\n\
-         \x20             (the generic-backend oracle). One estimator, two executors:\n\
-         \x20             stdout is byte-identical under either, the executor is\n\
-         \x20             named on --profile's lines; --lane-width caps scenarios\n\
-         \x20             packed per pass — pure scheduling, like --threads\n\
          fault models: permanent | transient | intermittent | mix\n\
          march tests:  {}\n\
          workloads:    {}\n",
@@ -510,7 +447,7 @@ fn wants_events(flags: &Flags) -> bool {
 /// in canonical grid order (chronological per cell); `fold` pre-seeds
 /// the metrics registry with counters that do not come from events
 /// (the fleet telemetry fold). The trace and metrics sections are pure
-/// functions of the events, so they inherit the engines' thread/engine
+/// functions of the events, so they inherit the engines' thread and lane
 /// invariance; `profile:` lines are the one deliberately
 /// nondeterministic tail.
 fn append_observability(
@@ -706,8 +643,6 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
     }
-    let sliced = engine_choice(flags)?;
-    let lane_width = lane_width_flag(flags)?;
 
     let geometry = RamOrganization::with_mux8(1024, 16);
     let space = ExplorationSpace {
@@ -724,13 +659,12 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
     };
 
     let mut evaluator = Evaluator::default().threads(threads);
-    // --trials, --fault-mix, and --engine only mean something to the
-    // empirical stage, so asking for any of them switches adjudication on
-    // rather than being silently ignored.
+    // --trials and --fault-mix only mean something to the empirical
+    // stage, so asking for either switches adjudication on rather than
+    // being silently ignored.
     let adjudicated = flags.has("--adjudicate")
         || flags.value_of("--trials").is_some()
-        || flags.value_of("--fault-mix").is_some()
-        || flags.value_of("--engine").is_some();
+        || flags.value_of("--fault-mix").is_some();
     if adjudicated {
         evaluator = evaluator.adjudicate(Adjudication {
             campaign: CampaignConfig {
@@ -740,16 +674,11 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
                 write_fraction: 0.1,
             },
             max_faults: 64,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced,
-            lane_width,
+            ..Adjudication::default()
         });
     }
 
     let mut profiler = Profiler::new(flags.has("--profile"));
-    if adjudicated {
-        profiler.note(engine_note(sliced));
-    }
     let results = profiler.time("evaluate-space", || evaluator.evaluate_space(&space));
     let mut out = String::new();
     let _ = writeln!(
@@ -891,8 +820,6 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
     }
-    let sliced = engine_choice(flags)?;
-    let lane_width = lane_width_flag(flags)?;
     let budget: u64 = flags.parsed("--budget", 0)?;
     let space = match flags.value_of("--space") {
         None | Some("worked") => ExplorationSpace::worked_reference(),
@@ -916,9 +843,7 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
                 write_fraction: 0.1,
             },
             max_faults: 64,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced,
-            lane_width,
+            ..Adjudication::default()
         });
     let config = if budget == 0 {
         GuidedConfig::default()
@@ -926,7 +851,6 @@ fn guided_stdout(flags: &Flags) -> Result<String, String> {
         GuidedConfig::with_budget(budget)
     };
     let mut profiler = Profiler::new(flags.has("--profile"));
-    profiler.note(engine_note(sliced));
     let report = profiler
         .time("guided-search", || {
             GuidedSearch::new(&evaluator, config).run(&space)
@@ -1044,8 +968,6 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
     let workload = flags.value_of("--workload").unwrap_or("uniform");
     let model = model_by_name(workload).ok_or_else(|| unknown_workload(workload))?;
     let fault_model = fault_model_or_default(flags, &FAULT_MODELS)?;
-    let sliced = engine_choice(flags)?;
-    let lane_width = lane_width_flag(flags)?;
     let scrub_period: u64 = flags.parsed("--scrub-period", 0)?;
     let trials: u32 = flags.parsed("--trials", 32)?;
     if trials == 0 {
@@ -1081,21 +1003,16 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
     let engine = CampaignEngine::new(campaign)
         .workload_model(model)
         .threads(threads)
-        .scrub(scrub_period)
-        .sliced(sliced)
-        .lane_width(lane_width);
-    profiler.note(engine_note(sliced));
-    if sliced {
-        let occupancy = engine.occupancy(scenarios.len());
-        profiler.note(format!(
-            "occupancy={}/{} lanes filled across {} block{} (lane width {})",
-            occupancy.filled,
-            occupancy.capacity,
-            occupancy.blocks,
-            if occupancy.blocks == 1 { "" } else { "s" },
-            occupancy.width,
-        ));
-    }
+        .scrub(scrub_period);
+    let occupancy = engine.occupancy(scenarios.len());
+    profiler.note(format!(
+        "occupancy={}/{} lanes filled across {} block{} (lane width {})",
+        occupancy.filled,
+        occupancy.capacity,
+        occupancy.blocks,
+        if occupancy.blocks == 1 { "" } else { "s" },
+        occupancy.width,
+    ));
     let result = profiler.time("campaign-fan-out", || {
         engine.run_scenarios(design.config(), &scenarios)
     });
@@ -1190,23 +1107,18 @@ fn system_stdout(flags: &Flags) -> Result<String, String> {
         write_fraction: 0.1,
     };
     let fault_model = fault_model_or_default(flags, &["permanent", "transient"])?;
-    let sliced = engine_choice(flags)?;
-    let lane_width = lane_width_flag(flags)?;
     let seu_mean: f64 = flags.parsed("--seu-mean", 40.0)?;
     if !seu_mean.is_finite() || seu_mean < 1.0 {
         return Err("--seu-mean must be a finite number of at least 1 cycle".to_owned());
     }
     let engine = SystemCampaign::new(system, campaign)
         .workload_model(model)
-        .threads(threads)
-        .sliced(sliced)
-        .lane_width(lane_width);
+        .threads(threads);
     let universe = match fault_model {
         "transient" => engine.seu_universe(12, &SeuProcess::new(seu_mean)),
         _ => engine.decoder_universe(12),
     };
     let mut profiler = Profiler::new(flags.has("--profile"));
-    profiler.note(engine_note(sliced));
     let result = profiler.time("system-campaign", || engine.run(&universe));
     let events = if wants_events(flags) {
         profiler.time("trace", || engine.trace(&universe))
@@ -1269,25 +1181,15 @@ fn diag_stdout(flags: &Flags) -> Result<String, String> {
         CodewordMap::mod_a(code, 9, org.mux_factor() as u64).map_err(|e| e.to_string())?,
     );
     let fault_model = fault_model_or_default(flags, &["permanent", "transient"])?;
-    let sliced = engine_choice(flags)?;
-    let lane_width = lane_width_flag(flags)?;
     let mut candidates = cell_universe(&config);
     candidates.extend(
         decoder_fault_universe(org.row_bits())
             .into_iter()
             .map(FaultSite::RowDecoder),
     );
-    // Both builds file identical signatures (the sliced backend is
-    // lane-by-lane bit-identical to the scalar one), so the rendered
-    // output — fixture-pinned — does not depend on the engine choice.
     let mut profiler = Profiler::new(flags.has("--profile"));
-    profiler.note(engine_note(sliced));
     let dictionary = profiler.time("dictionary-build", || {
-        if sliced {
-            FaultDictionary::build_sliced(&config, &test, seed, &candidates, threads, lane_width)
-        } else {
-            FaultDictionary::build(&config, &test, seed, &candidates, threads)
-        }
+        FaultDictionary::build_sliced(&config, &test, seed, &candidates, threads, MAX_SLAB_LANES)
     });
 
     let budget = SpareBudget {
@@ -1552,11 +1454,10 @@ fn fleet_stdout(flags: &Flags) -> Result<String, String> {
     let options = FleetOptions {
         seed: flags.parsed("--seed", 0xF1EE7)?,
         threads: flags.parsed("--threads", 0)?,
-        sliced: engine_choice(flags)?,
-        lane_width: lane_width_flag(flags)?,
         checkpoint_every,
         checkpoint,
         halt_after,
+        ..FleetOptions::default()
     };
     let mut profiler = Profiler::new(flags.has("--profile"));
     let mut driver = match &resume {
@@ -1877,80 +1778,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_knob_selects_the_sliced_backend_and_rejects_unknowns() {
-        // One estimator, two executors: `--engine` may move the wall
-        // clock and the `profile:` lines, never a byte of the rest.
-        let out = |cmd: &str, extra: &[&str]| {
-            let mut args: Vec<String> = [cmd, "--trials", "2", "--cycles", "60"]
+    fn campaign_profile_reports_lane_occupancy() {
+        // The slab packing is named only where wall-clock facts live:
+        // the default universe fills 392 of one 448-lane block.
+        let out = |extra: &[&str]| {
+            let mut args: Vec<String> = ["campaign", "--trials", "2", "--cycles", "60"]
                 .iter()
                 .map(|s| (*s).to_owned())
                 .collect();
             args.extend(extra.iter().map(|s| (*s).to_owned()));
             run(&args).unwrap()
         };
-        for cmd in ["campaign", "system"] {
-            let scalar = out(cmd, &["--engine", "scalar"]);
-            let sliced = out(cmd, &["--engine", "sliced"]);
-            assert_eq!(scalar, sliced, "{cmd}: scalar vs sliced");
-            assert_eq!(out(cmd, &[]), sliced, "{cmd}: absent --engine");
-            assert!(!sliced.contains("engine"), "{sliced}");
-            // The executor is named where wall-clock facts live.
-            let profiled = out(cmd, &["--profile"]);
-            assert!(profiled.contains("profile: engine=sliced\n"), "{profiled}");
-            let profiled = out(cmd, &["--engine", "scalar", "--profile"]);
-            assert!(profiled.contains("profile: engine=scalar\n"), "{profiled}");
-        }
-        let profiled = out("campaign", &["--profile"]);
+        let profiled = out(&["--profile"]);
         assert!(
             profiled.contains("profile: occupancy=392/448 lanes filled across 1 block"),
             "{profiled}"
         );
-        let err = run(&[
-            "campaign".to_owned(),
-            "--engine".to_owned(),
-            "warp".to_owned(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("unknown engine 'warp'"), "{err}");
-    }
-
-    #[test]
-    fn diag_output_is_engine_independent() {
-        // Sliced and scalar dictionary builds file bit-identical
-        // signatures, so the whole rendered report must match byte for
-        // byte — the property that keeps the diag fixture engine-free
-        // even now that an absent flag means sliced.
-        let base = |engine: Option<&str>| {
-            let mut args = vec![
-                "diag".to_owned(),
-                "--trials".to_owned(),
-                "1".to_owned(),
-                "--cycles".to_owned(),
-                "1400".to_owned(),
-            ];
-            if let Some(e) = engine {
-                args.push("--engine".to_owned());
-                args.push(e.to_owned());
-            }
-            run(&args).unwrap()
-        };
-        let default = base(None);
-        assert_eq!(base(Some("sliced")), default);
-        assert_eq!(base(Some("scalar")), default);
-    }
-
-    #[test]
-    fn engine_flag_implies_adjudication_in_explore() {
-        let out = run(&[
-            "explore".to_owned(),
-            "--engine".to_owned(),
-            "sliced".to_owned(),
-            "--policy".to_owned(),
-            "inverse-a".to_owned(),
-        ])
-        .unwrap();
-        assert!(out.contains("empirically adjudicated"), "{out}");
-        assert!(out.contains("wrst-err-esc"), "{out}");
+        assert!(
+            !out(&[]).contains("occupancy"),
+            "profile lines need --profile"
+        );
     }
 
     #[test]
@@ -2219,54 +2066,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_system_fleet_stdout_is_lane_width_invariant() {
-        // Lane width is pure scheduling, like the thread count: every
-        // subcommand's stdout must be byte-identical at any width (the
-        // lane packing is named only on `--profile`'s lines).
-        let run_with = |base: &[&str], width: &str| -> String {
-            let mut args: Vec<String> = base.iter().map(|s| (*s).to_owned()).collect();
-            args.extend(["--lane-width".to_owned(), width.to_owned()]);
-            run(&args).unwrap()
-        };
-        let cases: [&[&str]; 3] = [
-            &[
-                "campaign",
-                "--trials",
-                "4",
-                "--cycles",
-                "8",
-                "--fault-model",
-                "mix",
-            ],
-            &["system", "--trials", "2", "--cycles", "96"],
-            &["fleet", "--preset", "small", "--devices", "6"],
-        ];
-        for case in cases {
-            let reference = run_with(case, "512");
-            for width in ["1", "7", "64", "100"] {
-                assert_eq!(
-                    reference,
-                    run_with(case, width),
-                    "{case:?} at lane width {width}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_width_flag_is_validated() {
-        for bad in ["0", "513", "wide"] {
-            let err = run(&[
-                "campaign".to_owned(),
-                "--lane-width".to_owned(),
-                bad.to_owned(),
-            ])
-            .unwrap_err();
-            assert!(err.contains("--lane-width"), "{err}");
-        }
-    }
-
-    #[test]
     fn guided_flags_get_did_you_mean_hints() {
         let err = run(&[
             "explore".to_owned(),
@@ -2276,14 +2075,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("did you mean 'million'?"), "{err}");
-        let err = run(&[
-            "explore".to_owned(),
-            "--guided".to_owned(),
-            "--engine".to_owned(),
-            "slced".to_owned(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("did you mean 'sliced'?"), "{err}");
     }
 
     #[test]
@@ -2399,10 +2190,10 @@ mod tests {
     }
 
     #[test]
-    fn cli_trace_is_byte_identical_across_threads_and_engines() {
-        // The PR's acceptance contract, enforced on the user-visible
+    fn cli_trace_is_byte_identical_across_threads() {
+        // The trace's determinism contract, enforced on the user-visible
         // surface: `scm campaign --trace` emits the same bytes at any
-        // thread count and under either engine flag.
+        // thread count.
         let trace_of = |extra: &[&str]| {
             let mut args: Vec<String> = [
                 "campaign",
@@ -2432,8 +2223,6 @@ mod tests {
                 "threads {threads}"
             );
         }
-        assert_eq!(trace_of(&["--engine", "scalar"]), reference, "scalar");
-        assert_eq!(trace_of(&["--engine", "sliced"]), reference, "sliced");
     }
 
     #[test]

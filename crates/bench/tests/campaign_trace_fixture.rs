@@ -2,11 +2,11 @@
 //!
 //! The observability acceptance contract: the recorded trace (header,
 //! event order, every payload field) is reproduced **byte for byte** at
-//! 1, 2, 4 and 8 rayon threads, under either engine flag and at lane
-//! widths 1, 17, 64 and 512 — and so is the report above it. The trace
-//! is derived from the slab executor's per-lane outcomes in canonical
-//! order — pure in
-//! `(seed, fault, trial)` — so any drift here means an emitter, the
+//! 1, 2, 4 and 8 rayon threads — and so is the report above it. The
+//! trace is derived from the slab executor's per-lane outcomes in
+//! canonical order — pure in `(seed, fault, trial)`, which the memory
+//! crate's trace proptest holds to the behavioural oracle at lane widths
+//! 1, 17, 64 and 512 — so any drift here means an emitter, the
 //! seeding, or the assembly order changed, and the fixture must be
 //! regenerated deliberately:
 //!
@@ -83,26 +83,6 @@ fn campaign_trace_fixture_is_thread_count_invariant() {
         assert_bytes_identical(
             &format!("scm campaign --trace --threads {threads}"),
             &run_campaign(&["--threads", threads]),
-            FIXTURE,
-        );
-    }
-}
-
-#[test]
-fn campaign_trace_fixture_is_engine_flag_and_lane_width_invariant() {
-    // One estimator, two executors, any lane packing: the whole stdout,
-    // report and trace, is the fixture byte for byte.
-    for flags in [
-        ["--engine", "scalar"],
-        ["--engine", "sliced"],
-        ["--lane-width", "1"],
-        ["--lane-width", "17"],
-        ["--lane-width", "64"],
-        ["--lane-width", "512"],
-    ] {
-        assert_bytes_identical(
-            &format!("scm campaign --trace {}", flags.join(" ")),
-            &run_campaign(&flags),
             FIXTURE,
         );
     }

@@ -101,30 +101,20 @@ fn distant_workload_garbage_lists_models_without_a_bogus_hint() {
 }
 
 #[test]
-fn misspelled_engines_exit_two_with_a_hint() {
-    for (subcommand, typo, suggestion) in [
-        ("campaign", "slced", "sliced"),
-        ("campaign", "scalr", "scalar"),
-        ("explore", "slicd", "sliced"),
-        ("system", "scaler", "scalar"),
-        ("diag", "sliced64", "sliced"),
-    ] {
-        let out = scm(&[subcommand, "--engine", typo]);
-        assert_eq!(out.status.code(), Some(2), "{subcommand} {typo}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown engine '{typo}'")),
-            "{subcommand} {typo}: {stderr}"
-        );
-        assert!(
-            stderr.contains(&format!("did you mean '{suggestion}'?")),
-            "{subcommand} {typo}: {stderr}"
-        );
-        assert!(
-            stderr.contains("(scalar | sliced)"),
-            "the engine list must follow the hint: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "errors go to stderr only");
+fn retired_executor_flags_are_unrecognised_arguments() {
+    // The slab executor runs every subcommand; which executor or lane
+    // width it uses is not a setting, so the old flags are typos now.
+    for subcommand in ["campaign", "system", "diag", "explore", "fleet"] {
+        for (flag, value) in [("--engine", "scalar"), ("--lane-width", "64")] {
+            let out = scm(&[subcommand, flag, value]);
+            assert_eq!(out.status.code(), Some(2), "{subcommand} {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unrecognised argument '{flag}'")),
+                "{subcommand} {flag}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "errors go to stderr only");
+        }
     }
 }
 
@@ -154,16 +144,6 @@ fn misspelled_fault_models_exit_two_with_a_hint() {
         );
         assert!(out.stdout.is_empty(), "errors go to stderr only");
     }
-}
-
-#[test]
-fn distant_engine_garbage_lists_engines_without_a_bogus_hint() {
-    let out = scm(&["campaign", "--engine", "warp"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown engine 'warp'"), "{stderr}");
-    assert!(!stderr.contains("did you mean"), "{stderr}");
-    assert!(stderr.contains("(scalar | sliced)"), "{stderr}");
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! The acceptance contract of the fleet layer: the recorded stdout of
 //! the small preset — which carries **both** a PASS and a FAIL SLO
 //! verdict, so neither branch of the compliance rendering can rot — is
-//! reproduced byte for byte at 1, 2 and 4 worker threads on the default
-//! (sliced) engine. On any mismatch the full stdout diff is printed.
+//! reproduced byte for byte at 1, 2 and 4 worker threads. On any
+//! mismatch the full stdout diff is printed.
 
 use scm_bench::cli;
 

@@ -1,8 +1,7 @@
 //! Byte-compatibility and thread-determinism fixture for `scm system`.
 //!
 //! The acceptance contract of the system layer: the recorded stdout is
-//! reproduced **byte for byte** at 1, 2, 4 and 8 rayon threads and under
-//! either executor (`--engine scalar|sliced`). On any
+//! reproduced **byte for byte** at 1, 2, 4 and 8 rayon threads. On any
 //! mismatch the full stdout diff is printed (not just the first differing
 //! character), so CI failures show exactly what drifted.
 
@@ -58,14 +57,6 @@ fn system_stdout_is_byte_identical_across_1_2_4_8_threads() {
     for threads in ["1", "2", "4", "8"] {
         let out = run_system(&["--threads", threads]);
         assert_bytes_identical(&format!("scm system --threads {threads}"), &out, FIXTURE);
-    }
-}
-
-#[test]
-fn system_stdout_is_byte_identical_under_either_executor() {
-    for engine in ["scalar", "sliced"] {
-        let out = run_system(&["--engine", engine]);
-        assert_bytes_identical(&format!("scm system --engine {engine}"), &out, FIXTURE);
     }
 }
 

@@ -121,7 +121,9 @@ impl FaultDictionary {
     /// Simulate every candidate through one March session and file the
     /// signatures. `threads` pins a rayon pool (`0` = ambient). The
     /// result is pure in `(config, test, seed, candidates)` — thread
-    /// count only changes wall-clock.
+    /// count only changes wall-clock. It steps one scalar backend per
+    /// candidate: the reference that [`build_sliced`](Self::build_sliced),
+    /// what every production caller uses, is tested against.
     pub fn build(
         config: &RamConfig,
         test: &MarchTest,

@@ -295,14 +295,6 @@ pub struct SystemAdjudication {
     /// Mean SEU inter-arrival time in system cycles for points graded
     /// against the transient mix.
     pub seu_mean: f64,
-    /// Executor choice for each point's system campaign: the bit-sliced
-    /// slab (up to 512 fault lanes per multi-word slab; the default) or
-    /// the behavioural oracle. Output-invariant: both run the same
-    /// estimator, so evaluations are bit-identical either way.
-    pub sliced: bool,
-    /// Slab lane width of the sliced engine (clamped to `1..=512`);
-    /// results are invariant under it.
-    pub lane_width: usize,
 }
 
 impl Default for SystemAdjudication {
@@ -316,8 +308,6 @@ impl Default for SystemAdjudication {
             scrub_period: 4,
             max_faults_per_bank: 12,
             seu_mean: 40.0,
-            sliced: true,
-            lane_width: MAX_SLAB_LANES,
         }
     }
 }
@@ -371,9 +361,10 @@ pub struct Adjudication {
     /// Scrub period applied when the point's scrub policy is
     /// [`ScrubPolicy::SequentialSweep`] (`Off` points never scrub).
     pub scrub_period: u64,
-    /// Executor choice for each point's campaign: the bit-sliced slab
-    /// (up to 512 scenario lanes per multi-word slab) or the behavioural
-    /// oracle. Output-invariant: both run the same estimator, so
+    /// Executor for each point's campaign: the bit-sliced slab (up to
+    /// 512 scenario lanes per multi-word slab; the default) or, with
+    /// `false`, the behavioural oracle the executor tests compare
+    /// against. Output-invariant: both run the same estimator, so
     /// evaluations are bit-identical either way.
     pub sliced: bool,
     /// Slab lane width of the sliced engine (clamped to `1..=512`);
@@ -384,6 +375,21 @@ pub struct Adjudication {
 impl Adjudication {
     /// The default scrub period a sweeping point adjudicates with.
     pub const DEFAULT_SCRUB_PERIOD: u64 = 4;
+}
+
+impl Default for Adjudication {
+    /// The default campaign over the whole permanent universe, sweeping
+    /// points scrubbed at [`Self::DEFAULT_SCRUB_PERIOD`], on the slab
+    /// executor at full lane width.
+    fn default() -> Self {
+        Adjudication {
+            campaign: CampaignConfig::default(),
+            max_faults: 0,
+            scrub_period: Self::DEFAULT_SCRUB_PERIOD,
+            sliced: true,
+            lane_width: MAX_SLAB_LANES,
+        }
+    }
 }
 
 /// Hit/miss counters of one memo.
@@ -738,10 +744,7 @@ impl Evaluator {
         };
         // Ambient threads: inline inside the outer sweep's workers, like
         // the adjudication stage.
-        let engine = SystemCampaign::new(system, campaign)
-            .workload_model(model)
-            .sliced(stage.sliced)
-            .lane_width(stage.lane_width);
+        let engine = SystemCampaign::new(system, campaign).workload_model(model);
         // The system grid is graded against the point's fault mix: the
         // permanent decoder universe, SEU arrival streams, or the same
         // decoder sites under duty-cycled intermittent windows (phases
@@ -1201,9 +1204,7 @@ mod tests {
                 write_fraction: 0.1,
             },
             max_faults: 12,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: false,
-            lane_width: 512,
+            ..Adjudication::default()
         });
         for workload in ["uniform", "write-mostly"] {
             let mut p = DesignPoint::paper(small_geometry(), 10, 1e-9, SelectionPolicy::InverseA);
@@ -1341,10 +1342,48 @@ mod tests {
                 write_fraction: 0.1,
             },
             max_faults: 16,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
             sliced,
-            lane_width: 512,
+            ..Adjudication::default()
         })
+    }
+
+    /// A model wrapper that counts stream instantiations.
+    #[derive(Debug)]
+    struct CountingModel(Arc<AtomicUsize>);
+
+    impl WorkloadModel for CountingModel {
+        fn name(&self) -> &'static str {
+            "uniform"
+        }
+        fn stream(
+            &self,
+            spec: scm_memory::workload::WorkloadSpec,
+            seed: u64,
+        ) -> scm_memory::workload::OpStream {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            scm_memory::workload::UniformRandom.stream(spec, seed)
+        }
+    }
+
+    #[test]
+    fn oracle_adjudication_draws_every_cell_stream_itself() {
+        // The executor tests compare slab adjudication against
+        // `sliced: false`; that is only an oracle check while the oracle
+        // draws each (scenario, trial) stream itself instead of
+        // replaying the evaluator's shared arena.
+        let p = DesignPoint::paper(small_geometry(), 10, 1e-9, SelectionPolicy::InverseA);
+        let adjudicate = |sliced: bool| {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let ev = adjudicated_evaluator(4, sliced)
+                .register_workload(Arc::new(CountingModel(calls.clone())));
+            let emp = ev.evaluate(&p).unwrap().empirical.unwrap();
+            (calls.load(Ordering::Relaxed) as u64, emp)
+        };
+        let (oracle_calls, oracle) = adjudicate(false);
+        assert_eq!(oracle_calls, oracle.scenario_trials, "one per cell");
+        let (slab_calls, slab) = adjudicate(true);
+        assert_eq!(slab_calls, 4, "one per trial");
+        assert_eq!(oracle, slab);
     }
 
     #[test]

@@ -737,9 +737,7 @@ mod tests {
                 write_fraction: 0.1,
             },
             max_faults: 16,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: true,
-            lane_width: 512,
+            ..Adjudication::default()
         })
     }
 

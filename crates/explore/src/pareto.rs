@@ -283,9 +283,7 @@ mod tests {
                 write_fraction: 0.1,
             },
             max_faults: 8,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: true,
-            lane_width: 512,
+            ..Adjudication::default()
         });
         let space = ExplorationSpace {
             geometries: vec![RamOrganization::new(256, 8, 4)],

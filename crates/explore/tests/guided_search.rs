@@ -15,13 +15,14 @@ use scm_explore::{
 };
 use scm_memory::campaign::CampaignConfig;
 
-/// A sliced-engine evaluator with the empirical stage on: `trials` is
-/// the full fidelity the ladder climbs to. The properties keep
-/// `max_faults` small for speed; the acceptance test below uses the
-/// reference configuration (64) the recorded bench figures come from —
-/// fewer faults per point means fewer samples per rung, wider Hoeffding
-/// intervals, and therefore weaker (but never unsound) pruning.
-fn evaluator(trials: u32, max_faults: usize, threads: usize) -> Evaluator {
+/// An evaluator with the empirical stage on: `trials` is the full
+/// fidelity the ladder climbs to, `sliced` picks the slab executor or
+/// the behavioural oracle. The properties keep `max_faults` small for
+/// speed; the acceptance test below uses the reference configuration
+/// (64) the recorded bench figures come from — fewer faults per point
+/// means fewer samples per rung, wider Hoeffding intervals, and
+/// therefore weaker (but never unsound) pruning.
+fn evaluator(trials: u32, max_faults: usize, threads: usize, sliced: bool) -> Evaluator {
     Evaluator::default()
         .threads(threads)
         .adjudicate(Adjudication {
@@ -32,9 +33,8 @@ fn evaluator(trials: u32, max_faults: usize, threads: usize) -> Evaluator {
                 write_fraction: 0.1,
             },
             max_faults,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: true,
-            lane_width: 512,
+            sliced,
+            ..Adjudication::default()
         })
 }
 
@@ -99,8 +99,8 @@ proptest! {
         };
         prop_assert!(space.len() <= 96, "keep proptest cases enumerable");
 
-        let reference = exhaustive_front(&evaluator(8, 8, 1), &space).unwrap();
-        let one_thread = GuidedSearch::new(&evaluator(8, 8, 1), GuidedConfig::default())
+        let reference = exhaustive_front(&evaluator(8, 8, 1, true), &space).unwrap();
+        let one_thread = GuidedSearch::new(&evaluator(8, 8, 1, true), GuidedConfig::default())
             .run(&space)
             .unwrap();
         prop_assert_eq!(
@@ -111,7 +111,7 @@ proptest! {
         prop_assert_eq!(&one_thread.front, &reference.front);
 
         for threads in [2usize, 4, 8] {
-            let report = GuidedSearch::new(&evaluator(8, 8, threads), GuidedConfig::default())
+            let report = GuidedSearch::new(&evaluator(8, 8, threads, true), GuidedConfig::default())
                 .run(&space)
                 .unwrap();
             prop_assert_eq!(&report.front, &one_thread.front, "{} threads", threads);
@@ -124,7 +124,7 @@ proptest! {
         // accounting, or a single scenario-trial of spend.
         let mut reversed = space.points();
         reversed.reverse();
-        let report = GuidedSearch::new(&evaluator(8, 8, 4), GuidedConfig::default())
+        let report = GuidedSearch::new(&evaluator(8, 8, 4, true), GuidedConfig::default())
             .run_candidates(&reversed)
             .unwrap();
         prop_assert_eq!(&report.front, &one_thread.front, "reversed candidates");
@@ -139,7 +139,7 @@ proptest! {
 #[test]
 fn guided_recovers_the_reference_front_for_a_fifth_of_the_budget() {
     let space = ExplorationSpace::worked_reference();
-    let ev = evaluator(64, 64, 0);
+    let ev = evaluator(64, 64, 0, true);
     let reference = exhaustive_front(&ev, &space).unwrap();
     let report = GuidedSearch::new(&ev, GuidedConfig::default())
         .run(&space)
@@ -166,7 +166,7 @@ fn guided_recovers_the_reference_front_for_a_fifth_of_the_budget() {
 fn million_point_space_respects_a_fixed_budget() {
     let space = ExplorationSpace::million_grid();
     assert!(space.len() >= 1_000_000, "the grid shrank: {}", space.len());
-    let ev = evaluator(64, 64, 0);
+    let ev = evaluator(64, 64, 0, true);
     let report = GuidedSearch::new(&ev, GuidedConfig::with_budget(100_000))
         .run(&space)
         .unwrap();
@@ -184,4 +184,23 @@ fn million_point_space_respects_a_fixed_budget() {
         report.provisional,
         "nothing can resolve at full fidelity under 100k on this space"
     );
+}
+
+/// One estimator, two executors: a guided search adjudicated on the
+/// behavioural oracle reports exactly what the slab executor reports —
+/// front, rung accounting and spend — on the worked reference space.
+#[test]
+fn guided_report_is_identical_under_either_executor() {
+    let space = ExplorationSpace::worked_reference();
+    let run = |sliced| {
+        GuidedSearch::new(
+            &evaluator(8, 64, 0, sliced),
+            GuidedConfig::with_budget(20_000),
+        )
+        .run(&space)
+        .unwrap()
+    };
+    let oracle = run(false);
+    assert!(!oracle.front.is_empty(), "the search found nothing");
+    assert_eq!(oracle, run(true));
 }

@@ -32,7 +32,8 @@
 //! size disagree with the requested run — those are different fleets,
 //! and silently splicing them would fabricate telemetry. Thread count
 //! and lane width are deliberately *not* part of the guard: resuming
-//! under a different `--threads` or `--lane-width` is valid and still
+//! under a different `--threads` or
+//! [`lane_width`](FleetOptions::lane_width) is valid and still
 //! bit-identical.
 
 use crate::device::simulate_device;

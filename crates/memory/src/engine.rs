@@ -14,13 +14,14 @@
 //! faster. The determinism test in `tests/campaign_engine.rs` enforces
 //! this.
 //!
-//! There is one Monte-Carlo estimator and two executors for it: the
-//! generic one steps any [`FaultSimBackend`] one scenario at a time (the
-//! oracle, and the path for backends the slab cannot run), the slab one
-//! packs up to [`MAX_SLAB_LANES`] scenarios into the lanes of a
-//! [`SlicedBackend`]. [`sliced`](CampaignEngine::sliced) picks the
-//! executor; the lane-exactness contract (DESIGN.md §3a) makes both
-//! return the same [`CampaignResult`] bit for bit.
+//! There is one Monte-Carlo estimator and two executors for it: the slab
+//! one packs up to [`MAX_SLAB_LANES`] scenarios into the lanes of a
+//! [`SlicedBackend`] and runs every campaign, the generic one steps any
+//! [`FaultSimBackend`] one scenario at a time — the path for backends
+//! the slab cannot run ([`run_scenarios_on`](CampaignEngine::run_scenarios_on))
+//! and the oracle tests select with `.sliced(false)`. The lane-exactness
+//! contract (DESIGN.md §3a) makes both return the same [`CampaignResult`]
+//! bit for bit.
 //!
 //! The grid is decomposed fault-major into trial blocks
 //! ([`trial_blocks`] at the worker count): when the fault universe is
@@ -77,14 +78,15 @@ pub struct LaneOccupancy {
 
 impl CampaignEngine {
     /// Engine with the given campaign parameters, the paper's uniform
-    /// workload model, no scrubbing, and the ambient rayon thread count.
+    /// workload model, no scrubbing, the ambient rayon thread count and
+    /// the slab executor at full lane width.
     pub fn new(campaign: CampaignConfig) -> Self {
         CampaignEngine {
             campaign,
             model: Arc::new(UniformRandom),
             threads: 0,
             scrub_period: 0,
-            sliced: false,
+            sliced: true,
             lane_width: MAX_SLAB_LANES,
             serial_threshold: DEFAULT_SERIAL_THRESHOLD,
             arena: None,
@@ -135,12 +137,12 @@ impl CampaignEngine {
     }
 
     /// Choose the executor behind [`run_scenarios`](Self::run_scenarios):
-    /// `true` packs up to [`lane_width`](Self::lane_width) scenarios into
-    /// the bit lanes of one slab pass, `false` steps the behavioural
-    /// backend one scenario at a time. Both run the same estimator with
+    /// `true` (the default) packs up to [`lane_width`](Self::lane_width)
+    /// scenarios into the bit lanes of one slab pass, `false` steps the
+    /// behavioural backend one scenario at a time — the oracle the
+    /// executor tests compare against. Both run the same estimator with
     /// the same per-trial streams, so the [`CampaignResult`] is
-    /// bit-identical either way — this is a speed knob, not a modelling
-    /// one.
+    /// bit-identical either way.
     pub fn sliced(mut self, sliced: bool) -> Self {
         self.sliced = sliced;
         self
@@ -201,8 +203,8 @@ impl CampaignEngine {
     }
 
     /// Run a temporal-scenario grid with the campaign convention's random
-    /// prefill, on the executor [`sliced`](Self::sliced) selects (the
-    /// result does not depend on which).
+    /// prefill, on the slab executor unless [`sliced`](Self::sliced)
+    /// selected the oracle (the result does not depend on which).
     pub fn run_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> CampaignResult {
         if self.sliced {
             return self.run_scenarios_sliced(config, scenarios);
@@ -442,7 +444,7 @@ impl CampaignEngine {
                 packed.extend(outcomes.iter().map(PackedOutcome::pack));
             },
         );
-        let sweep_len = self.scrub_period * config.org().words();
+        let sweep_len = self.sweep_len(config);
         // Walk the cells in canonical (fault, trial) order: a pack's
         // blocks are adjacent, each holding its trials' outcomes
         // trial-major, so every lane reads across the pack's blocks.
@@ -476,6 +478,15 @@ impl CampaignEngine {
             cell_events(scenario, fault, trial, out, sweep_len, &mut events);
         });
         events
+    }
+
+    /// Cycles one full scrub sweep of `config` takes (`0` = no scrubber).
+    /// A sweep longer than `u64` cycles never completes, so it too
+    /// reads as `0`: it emits no sweep events.
+    fn sweep_len(&self, config: &RamConfig) -> u64 {
+        self.scrub_period
+            .checked_mul(config.org().words())
+            .unwrap_or(0)
     }
 
     /// Is this grid small enough for the serial fast path?
@@ -653,31 +664,31 @@ mod tests {
         let cfg = config();
         let faults = row_faults();
         // Few faults force trial splitting; the full universe exercises
-        // fault-major blocks. Both must agree with the 1-thread run.
-        // serial_threshold(0) keeps these small grids on the parallel
-        // path this test exists to exercise.
+        // the generic executor's fault-major blocks. Both must agree
+        // with the 1-thread run, on either executor. serial_threshold(0)
+        // keeps these small grids on the parallel path this test exists
+        // to exercise.
+        let campaign = CampaignConfig {
+            cycles: 12,
+            trials: 10,
+            seed: 77,
+            write_fraction: 0.1,
+        };
         for universe in [&faults[..3], &faults[..]] {
-            let campaign = CampaignConfig {
-                cycles: 12,
-                trials: 10,
-                seed: 77,
-                write_fraction: 0.1,
-            };
-            let reference = CampaignEngine::new(campaign)
-                .threads(1)
-                .serial_threshold(0)
-                .run(&cfg, universe);
-            for threads in [2usize, 4, 7] {
-                let result = CampaignEngine::new(campaign)
-                    .threads(threads)
-                    .serial_threshold(0)
-                    .run(&cfg, universe);
-                assert_eq!(
-                    reference.determinism_profile(),
-                    result.determinism_profile(),
-                    "{} faults, {threads} threads",
-                    universe.len()
-                );
+            for sliced in [false, true] {
+                let engine = CampaignEngine::new(campaign)
+                    .sliced(sliced)
+                    .serial_threshold(0);
+                let reference = engine.clone().threads(1).run(&cfg, universe);
+                for threads in [2usize, 4, 7] {
+                    let result = engine.clone().threads(threads).run(&cfg, universe);
+                    assert_eq!(
+                        reference.determinism_profile(),
+                        result.determinism_profile(),
+                        "{} faults, sliced={sliced}, {threads} threads",
+                        universe.len()
+                    );
+                }
             }
         }
     }
@@ -803,7 +814,6 @@ mod tests {
             write_fraction: 0.1,
         };
         let reference = CampaignEngine::new(campaign)
-            .sliced(true)
             .threads(1)
             .serial_threshold(0)
             .run_scenarios(&cfg, &scenarios);
@@ -814,7 +824,6 @@ mod tests {
         );
         for threads in [2usize, 4, 8] {
             let result = CampaignEngine::new(campaign)
-                .sliced(true)
                 .threads(threads)
                 .serial_threshold(0)
                 .run_scenarios(&cfg, &scenarios);
@@ -826,7 +835,6 @@ mod tests {
         }
         for width in [1usize, 8, 17, 64, 100, 128, 512] {
             let result = CampaignEngine::new(campaign)
-                .sliced(true)
                 .lane_width(width)
                 .run_scenarios(&cfg, &scenarios);
             assert_eq!(
@@ -855,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn sliced_campaign_generates_each_trial_stream_exactly_once() {
+    fn slab_draws_each_trial_stream_once_and_the_oracle_each_cell_stream() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let cfg = config();
         let scenarios = mixed_scenarios();
@@ -868,22 +876,61 @@ mod tests {
         };
         // Lane width 8 splits the universe into many blocks; before the
         // op-stream arena every block regenerated all ten streams.
-        let result = CampaignEngine::new(campaign)
+        let engine = CampaignEngine::new(campaign)
             .workload_model(Arc::new(CountingModel {
                 inner: Arc::new(UniformRandom),
                 calls: calls.clone(),
             }))
-            .sliced(true)
             .lane_width(8)
             .serial_threshold(0)
-            .threads(4)
-            .run_scenarios(&cfg, &scenarios);
+            .threads(4);
+        let result = engine.run_scenarios(&cfg, &scenarios);
         assert_eq!(result.per_fault.len(), scenarios.len());
         assert!(scenarios.len() > 8, "universe must span several blocks");
         assert_eq!(
-            calls.load(Ordering::Relaxed),
+            calls.swap(0, Ordering::Relaxed),
             u64::from(campaign.trials),
             "one stream per trial, regardless of lane blocks"
+        );
+        // The executor tests compare the slab path against
+        // `.sliced(false)`; that is only an oracle check while the oracle
+        // draws each (scenario, trial) stream itself instead of replaying
+        // the slab path's arena.
+        let oracle = engine.sliced(false).run_scenarios(&cfg, &scenarios);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            scenarios.len() as u64 * u64::from(campaign.trials),
+            "the oracle draws one stream per cell"
+        );
+        assert_eq!(result.determinism_profile(), oracle.determinism_profile());
+    }
+
+    #[test]
+    fn a_sweep_longer_than_u64_cycles_never_completes_in_the_trace() {
+        // On the 64-word test RAM, 2^58 + 1 cycles per sweep read makes
+        // the sweep 2^64 + 64 cycles long: wrapped, it would claim a
+        // completed sweep every 64 cycles. The scrubber never fires
+        // within the horizon, so the trace is the unscrubbed one.
+        let cfg = config();
+        let scenarios = mixed_scenarios();
+        let campaign = CampaignConfig {
+            cycles: 300,
+            trials: 2,
+            seed: 9,
+            write_fraction: 0.1,
+        };
+        let trace = CampaignEngine::new(campaign)
+            .scrub((1 << 58) + 1)
+            .trace_scenarios(&cfg, &scenarios);
+        assert!(
+            !trace
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::ScrubSweep { .. })),
+            "a sweep that outlasts u64 completed"
+        );
+        assert_eq!(
+            trace,
+            CampaignEngine::new(campaign).trace_scenarios(&cfg, &scenarios)
         );
     }
 
@@ -906,7 +953,6 @@ mod tests {
         };
         let low = CampaignEngine::new(campaign)
             .workload_model(model.clone())
-            .sliced(true)
             .arena(arena.clone())
             .run_scenarios(&cfg, &scenarios);
         assert_eq!(calls.load(Ordering::Relaxed), 6);
@@ -914,7 +960,6 @@ mod tests {
         // trials; the first six replay from the shared arena.
         let high = CampaignEngine::new(campaign)
             .workload_model(model.clone())
-            .sliced(true)
             .arena(arena.clone())
             .run_scenarios(&cfg, &scenarios);
         assert_eq!(calls.load(Ordering::Relaxed), 6, "second run regenerated");
@@ -925,7 +970,6 @@ mod tests {
         };
         CampaignEngine::new(more)
             .workload_model(model)
-            .sliced(true)
             .arena(arena)
             .run_scenarios(&cfg, &scenarios);
         assert_eq!(calls.load(Ordering::Relaxed), 9, "only trials 6..9 are new");
@@ -1017,7 +1061,6 @@ mod tests {
             write_fraction: 0.1,
         };
         let result = CampaignEngine::new(campaign)
-            .sliced(true)
             .scrub(4)
             .run_scenarios(&cfg, &scenarios);
         for (scenario, fr) in scenarios.iter().zip(&result.per_fault) {
@@ -1028,7 +1071,6 @@ mod tests {
         // Scrubbing is part of the shared stream: results must still be
         // lane-width invariant under it.
         let narrow = CampaignEngine::new(campaign)
-            .sliced(true)
             .scrub(4)
             .lane_width(8)
             .run_scenarios(&cfg, &scenarios);
@@ -1095,7 +1137,7 @@ mod tests {
             let campaign = engine.campaign;
             let mut backend = BehavioralBackend::prefilled(cfg, engine.prefill_seed());
             let spec = engine.workload_spec(cfg);
-            let sweep_len = engine.scrub_period * cfg.org().words();
+            let sweep_len = engine.sweep_len(cfg);
             let mut events = Vec::new();
             for (fidx, scenario) in scenarios.iter().enumerate() {
                 for trial in 0..campaign.trials {
@@ -1143,7 +1185,6 @@ mod tests {
                 for width in [1usize, 17, 512] {
                     let sliced = engine
                         .clone()
-                        .sliced(true)
                         .lane_width(width)
                         .run_scenarios(&cfg, &scenarios);
                     prop_assert_eq!(
@@ -1200,7 +1241,7 @@ mod tests {
                         prop_assert_eq!(&trace, &reference, "width {} threads {}", width, threads);
                     }
                 }
-                let result = engine.sliced(true).run_scenarios(&cfg, &scenarios);
+                let result = engine.run_scenarios(&cfg, &scenarios);
                 for (fidx, fr) in result.per_fault.iter().enumerate() {
                     let mut detects = 0u32;
                     let mut escapes = 0u32;

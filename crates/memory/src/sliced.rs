@@ -51,7 +51,7 @@
 //!
 //! Because lanes never interact, slicing a universe into packs of any
 //! width yields bit-identical per-scenario results — that is what makes
-//! campaign output invariant under `--lane-width` and thread count.
+//! campaign output invariant under the lane width and thread count.
 //!
 //! # Memory layout
 //!

@@ -100,7 +100,7 @@ mod tests {
         let v = p.time("phase-a", || 41 + 1);
         assert_eq!(v, 42);
         p.record("phase-b", Duration::from_millis(5));
-        p.note("engine=sliced");
+        p.note("occupancy=392/448");
         assert!(p.spans().is_empty());
         assert_eq!(p.render(), "");
     }
@@ -110,7 +110,7 @@ mod tests {
         let mut p = Profiler::new(true);
         p.time("fan-out", || ());
         p.record("dictionary-build", Duration::from_micros(250));
-        p.note("engine=sliced");
+        p.note("occupancy=392/448");
         let text = p.render();
         for line in text.lines() {
             assert!(line.starts_with("profile: "), "unprefixed line: {line}");
@@ -118,6 +118,6 @@ mod tests {
         assert!(text.contains("phase=fan-out"));
         assert!(text.contains("phase=dictionary-build wall_us=250"));
         assert!(text.contains("phase=total"));
-        assert!(text.starts_with("profile: engine=sliced\n"), "{text}");
+        assert!(text.starts_with("profile: occupancy=392/448\n"), "{text}");
     }
 }

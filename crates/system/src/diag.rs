@@ -46,6 +46,7 @@ use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::CampaignConfig;
 use scm_memory::fault::FaultSite;
 use scm_memory::grid::par_map;
+use scm_memory::sliced::MAX_SLAB_LANES;
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind, NullSink, TraceSink, VecSink, Verdict};
 use std::sync::Arc;
@@ -345,12 +346,13 @@ impl DiagCampaign {
                     .map(|f| f.site)
                     .collect();
                 (!candidates.is_empty()).then(|| {
-                    FaultDictionary::build(
+                    FaultDictionary::build_sliced(
                         &self.system.banks[bank],
                         &self.policy.test,
                         self.policy.session_seed,
                         &candidates,
                         self.threads,
+                        MAX_SLAB_LANES,
                     )
                 })
             })

@@ -27,13 +27,13 @@
 //! anchor, re-checked in the integration tests), so skipping its steps
 //! changes nothing observable while cutting the work `N`-fold.
 //!
-//! Two executors run the one estimator: the slab executor packs a bank's
-//! faults into the lanes of a bit-sliced pass, the generic executor steps
-//! a behavioural bank one fault at a time and is the oracle the slab path
-//! is tested against. Both hand every trial's per-fault
-//! [`DetectionOutcome`] to the same fold — [`SystemFaultResult`]'s
-//! accounting for results, one cell-event builder for traces — so the
-//! executor choice ([`SystemCampaign::sliced`]) cannot change a number.
+//! Two executors run the one estimator: the slab executor (the default)
+//! packs a bank's faults into the lanes of a bit-sliced pass, the generic
+//! executor steps a behavioural bank one fault at a time and is the
+//! oracle the slab path is tested against (`.sliced(false)`). Both hand
+//! every trial's per-fault [`DetectionOutcome`] to the same fold —
+//! [`SystemFaultResult`]'s accounting for results, one cell-event builder
+//! for traces — so the executor cannot change a number.
 
 use crate::clock::{CheckpointSchedule, SystemClock};
 use crate::seu::SeuProcess;
@@ -387,25 +387,27 @@ pub struct SystemCampaign {
 impl SystemCampaign {
     /// Campaign over `system` with the given grid parameters
     /// (`campaign.cycles` is the per-trial horizon in system cycles),
-    /// uniform traffic, ambient rayon threads.
+    /// uniform traffic, ambient rayon threads, and the slab executor at
+    /// full lane width.
     pub fn new(system: SystemConfig, campaign: CampaignConfig) -> Self {
         SystemCampaign {
             system,
             campaign,
             model: Arc::new(UniformRandom),
             threads: 0,
-            sliced: false,
+            sliced: true,
             lane_width: MAX_SLAB_LANES,
             serial_threshold: DEFAULT_SERIAL_THRESHOLD,
         }
     }
 
     /// Choose the executor behind [`run`](Self::run) and
-    /// [`trace`](Self::trace): `true` packs the faults of one bank into
-    /// the lanes of a bit-sliced pass, `false` steps a behavioural bank
-    /// one fault at a time (the oracle). Both draw each trial's traffic
-    /// from the same `(bank, trial)` stream, so results and traces are
-    /// bit-identical either way — a speed knob, not a modelling one.
+    /// [`trace`](Self::trace): `true` (the default) packs the faults of
+    /// one bank into the lanes of a bit-sliced pass, `false` steps a
+    /// behavioural bank one fault at a time — the oracle the executor
+    /// tests compare against. Both draw each trial's traffic from the
+    /// same `(bank, trial)` stream, so results and traces are
+    /// bit-identical either way.
     pub fn sliced(mut self, sliced: bool) -> Self {
         self.sliced = sliced;
         self
@@ -998,7 +1000,6 @@ mod tests {
                 ..campaign()
             },
         )
-        .sliced(true)
         .threads(2);
         let universe = engine.decoder_universe(12);
         let (chunks, partials) = engine.run_grid(&universe, |_, _| (), |_, _| ());
@@ -1018,24 +1019,26 @@ mod tests {
     fn campaign_is_bit_identical_at_any_thread_count() {
         // serial_threshold(0) keeps this small grid on the parallel
         // path this test exists to exercise.
-        let engine = SystemCampaign::new(config(), campaign()).serial_threshold(0);
-        let universe = engine.decoder_universe(6);
-        let reference = engine.clone().threads(1).run(&universe);
-        for threads in [2usize, 4, 8] {
-            let result = engine.clone().threads(threads).run(&universe);
-            assert_eq!(
-                reference.determinism_profile(),
-                result.determinism_profile(),
-                "{threads} threads"
-            );
+        for sliced in [false, true] {
+            let engine = SystemCampaign::new(config(), campaign())
+                .sliced(sliced)
+                .serial_threshold(0);
+            let universe = engine.decoder_universe(6);
+            let reference = engine.clone().threads(1).run(&universe);
+            for threads in [2usize, 4, 8] {
+                let result = engine.clone().threads(threads).run(&universe);
+                assert_eq!(
+                    reference.determinism_profile(),
+                    result.determinism_profile(),
+                    "sliced={sliced}, {threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn sliced_campaign_is_thread_and_lane_width_invariant() {
-        let engine = SystemCampaign::new(config(), campaign())
-            .sliced(true)
-            .serial_threshold(0);
+        let engine = SystemCampaign::new(config(), campaign()).serial_threshold(0);
         let mut universe = engine.decoder_universe(10);
         // A couple of temporal cell faults so lane masking is exercised
         // beyond pure permanents.
@@ -1115,7 +1118,8 @@ mod tests {
     }
 
     #[test]
-    fn sliced_system_projects_each_bank_trial_stream_exactly_once() {
+    fn slab_projects_each_bank_trial_stream_once_and_the_oracle_walks_each_cell() {
+        use std::sync::atomic::Ordering;
         let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let model = Arc::new(CountingModel {
             inner: Arc::new(UniformRandom),
@@ -1125,19 +1129,29 @@ mod tests {
         // that all share the bank's projections; without the arena each
         // chunk would regenerate every trial's stream.
         let engine = SystemCampaign::new(config(), campaign())
-            .sliced(true)
             .lane_width(4)
             .workload_model(model)
             .threads(4)
             .serial_threshold(0);
         let universe = engine.decoder_universe(10);
         let banks_with_faults = 3u64;
-        engine.run(&universe);
+        let result = engine.run(&universe);
         assert_eq!(
-            calls.load(std::sync::atomic::Ordering::Relaxed),
+            calls.swap(0, Ordering::Relaxed),
             banks_with_faults * campaign().trials as u64,
             "one clock walk per (bank, trial), shared by all of its chunks"
         );
+        // The executor tests compare the slab path against
+        // `.sliced(false)`; that is only an oracle check while the oracle
+        // walks each (fault, trial) stream on the global clock instead of
+        // replaying the slab path's bank projections.
+        let oracle = engine.sliced(false).run(&universe);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            universe.len() as u64 * campaign().trials as u64,
+            "the oracle walks one stream per cell"
+        );
+        assert_eq!(result, oracle);
     }
 
     #[test]
@@ -1286,7 +1300,9 @@ mod tests {
                     seed,
                     write_fraction: 0.1,
                 };
-                let oracle = SystemCampaign::new(system, campaign).threads(1);
+                let oracle = SystemCampaign::new(system, campaign)
+                    .sliced(false)
+                    .threads(1);
                 let mut universe = oracle.decoder_universe(per_bank);
                 for mut fault in oracle.seu_universe(per_bank, &SeuProcess::new(cycles as f64 / 4.0)) {
                     fault.index += 1000;

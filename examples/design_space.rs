@@ -33,9 +33,7 @@ fn main() {
             write_fraction: 0.1,
         },
         max_faults: 32,
-        scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-        sliced: false,
-        lane_width: 512,
+        ..Adjudication::default()
     });
 
     let evaluations: Vec<_> = evaluator

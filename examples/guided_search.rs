@@ -20,9 +20,7 @@ fn evaluator() -> Evaluator {
             write_fraction: 0.1,
         },
         max_faults: 64,
-        scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-        sliced: true,
-        lane_width: 512,
+        ..Adjudication::default()
     })
 }
 

@@ -41,9 +41,8 @@ fn evaluator(threads: usize) -> Evaluator {
                 write_fraction: 0.1,
             },
             max_faults: 10,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
             sliced: false,
-            lane_width: 512,
+            ..Adjudication::default()
         })
 }
 
@@ -58,9 +57,7 @@ fn sliced_evaluator(threads: usize) -> Evaluator {
                 write_fraction: 0.1,
             },
             max_faults: 10,
-            scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-            sliced: true,
-            lane_width: 512,
+            ..Adjudication::default()
         })
 }
 
@@ -226,9 +223,7 @@ fn adjudicated_figures_stay_within_the_analytic_regime() {
             write_fraction: 0.1,
         },
         max_faults: 0, // whole row-decoder universe
-        scrub_period: Adjudication::DEFAULT_SCRUB_PERIOD,
-        sliced: false,
-        lane_width: 512,
+        ..Adjudication::default()
     });
     let e = ev
         .goal_solve(
