@@ -358,37 +358,66 @@ pub fn usage() -> String {
     )
 }
 
+/// The largest `--threads` value any subcommand accepts. Fan-outs spawn
+/// up to this many scoped OS threads at once, so an unbounded value would
+/// let one flag ask the host for arbitrarily many.
+const MAX_THREADS: usize = 256;
+
 struct Flags<'a>(&'a [String]);
 
 impl Flags<'_> {
     /// Reject typos loudly: every token must be a recognised value flag
     /// (followed by its value), boolean flag, or optional-value flag
-    /// (`--flag` or `--flag=value` in one token) — otherwise the run
-    /// would silently proceed on defaults.
+    /// (`--flag` or `--flag=value` in one token), given at most once —
+    /// otherwise the run would silently proceed on defaults, or on
+    /// whichever copy of a repeated flag wins. A `--threads` value is
+    /// checked here too, so an out-of-range one is refused before any
+    /// work starts.
     fn validate(
         &self,
         value_flags: &[&str],
         bool_flags: &[&str],
         opt_value_flags: &[&str],
     ) -> Result<(), String> {
+        let mut seen: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < self.0.len() {
             let token = self.0[i].as_str();
-            let inline_ok = token
+            let inline = token
                 .split_once('=')
-                .is_some_and(|(name, value)| opt_value_flags.contains(&name) && !value.is_empty());
+                .filter(|(name, value)| opt_value_flags.contains(name) && !value.is_empty());
+            let name = inline.map_or(token, |(name, _)| name);
             if value_flags.contains(&token) {
                 if i + 1 >= self.0.len() {
                     return Err(format!("flag {token} is missing its value"));
                 }
                 i += 2;
-            } else if bool_flags.contains(&token) || opt_value_flags.contains(&token) || inline_ok {
+            } else if bool_flags.contains(&token)
+                || opt_value_flags.contains(&token)
+                || inline.is_some()
+            {
                 i += 1;
             } else {
                 return Err(format!("unrecognised argument '{token}'\n\n{}", usage()));
             }
+            if seen.contains(&name) {
+                return Err(format!("flag {name} is given more than once"));
+            }
+            seen.push(name);
         }
-        Ok(())
+        self.threads().map(|_| ())
+    }
+
+    /// The `--threads` value (`0` = the ambient count, the default),
+    /// refused above [`MAX_THREADS`]: every worker is an OS thread.
+    fn threads(&self) -> Result<usize, String> {
+        let threads = self.parsed("--threads", 0)?;
+        if threads > MAX_THREADS {
+            return Err(format!(
+                "flag --threads: {threads} is above the ceiling of {MAX_THREADS} workers"
+            ));
+        }
+        Ok(threads)
     }
 
     fn value_of(&self, name: &str) -> Option<&str> {
@@ -638,7 +667,7 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
             )
         })?],
     };
-    let threads: usize = flags.parsed("--threads", 0)?;
+    let threads: usize = flags.threads()?;
     let trials: u32 = flags.parsed("--trials", 16)?;
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
@@ -815,7 +844,7 @@ fn explore_stdout(flags: &Flags) -> Result<String, String> {
 /// is a pure function of the flags: bit-identical at every thread count,
 /// which is what lets CI diff two runs at different `--threads`.
 fn guided_stdout(flags: &Flags) -> Result<String, String> {
-    let threads: usize = flags.parsed("--threads", 0)?;
+    let threads: usize = flags.threads()?;
     let trials: u32 = flags.parsed("--trials", 64)?;
     if trials == 0 {
         return Err("--trials must be at least 1".to_owned());
@@ -975,7 +1004,7 @@ fn campaign_stdout(flags: &Flags) -> Result<String, String> {
     }
     let cycles: u64 = flags.parsed("--cycles", 10)?;
     let seed: u64 = flags.parsed("--seed", 0xC0FFEE)?;
-    let threads: usize = flags.parsed("--threads", 0)?;
+    let threads: usize = flags.threads()?;
 
     let design = SelfCheckingRamBuilder::new(1024, 16)
         .mux_factor(8)
@@ -1066,7 +1095,7 @@ fn system_stdout(flags: &Flags) -> Result<String, String> {
     }
     let cycles: u64 = flags.parsed("--cycles", 240)?;
     let seed: u64 = flags.parsed("--seed", 0x5E5)?;
-    let threads: usize = flags.parsed("--threads", 0)?;
+    let threads: usize = flags.threads()?;
     let scrub_period: u64 = flags.parsed("--scrub-period", 4)?;
     let checkpoint: u64 = flags.parsed("--checkpoint", 64)?;
     let interleaving = match flags.value_of("--interleave") {
@@ -1168,7 +1197,7 @@ fn diag_stdout(flags: &Flags) -> Result<String, String> {
     }
     let cycles: u64 = flags.parsed("--cycles", 1600)?;
     let seed: u64 = flags.parsed("--seed", 0xD1A6)?;
-    let threads: usize = flags.parsed("--threads", 0)?;
+    let threads: usize = flags.threads()?;
 
     // The small worked RAM: 64x8, 1-of-4 mux, the paper's 3-out-of-5
     // code at a = 9 — big enough for every fault class, small enough for
@@ -1453,7 +1482,7 @@ fn fleet_stdout(flags: &Flags) -> Result<String, String> {
         });
     let options = FleetOptions {
         seed: flags.parsed("--seed", 0xF1EE7)?,
-        threads: flags.parsed("--threads", 0)?,
+        threads: flags.threads()?,
         checkpoint_every,
         checkpoint,
         halt_after,

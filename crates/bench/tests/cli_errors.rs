@@ -179,6 +179,85 @@ fn empty_trace_value_is_rejected_not_treated_as_stdout() {
 }
 
 #[test]
+fn thread_counts_above_the_ceiling_are_refused_before_any_work() {
+    // Each worker is an OS thread, so the value is capped (256). Only
+    // refused values run here: the huge trial counts would take minutes
+    // if any work started, and an accepted huge thread count would ask
+    // the host for that many threads.
+    for (subcommand, work) in [
+        ("campaign", "--trials"),
+        ("system", "--trials"),
+        ("diag", "--trials"),
+        ("explore", "--trials"),
+        ("fleet", "--devices"),
+    ] {
+        for threads in ["257", "100000"] {
+            let out = scm(&[subcommand, "--threads", threads, work, "100000"]);
+            assert_eq!(out.status.code(), Some(2), "{subcommand} {threads}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("--threads: {threads} is above the ceiling of 256")),
+                "{subcommand} {threads}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "errors go to stderr only");
+        }
+    }
+}
+
+#[test]
+fn repeated_flags_are_refused_not_resolved_silently() {
+    for args in [
+        &["campaign", "--trials", "2", "--trials", "3"][..],
+        &["system", "--metrics", "--cycles", "8", "--metrics"],
+        &["campaign", "--trace", "--trials", "1", "--trace=-"],
+        &["fleet", "--threads", "1", "--threads", "2"],
+    ] {
+        let flag = args[1];
+        let out = scm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("flag {flag} is given more than once")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "errors go to stderr only");
+    }
+}
+
+#[test]
+fn a_tampered_fleet_checkpoint_is_refused_on_resume() {
+    let ckpt = std::env::temp_dir().join(format!("scm-cli-tamper-{}.ckpt", std::process::id()));
+    let path = ckpt.display().to_string();
+    let fleet = ["fleet", "--preset", "small", "--devices", "200"];
+    let halt = [
+        "--checkpoint-every",
+        "32",
+        "--checkpoint",
+        &path,
+        "--halt-after",
+        "64",
+    ];
+    let out = scm(&[&fleet[..], &halt].concat());
+    assert_eq!(out.status.code(), Some(0), "halting run: {out:?}");
+    // Inflate one cohort counter; the row still parses.
+    let text = std::fs::read_to_string(&ckpt).expect("halt leaves a checkpoint");
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("cohort edge "))
+        .expect("edge cohort row");
+    let mut fields: Vec<&str> = row.split(' ').collect();
+    let inflated = format!("{}9", fields[4]);
+    fields[4] = &inflated;
+    std::fs::write(&ckpt, text.replacen(row, &fields.join(" "), 1)).unwrap();
+    let out = scm(&[&fleet[..], &["--resume", &path]].concat());
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!(out.status.code(), Some(2), "a tampered checkpoint resumed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report from a refused resume");
+}
+
+#[test]
 fn valid_subcommand_exits_zero() {
     let out = scm(&["help"]);
     assert_eq!(out.status.code(), Some(0));

@@ -26,9 +26,11 @@
 //! next_chunk <idx>   devices_done <u64>
 //! cohort <name> <15 integer accumulators in CohortTelemetry::fields order>
 //! end
+//! checksum <hex FNV-1a of every byte above>
 //! ```
 //!
-//! Resume refuses a checkpoint whose spec digest, seed, engine or chunk
+//! Resume refuses a checkpoint whose checksum is missing or wrong (a
+//! torn or edited file), and one whose spec digest, seed, engine or chunk
 //! size disagree with the requested run — those are different fleets,
 //! and silently splicing them would fabricate telemetry. Thread count
 //! and lane width are deliberately *not* part of the guard: resuming
@@ -37,7 +39,7 @@
 //! bit-identical.
 
 use crate::device::simulate_device;
-use crate::spec::FleetSpec;
+use crate::spec::{fnv1a, FleetSpec};
 use crate::telemetry::CohortTelemetry;
 use scm_diag::{cell_universe, FaultDictionary};
 use scm_memory::campaign::decoder_fault_universe;
@@ -55,6 +57,10 @@ pub const CHUNK_DEVICES: u64 = 8;
 
 /// Checkpoint file header (version-gated).
 const CHECKPOINT_HEADER: &str = "scm-fleet-checkpoint v1";
+
+/// Key of a checkpoint's last line, which carries the FNV-1a checksum of
+/// every byte before it.
+const CHECKSUM_KEY: &str = "checksum ";
 
 /// Domain-separation tag for per-cohort dictionary seeds.
 const DICT_TAG: u64 = 0xF1EE_D1C7;
@@ -385,6 +391,7 @@ impl FleetDriver {
             out.push('\n');
         }
         out.push_str("end\n");
+        let _ = writeln!(out, "{CHECKSUM_KEY}{:016x}", fnv1a(out.as_bytes()));
         out
     }
 
@@ -406,7 +413,7 @@ impl FleetDriver {
     /// Restore cursor + accumulators from checkpoint text, refusing any
     /// identity mismatch.
     fn load_checkpoint(&mut self, text: &str) -> Result<(), String> {
-        let mut lines = text.lines();
+        let mut lines = checked_body(text)?.lines();
         if lines.next() != Some(CHECKPOINT_HEADER) {
             return Err(format!(
                 "not a fleet checkpoint (want '{CHECKPOINT_HEADER}')"
@@ -537,6 +544,29 @@ impl FleetDriver {
         ));
         Ok(())
     }
+}
+
+/// The body of a checkpoint whose closing checksum line (FNV-1a of
+/// every byte before it) matches; a missing or mismatching checksum is
+/// refused, so a torn or edited checkpoint never resumes.
+fn checked_body(text: &str) -> Result<&str, String> {
+    let split = text.rfind(&format!("\n{CHECKSUM_KEY}")).map(|i| i + 1);
+    let Some((body, line)) = split.map(|i| text.split_at(i)) else {
+        return Err("checkpoint has no checksum line (torn or not a fleet checkpoint)".to_owned());
+    };
+    let stored = line
+        .strip_prefix(CHECKSUM_KEY)
+        .and_then(|hex| hex.strip_suffix('\n'))
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| format!("unreadable checkpoint checksum line '{}'", line.trim_end()))?;
+    let actual = fnv1a(body.as_bytes());
+    if stored != actual {
+        return Err(format!(
+            "checkpoint checksum mismatch (stored {stored:016x}, body {actual:016x}): \
+             the file was altered or torn"
+        ));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -684,6 +714,35 @@ mod tests {
             .unwrap()
             .load_checkpoint("not a checkpoint")
             .is_err());
+    }
+
+    #[test]
+    fn tampered_or_torn_checkpoints_are_refused() {
+        let mut a = FleetDriver::new(small(), opts(1)).unwrap();
+        a.next_chunk = 2;
+        a.devices_done = 12;
+        a.telemetry[0].strikes = 48;
+        let text = a.checkpoint_text();
+        let load = |text: &str| {
+            FleetDriver::new(small(), opts(1))
+                .unwrap()
+                .load_checkpoint(text)
+        };
+        load(&text).unwrap();
+        // One digit of a cohort accumulator, 48 -> 49: the row still
+        // parses, so only the checksum can catch it.
+        let row = text.lines().find(|l| l.starts_with("cohort ")).unwrap();
+        let edited = row.replacen(" 48", " 49", 1);
+        assert_ne!(row, edited);
+        let err = load(&text.replacen(row, &edited, 1)).unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // A torn write: the checksum line never landed.
+        let torn = &text[..text.rfind("checksum").unwrap()];
+        let err = load(torn).unwrap_err();
+        assert!(err.contains("no checksum line"), "{err}");
+        // An edited checksum is as bad as an edited body.
+        let err = load(&text.replace("checksum ", "checksum 1")).unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
     }
 
     #[test]

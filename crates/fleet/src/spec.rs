@@ -484,13 +484,16 @@ impl FleetSpec {
     /// FNV-1a digest of the canonical text — the checkpoint's guard
     /// against resuming under a different spec.
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in self.to_text().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x1_0000_01B3);
-        }
-        hash
+        fnv1a(self.to_text().as_bytes())
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: the spec digest and the checkpoint body
+/// checksum.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x1_0000_01B3)
+    })
 }
 
 #[cfg(test)]

@@ -70,12 +70,12 @@ pub struct FaultResult {
 }
 
 impl FaultResult {
-    /// A zeroed row for `scenario` that will fold `trials` outcomes.
-    pub(crate) fn empty(scenario: &FaultScenario, trials: u32) -> Self {
+    /// A zeroed row for `scenario`, before any trial.
+    pub(crate) fn empty(scenario: &FaultScenario) -> Self {
         FaultResult {
             site: scenario.site,
             process: scenario.process,
-            trials,
+            trials: 0,
             undetected: 0,
             error_escapes: 0,
             detection_cycle_sum: 0,
@@ -86,6 +86,7 @@ impl FaultResult {
 
     /// Fold one trial's outcome into the counters.
     pub(crate) fn record(&mut self, out: &DetectionOutcome) {
+        self.trials += 1;
         match out.onset_latency(&self.process) {
             Some(latency) => {
                 self.detected += 1;

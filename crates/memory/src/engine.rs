@@ -23,28 +23,28 @@
 //! contract (DESIGN.md §3a) makes both return the same [`CampaignResult`]
 //! bit for bit.
 //!
-//! The grid is decomposed fault-major into trial blocks
-//! ([`trial_blocks`] at the worker count): when the fault universe is
-//! wide (the common case — thousands of collapsed stuck-ats), each block
-//! is one fault's full trial set; when callers probe few faults with
-//! many trials, trial ranges split so every worker still gets a block.
-//! Blocks are the scheduling unit; workers pull them off a shared queue,
-//! so a fault whose trials detect in one cycle doesn't leave its thread
-//! idle while a slow fault finishes.
+//! Scheduling is not the engine's: both executors hand their grid to
+//! the shared [`LaneGrid`], which packs scenarios into lane packs, cuts
+//! each pack's trials into blocks at the worker count, dispatches them
+//! and folds the outcomes back into one [`FaultResult`] per scenario (or
+//! walks them cell by cell for the trace). The engine supplies the two
+//! pack runners — the slab one, fed by the op-stream arena or, over
+//! [`ARENA_OP_BUDGET`], by regenerated streams, and the generic one —
+//! and the per-cell builders (`FaultResult::record`, `cell_events`).
 
 use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
 use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
-use crate::grid::{dispatch, resolve_threads, trial_blocks, TrialBlock, DEFAULT_SERIAL_THRESHOLD};
-use crate::sim::{measure_detection_on, DetectionOutcome, PackedOutcome};
+use crate::grid::{LaneGrid, PackRunner, DEFAULT_SERIAL_THRESHOLD};
+use crate::sim::{measure_detection_on, DetectionOutcome};
 use crate::sliced::{
-    measure_detection_sliced, shared_trial_seed, slab_words, with_slab_words, SlabTask,
-    SlicedBackend, MAX_SLAB_LANES,
+    measure_detection_sliced, shared_trial_seed, slab_words, SlicedBackend, MAX_SLAB_LANES,
 };
 use crate::workload::{Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec};
 use scm_obs::{sort_chronological, Event, EventKind};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Parallel campaign runner over any [`FaultSimBackend`].
@@ -194,170 +194,31 @@ impl CampaignEngine {
     /// random prefill (the classic `run_campaign` entry point; every
     /// fault pinned from cycle 0).
     pub fn run(&self, config: &RamConfig, faults: &[FaultSite]) -> CampaignResult {
-        let scenarios: Vec<FaultScenario> = faults
-            .iter()
-            .copied()
-            .map(FaultScenario::permanent)
-            .collect();
-        self.run_scenarios(config, &scenarios)
+        self.run_scenarios(config, &permanent(faults))
     }
 
     /// Run a temporal-scenario grid with the campaign convention's random
     /// prefill, on the slab executor unless [`sliced`](Self::sliced)
     /// selected the oracle (the result does not depend on which).
+    ///
+    /// The slab executor packs [`lane_width`](Self::lane_width) scenarios
+    /// per pass; each pack runs at the narrowest multi-word slab that
+    /// fits it ([`slab_words`]), and every trial advances all its lanes
+    /// through one shared op stream, replayed from the op-stream arena
+    /// (or regenerated per block beyond [`ARENA_OP_BUDGET`] —
+    /// bit-identical either way). The trial stream seed depends only on
+    /// `(campaign seed, trial)`, never on lane geometry, so the result is
+    /// bit-identical at any thread count and any lane width.
+    ///
+    /// # Panics
+    /// Panics if the slab executor is selected and the sliced backend
+    /// does not [support](SlicedBackend::supports) one of the scenarios.
     pub fn run_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> CampaignResult {
-        if self.sliced {
-            return self.run_scenarios_sliced(config, scenarios);
+        if !self.sliced {
+            let backend = BehavioralBackend::prefilled(config, self.prefill_seed());
+            return self.run_scenarios_on(&backend, scenarios);
         }
-        let backend = BehavioralBackend::prefilled(config, self.prefill_seed());
-        self.run_scenarios_on(&backend, scenarios)
-    }
-
-    /// Run the scenario × trial grid on the bit-sliced backend: scenarios
-    /// are chunked into lane blocks of [`lane_width`](Self::lane_width),
-    /// each block runs at the narrowest multi-word slab that fits it
-    /// ([`slab_words`]), every trial advances all lanes of a block
-    /// through one shared op-stream, and per-lane detection cycles come
-    /// out of the packed detection masks. Trial streams are materialised
-    /// once in the op-stream arena and replayed by reference per block
-    /// (grids beyond [`ARENA_OP_BUDGET`] regenerate per block instead —
-    /// bit-identical either way). Trial ranges still split across rayon
-    /// workers exactly like the generic path, so results are bit-identical
-    /// at any thread count *and* at any lane width (the trial stream seed
-    /// depends only on `(campaign seed, trial)`, never on lane geometry),
-    /// and equal to [`run_scenarios_on`](Self::run_scenarios_on) over the
-    /// behavioural backend.
-    ///
-    /// # Panics
-    /// Panics if the sliced backend does not
-    /// [support](SlicedBackend::supports) one of the scenarios.
-    pub fn run_scenarios_sliced(
-        &self,
-        config: &RamConfig,
-        scenarios: &[FaultScenario],
-    ) -> CampaignResult {
-        let partials = self.run_slab_grid(
-            config,
-            scenarios,
-            |chunk, block| {
-                chunk
-                    .iter()
-                    .map(|scenario| FaultResult::empty(scenario, block.trials()))
-                    .collect::<Vec<_>>()
-            },
-            |results, outcomes| {
-                for (result, out) in results.iter_mut().zip(outcomes) {
-                    result.record(out);
-                }
-            },
-        );
-        // Fold trial-split partials of the same chunk back together,
-        // lane by lane, then flatten chunk-major — scenario input order.
-        let per_fault: Vec<FaultResult> = merge_partials(partials, |acc, partial| {
-            for (a, p) in acc.iter_mut().zip(&partial) {
-                a.merge(p);
-            }
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        debug_assert_eq!(per_fault.len(), scenarios.len());
-        CampaignResult {
-            per_fault,
-            config: self.campaign,
-        }
-    }
-
-    /// The slab-block executor behind both the result path and the
-    /// trace. Scenarios chunk into lane packs of
-    /// [`lane_width`](Self::lane_width), packs split into trial blocks
-    /// ([`trial_blocks`] at the worker count), and every block runs
-    /// at the narrowest slab that fits its pack: `init` builds the
-    /// block's accumulator, `fold` takes each trial's per-lane outcomes
-    /// in trial order. Returns every block with its accumulator,
-    /// pack-major with ascending trial ranges.
-    ///
-    /// # Panics
-    /// Panics if the sliced backend does not
-    /// [support](SlicedBackend::supports) one of the scenarios.
-    fn run_slab_grid<A: Send>(
-        &self,
-        config: &RamConfig,
-        scenarios: &[FaultScenario],
-        init: impl Fn(&[FaultScenario], TrialBlock) -> A + Sync,
-        fold: impl Fn(&mut A, &[DetectionOutcome]) + Sync,
-    ) -> Vec<(TrialBlock, A)> {
-        if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
-            panic!("backend 'sliced' cannot inject {bad:?}");
-        }
-        let chunks: Vec<&[FaultScenario]> = scenarios.chunks(self.lane_width).collect();
-        let blocks = trial_blocks(
-            chunks.len(),
-            self.campaign.trials,
-            resolve_threads(self.threads),
-        );
-        let streams: Option<Vec<Arc<Vec<Op>>>> = (u64::from(self.campaign.trials)
-            .saturating_mul(self.campaign.cycles)
-            <= ARENA_OP_BUDGET)
-            .then(|| {
-                self.arena.clone().unwrap_or_default().prepare(
-                    &self.model,
-                    self.workload_spec(config),
-                    self.campaign.seed,
-                    self.scrub_period,
-                    self.campaign.trials,
-                    self.campaign.cycles,
-                )
-            });
-        let serial = self.runs_serially(scenarios.len());
-        dispatch(serial, self.threads, &blocks, |block| {
-            let chunk = chunks[block.unit];
-            let mut acc = init(chunk, block);
-            with_slab_words(
-                chunk.len(),
-                SlabBlock {
-                    engine: self,
-                    config,
-                    chunk,
-                    block,
-                    streams: streams.as_deref(),
-                    visit: &mut |outcomes| fold(&mut acc, outcomes),
-                },
-            );
-            acc
-        })
-    }
-
-    /// One trial range of one lane pack at slab width `W`: every trial
-    /// steps all packed scenarios at once and hands the per-lane
-    /// outcomes to `visit`. With `streams` the trial ops replay from the
-    /// arena; without, they regenerate from the model (identical
-    /// sequences either way).
-    fn run_slab_block<const W: usize>(
-        &self,
-        config: &RamConfig,
-        chunk: &[FaultScenario],
-        block: TrialBlock,
-        streams: Option<&[Arc<Vec<Op>>]>,
-        visit: &mut dyn FnMut(&[DetectionOutcome]),
-    ) {
-        let mut backend = SlicedBackend::<W>::prefilled(config, chunk, self.prefill_seed());
-        let spec = self.workload_spec(config);
-        for trial in block.trial_start..block.trial_end {
-            backend.reset();
-            let outcomes = match streams {
-                Some(streams) => {
-                    let mut replay = ReplayOps::new(&streams[trial as usize]);
-                    measure_detection_sliced(&mut backend, &mut replay, self.campaign.cycles)
-                }
-                None => {
-                    let seed = shared_trial_seed(self.campaign.seed, trial);
-                    let mut workload = self.trial_stream(spec, seed);
-                    measure_detection_sliced(&mut backend, workload.as_mut(), self.campaign.cycles)
-                }
-            };
-            visit(&outcomes);
-        }
+        self.fold(&self.slab(config, scenarios), scenarios, self.lane_width)
     }
 
     /// Run the classical permanent grid on clones of `backend`.
@@ -369,15 +230,11 @@ impl CampaignEngine {
     where
         B: FaultSimBackend + Clone + Send + Sync,
     {
-        let scenarios: Vec<FaultScenario> = faults
-            .iter()
-            .copied()
-            .map(FaultScenario::permanent)
-            .collect();
-        self.run_scenarios_on(backend, &scenarios)
+        self.run_scenarios_on(backend, &permanent(faults))
     }
 
-    /// Run the full scenario × trial grid on clones of `backend`.
+    /// Run the full scenario × trial grid on clones of `backend`, one
+    /// scenario per lane pack.
     ///
     /// # Panics
     /// Panics if `backend` does not [support](FaultSimBackend::supports)
@@ -389,39 +246,89 @@ impl CampaignEngine {
         if let Some(bad) = scenarios.iter().find(|s| !backend.supports(s)) {
             panic!("backend '{}' cannot inject {bad:?}", backend.name());
         }
-        let blocks = trial_blocks(
-            scenarios.len(),
-            self.campaign.trials,
-            resolve_threads(self.threads),
+        let runner = OracleRunner {
+            engine: self,
+            backend,
+            scenarios,
+        };
+        self.fold(&runner, scenarios, 1)
+    }
+
+    /// Fold the grid `runner` simulates into one [`FaultResult`] per
+    /// scenario, input order.
+    fn fold(
+        &self,
+        runner: &impl PackRunner,
+        scenarios: &[FaultScenario],
+        width: usize,
+    ) -> CampaignResult {
+        let per_fault = self.grid(scenarios.len(), width).fold(
+            runner,
+            |p, _| FaultResult::empty(&scenarios[p]),
+            FaultResult::record,
+            |row, part| row.merge(&part),
         );
-        let serial = self.runs_serially(scenarios.len());
-        let partials = dispatch(serial, self.threads, &blocks, |block| {
-            self.run_block(backend.clone(), scenarios[block.unit], block)
-        });
-        let per_fault = merge_partials(partials, |acc, partial| acc.merge(&partial));
-        debug_assert_eq!(per_fault.len(), scenarios.len());
         CampaignResult {
             per_fault,
             config: self.campaign,
         }
     }
 
+    /// The lane grid of a `scenarios`-wide universe, `width` lanes per
+    /// pack.
+    fn grid(&self, scenarios: usize, width: usize) -> LaneGrid {
+        LaneGrid::new(
+            &self.campaign,
+            self.threads,
+            self.serial_threshold,
+            width,
+            scenarios,
+            |_| 0,
+        )
+    }
+
+    /// The slab executor over `scenarios`, with the trial streams
+    /// materialised in the op-stream arena while the grid fits
+    /// [`ARENA_OP_BUDGET`].
+    ///
+    /// # Panics
+    /// Panics if the sliced backend does not
+    /// [support](SlicedBackend::supports) one of the scenarios.
+    fn slab<'a>(&'a self, config: &'a RamConfig, scenarios: &'a [FaultScenario]) -> SlabRunner<'a> {
+        if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
+            panic!("backend 'sliced' cannot inject {bad:?}");
+        }
+        let streams = (u64::from(self.campaign.trials).saturating_mul(self.campaign.cycles)
+            <= ARENA_OP_BUDGET)
+            .then(|| {
+                self.arena.clone().unwrap_or_default().prepare(
+                    &self.model,
+                    self.workload_spec(config),
+                    self.campaign.seed,
+                    self.scrub_period,
+                    self.campaign.trials,
+                    self.campaign.cycles,
+                )
+            });
+        SlabRunner {
+            engine: self,
+            config,
+            scenarios,
+            streams,
+        }
+    }
+
     /// Trace the permanent grid: the scenario-level twin of
     /// [`run`](Self::run).
     pub fn trace(&self, config: &RamConfig, faults: &[FaultSite]) -> Vec<Event> {
-        let scenarios: Vec<FaultScenario> = faults
-            .iter()
-            .copied()
-            .map(FaultScenario::permanent)
-            .collect();
-        self.trace_scenarios(config, &scenarios)
+        self.trace_scenarios(config, &permanent(faults))
     }
 
     /// The scenario × trial grid as a structured event trace.
     ///
-    /// The trace runs the same slab-block executor as
-    /// [`run_scenarios_sliced`](Self::run_scenarios_sliced) — same lane
-    /// packs, trial blocks, op-stream arena and thread dispatch — and
+    /// The trace runs the slab executor of
+    /// [`run_scenarios`](Self::run_scenarios) on the same lane grid — same
+    /// lane packs, trial blocks, op-stream arena and thread dispatch — and
     /// derives each cell's events from the per-lane detection outcome
     /// the slab pass returns, assembled in canonical `(fault, trial)`
     /// order. The lane-exactness contract (DESIGN.md §3a) makes that
@@ -436,48 +343,13 @@ impl CampaignEngine {
     /// Panics if the sliced backend does not
     /// [support](SlicedBackend::supports) one of the scenarios.
     pub fn trace_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> Vec<Event> {
-        let partials = self.run_slab_grid(
-            config,
-            scenarios,
-            |chunk, block| Vec::with_capacity(chunk.len() * block.trials() as usize),
-            |packed: &mut Vec<PackedOutcome>, outcomes| {
-                packed.extend(outcomes.iter().map(PackedOutcome::pack));
-            },
-        );
         let sweep_len = self.sweep_len(config);
-        // Walk the cells in canonical (fault, trial) order: a pack's
-        // blocks are adjacent, each holding its trials' outcomes
-        // trial-major, so every lane reads across the pack's blocks.
-        let for_each_cell = |f: &mut dyn FnMut(&FaultScenario, u32, u32, &DetectionOutcome)| {
-            for pack in partials.chunk_by(|a, b| a.0.unit == b.0.unit) {
-                let first = pack[0].0.unit * self.lane_width;
-                let lanes = scenarios[first..].len().min(self.lane_width);
-                for lane in 0..lanes {
-                    let fault = (first + lane) as u32;
-                    for (block, packed) in pack {
-                        for trial in block.trial_start..block.trial_end {
-                            let i = (trial - block.trial_start) as usize * lanes + lane;
-                            let out = packed[i].unpack(self.campaign.cycles);
-                            f(&scenarios[first + lane], fault, trial, &out);
-                        }
-                    }
-                }
-            }
-        };
-        // Size the output exactly before writing it once: the trace is
-        // the largest allocation of a traced pass.
-        let mut scratch = Vec::new();
-        let mut total = 0;
-        for_each_cell(&mut |scenario, fault, trial, out| {
-            scratch.clear();
-            cell_events(scenario, fault, trial, out, sweep_len, &mut scratch);
-            total += scratch.len();
-        });
-        let mut events = Vec::with_capacity(total);
-        for_each_cell(&mut |scenario, fault, trial, out| {
-            cell_events(scenario, fault, trial, out, sweep_len, &mut events);
-        });
-        events
+        self.grid(scenarios.len(), self.lane_width).cells(
+            &self.slab(config, scenarios),
+            |p, trial, out, events| {
+                cell_events(&scenarios[p], p as u32, trial, out, sweep_len, events);
+            },
+        )
     }
 
     /// Cycles one full scrub sweep of `config` takes (`0` = no scrubber).
@@ -487,12 +359,6 @@ impl CampaignEngine {
         self.scrub_period
             .checked_mul(config.org().words())
             .unwrap_or(0)
-    }
-
-    /// Is this grid small enough for the serial fast path?
-    fn runs_serially(&self, scenarios: usize) -> bool {
-        self.serial_threshold > 0
-            && scenarios as u64 * self.campaign.trials as u64 <= self.serial_threshold
     }
 
     /// The workload shape every trial stream of `config` is drawn with.
@@ -521,68 +387,93 @@ impl CampaignEngine {
     fn prefill_seed(&self) -> u64 {
         self.campaign.seed ^ 0xF1E1D1
     }
-
-    fn run_block<B: FaultSimBackend>(
-        &self,
-        mut backend: B,
-        scenario: FaultScenario,
-        block: TrialBlock,
-    ) -> FaultResult {
-        let spec = self.workload_spec(backend.config());
-        let mut result = FaultResult::empty(&scenario, block.trials());
-        for trial in block.trial_start..block.trial_end {
-            backend.reset(Some(&scenario));
-            let seed = shared_trial_seed(self.campaign.seed, trial);
-            let mut workload = self.trial_stream(spec, seed);
-            let out = measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles);
-            result.record(&out);
-        }
-        result
-    }
 }
 
-/// One trial block of one lane pack, runnable at any slab width.
-struct SlabBlock<'a> {
+/// The slab executor: each lane pack runs on one [`SlicedBackend`], its
+/// trials replayed from the op-stream arena or, over budget, regenerated
+/// from the model (identical sequences either way).
+struct SlabRunner<'a> {
     engine: &'a CampaignEngine,
     config: &'a RamConfig,
-    chunk: &'a [FaultScenario],
-    block: TrialBlock,
-    streams: Option<&'a [Arc<Vec<Op>>]>,
-    visit: &'a mut dyn FnMut(&[DetectionOutcome]),
+    scenarios: &'a [FaultScenario],
+    streams: Option<Vec<Arc<Vec<Op>>>>,
 }
 
-impl SlabTask for SlabBlock<'_> {
-    type Output = ();
-
-    fn run<const W: usize>(self) {
-        self.engine.run_slab_block::<W>(
-            self.config,
-            self.chunk,
-            self.block,
-            self.streams,
-            self.visit,
-        );
-    }
-}
-
-/// Fold the trial-split partials of each grid unit back into one, in
-/// unit order. Blocks are unit-major with ascending trial ranges, so a
-/// unit's partials are adjacent.
-fn merge_partials<T>(partials: Vec<(TrialBlock, T)>, mut merge: impl FnMut(&mut T, T)) -> Vec<T> {
-    let mut merged: Vec<T> = Vec::new();
-    let mut last = usize::MAX;
-    for (block, partial) in partials {
-        if block.unit == last {
-            merge(
-                merged.last_mut().expect("a merge always follows a push"),
-                partial,
-            );
-        } else {
-            merged.push(partial);
-            last = block.unit;
+impl PackRunner for SlabRunner<'_> {
+    fn run_pack<const W: usize>(
+        &self,
+        positions: &[usize],
+        trials: Range<u32>,
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
+        let engine = self.engine;
+        let pack: Vec<FaultScenario> = positions.iter().map(|&p| self.scenarios[p]).collect();
+        let mut backend = SlicedBackend::<W>::prefilled(self.config, &pack, engine.prefill_seed());
+        let spec = engine.workload_spec(self.config);
+        let cycles = engine.campaign.cycles;
+        for trial in trials {
+            backend.reset();
+            let outcomes = match &self.streams {
+                Some(streams) => {
+                    let mut replay = ReplayOps::new(&streams[trial as usize]);
+                    measure_detection_sliced(&mut backend, &mut replay, cycles)
+                }
+                None => {
+                    let seed = shared_trial_seed(engine.campaign.seed, trial);
+                    let mut workload = engine.trial_stream(spec, seed);
+                    measure_detection_sliced(&mut backend, workload.as_mut(), cycles)
+                }
+            };
+            visit(&outcomes);
         }
     }
-    merged
+}
+
+/// The generic executor: a clone of `backend` steps each lane's
+/// scenario on its own, drawing every cell's stream itself — the path
+/// for backends the slab cannot run, and the oracle the slab is held to.
+struct OracleRunner<'a, B> {
+    engine: &'a CampaignEngine,
+    backend: &'a B,
+    scenarios: &'a [FaultScenario],
+}
+
+impl<B: FaultSimBackend + Clone + Sync> PackRunner for OracleRunner<'_, B> {
+    fn run_pack<const W: usize>(
+        &self,
+        positions: &[usize],
+        trials: Range<u32>,
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
+        let engine = self.engine;
+        let mut backend = self.backend.clone();
+        let spec = engine.workload_spec(backend.config());
+        let cycles = engine.campaign.cycles;
+        let mut outcomes = Vec::with_capacity(positions.len());
+        for trial in trials {
+            outcomes.clear();
+            for &p in positions {
+                backend.reset(Some(&self.scenarios[p]));
+                let seed = shared_trial_seed(engine.campaign.seed, trial);
+                let mut workload = engine.trial_stream(spec, seed);
+                outcomes.push(measure_detection_on(
+                    &mut backend,
+                    workload.as_mut(),
+                    cycles,
+                ));
+            }
+            visit(&outcomes);
+        }
+    }
+}
+
+/// The classical grid's scenarios: every fault pinned from cycle 0.
+fn permanent(faults: &[FaultSite]) -> Vec<FaultScenario> {
+    faults
+        .iter()
+        .copied()
+        .map(FaultScenario::permanent)
+        .collect()
 }
 
 /// The onset event of a trial that ran `cycles_run` cycles: an SEU
@@ -1077,6 +968,73 @@ mod tests {
         assert_eq!(result.determinism_profile(), narrow.determinism_profile());
     }
 
+    /// The behavioural reference the trace must equal: every
+    /// `(fault, trial)` cell measured one at a time on a prefilled
+    /// behavioural backend with the shared-stream trial seeding,
+    /// its events built by the trace's own cell builder.
+    fn behavioural_trace(
+        engine: &CampaignEngine,
+        cfg: &RamConfig,
+        scenarios: &[FaultScenario],
+    ) -> Vec<Event> {
+        let campaign = engine.campaign;
+        let mut backend = BehavioralBackend::prefilled(cfg, engine.prefill_seed());
+        let spec = engine.workload_spec(cfg);
+        let sweep_len = engine.sweep_len(cfg);
+        let mut events = Vec::new();
+        for (fidx, scenario) in scenarios.iter().enumerate() {
+            for trial in 0..campaign.trials {
+                backend.reset(Some(scenario));
+                let seed = shared_trial_seed(campaign.seed, trial);
+                let mut stream = engine.trial_stream(spec, seed);
+                let out = measure_detection_on(&mut backend, stream.as_mut(), campaign.cycles);
+                cell_events(scenario, fidx as u32, trial, &out, sweep_len, &mut events);
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn over_budget_grids_regenerate_streams_and_match_the_oracle() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // One trial one op past the arena budget: no stream is
+        // materialised, every slab block draws its own. The faults all
+        // detect within a few dozen cycles, so the long horizon costs
+        // nothing.
+        let cfg = config();
+        let scenarios: Vec<FaultScenario> = row_faults()[..4]
+            .iter()
+            .copied()
+            .map(FaultScenario::permanent)
+            .collect();
+        let campaign = CampaignConfig {
+            cycles: ARENA_OP_BUDGET + 1,
+            trials: 1,
+            seed: 21,
+            write_fraction: 0.1,
+        };
+        let calls = Arc::new(AtomicU64::new(0));
+        let engine = CampaignEngine::new(campaign)
+            .workload_model(Arc::new(CountingModel {
+                inner: Arc::new(UniformRandom),
+                calls: calls.clone(),
+            }))
+            .lane_width(2);
+        let result = engine.run_scenarios(&cfg, &scenarios);
+        assert!(result.per_fault.iter().all(|f| f.detected == 1));
+        assert_eq!(
+            calls.swap(0, Ordering::Relaxed),
+            2,
+            "two lane packs each regenerate the trial's stream"
+        );
+        let oracle = engine.clone().sliced(false).run_scenarios(&cfg, &scenarios);
+        assert_eq!(result.determinism_profile(), oracle.determinism_profile());
+        assert_eq!(
+            engine.trace_scenarios(&cfg, &scenarios),
+            behavioural_trace(&engine, &cfg, &scenarios)
+        );
+    }
+
     mod trace_props {
         use super::*;
         use crate::fault::{CellRef, CouplingKind};
@@ -1123,32 +1081,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        /// The behavioural reference the trace must equal: every
-        /// `(fault, trial)` cell measured one at a time on a prefilled
-        /// behavioural backend with the shared-stream trial seeding,
-        /// its events built by the trace's own cell builder.
-        fn oracle(
-            engine: &CampaignEngine,
-            cfg: &RamConfig,
-            scenarios: &[FaultScenario],
-        ) -> Vec<Event> {
-            let campaign = engine.campaign;
-            let mut backend = BehavioralBackend::prefilled(cfg, engine.prefill_seed());
-            let spec = engine.workload_spec(cfg);
-            let sweep_len = engine.sweep_len(cfg);
-            let mut events = Vec::new();
-            for (fidx, scenario) in scenarios.iter().enumerate() {
-                for trial in 0..campaign.trials {
-                    backend.reset(Some(scenario));
-                    let seed = shared_trial_seed(campaign.seed, trial);
-                    let mut stream = engine.trial_stream(spec, seed);
-                    let out = measure_detection_on(&mut backend, stream.as_mut(), campaign.cycles);
-                    cell_events(scenario, fidx as u32, trial, &out, sweep_len, &mut events);
-                }
-            }
-            events
         }
 
         proptest! {
@@ -1229,7 +1161,7 @@ mod tests {
                 // On the 64-word test RAM a period-1 scrubber completes
                 // a sweep every 64 cycles, so long horizons emit sweeps.
                 let engine = CampaignEngine::new(campaign).scrub(scrub);
-                let reference = oracle(&engine, &cfg, &scenarios);
+                let reference = behavioural_trace(&engine, &cfg, &scenarios);
                 for width in [1usize, 17, 64, 512] {
                     for threads in [1usize, 2, 4] {
                         let trace = engine

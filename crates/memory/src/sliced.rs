@@ -1446,6 +1446,21 @@ pub fn measure_detection_sliced<const W: usize, S: OpSource + ?Sized>(
     workload: &mut S,
     cycles: u64,
 ) -> Vec<DetectionOutcome> {
+    let ops = (0..cycles).map(|cycle| (cycle, workload.next_op()));
+    measure_detection_sliced_at(backend, ops, cycles)
+}
+
+/// [`measure_detection_sliced`] over a sparse stream of `(cycle, op)`
+/// pairs in ascending cycle order, within a horizon of `cycles`: the
+/// activation clock jumps over the cycles the stream skips (from a reset
+/// clock), which is exactly stepping them idle, since an idle cycle
+/// changes nothing but the clock. A system bank runs on its projection
+/// of the global event stream this way.
+pub fn measure_detection_sliced_at<const W: usize>(
+    backend: &mut SlicedBackend<W>,
+    ops: impl IntoIterator<Item = (u64, Op)>,
+    cycles: u64,
+) -> Vec<DetectionOutcome> {
     let all = backend.lane_mask();
     let mut out = vec![
         DetectionOutcome {
@@ -1457,10 +1472,11 @@ pub fn measure_detection_sliced<const W: usize, S: OpSource + ?Sized>(
     ];
     let mut seen_err = LaneSet::EMPTY;
     let mut seen_det = LaneSet::EMPTY;
-    for cycle in 0..cycles {
-        let obs = backend.step(workload.next_op());
+    for (cycle, op) in ops {
+        backend.advance(cycle.saturating_sub(backend.cycle()));
+        let obs = backend.step(op);
         let pending = !seen_det;
-        let new_err = obs.erroneous & pending & !seen_err;
+        let new_err = obs.erroneous & pending & !seen_err & all;
         new_err.for_each_lane(|l| out[l].first_error = Some(cycle));
         seen_err |= new_err;
         let new_det = obs.detected() & pending & all;

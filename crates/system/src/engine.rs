@@ -30,29 +30,31 @@
 //! Two executors run the one estimator: the slab executor (the default)
 //! packs a bank's faults into the lanes of a bit-sliced pass, the generic
 //! executor steps a behavioural bank one fault at a time and is the
-//! oracle the slab path is tested against (`.sliced(false)`). Both hand
+//! oracle the slab path is tested against (`.sliced(false)`). Both run on
+//! the shared [`LaneGrid`], which packs the universe bank by bank,
+//! schedules the trial blocks and reassembles their outcomes; both hand
 //! every trial's per-fault [`DetectionOutcome`] to the same fold —
 //! [`SystemFaultResult`]'s accounting for results, one cell-event builder
-//! for traces — so the executor cannot change a number.
+//! for traces — so the executor cannot change a number. The engine's own
+//! part is each executor's trial loop and the bank's traffic: projected
+//! once per `(bank, trial)` into an arena, or walked off the clock per
+//! pack when the grid exceeds [`ARENA_OP_BUDGET`].
 
 use crate::clock::{CheckpointSchedule, SystemClock};
 use crate::seu::SeuProcess;
 use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
 use scm_memory::arena::ARENA_OP_BUDGET;
-use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
+use scm_memory::backend::FaultSimBackend;
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::engine::onset_event;
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
-use scm_memory::grid::{
-    dispatch, resolve_threads, trial_blocks, TrialBlock, DEFAULT_SERIAL_THRESHOLD,
-};
-use scm_memory::sim::{DetectionOutcome, PackedOutcome};
-use scm_memory::sliced::{
-    with_slab_words, LaneSet, SlabTask, SlicedBackend, SlicedObservation, MAX_SLAB_LANES,
-};
+use scm_memory::grid::{LaneGrid, PackRunner, DEFAULT_SERIAL_THRESHOLD};
+use scm_memory::sim::DetectionOutcome;
+use scm_memory::sliced::{measure_detection_sliced_at, SlicedBackend, MAX_SLAB_LANES};
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Domain-separation tag for the shared traffic streams (seeded per
@@ -123,11 +125,11 @@ pub struct SystemFaultResult {
 }
 
 impl SystemFaultResult {
-    /// A zeroed row for `fault` that will fold `trials` trials.
-    fn empty(fault: SystemFault, trials: u32) -> Self {
+    /// A zeroed row for `fault`, before any trial.
+    fn empty(fault: SystemFault) -> Self {
         SystemFaultResult {
             fault,
-            trials,
+            trials: 0,
             detected: 0,
             undetected: 0,
             error_escapes: 0,
@@ -142,6 +144,7 @@ impl SystemFaultResult {
     /// (censored) for an undetected one; an escape when an erroneous
     /// output preceded any indication.
     fn record(&mut self, out: &DetectionOutcome, checkpoint: &CheckpointSchedule, horizon: u64) {
+        self.trials += 1;
         match Detection::of(&self.fault.process, out, checkpoint) {
             Some(d) => {
                 self.detected += 1;
@@ -362,16 +365,6 @@ impl SystemResult {
     }
 }
 
-/// One lane chunk of the grid: universe entries of the same bank,
-/// addressed by their positions in the input universe — up to
-/// [`MAX_SLAB_LANES`] of them on the slab executor, exactly one on the
-/// generic executor.
-#[derive(Debug, Clone)]
-struct LaneChunk {
-    bank: usize,
-    positions: Vec<usize>,
-}
-
 /// The parallel system campaign runner.
 #[derive(Debug, Clone)]
 pub struct SystemCampaign {
@@ -444,11 +437,6 @@ impl SystemCampaign {
         self
     }
 
-    fn runs_serially(&self, faults: usize) -> bool {
-        self.serial_threshold > 0
-            && faults as u64 * self.campaign.trials as u64 <= self.serial_threshold
-    }
-
     /// The system under campaign.
     pub fn system(&self) -> &SystemConfig {
         &self.system
@@ -507,32 +495,13 @@ impl SystemCampaign {
     /// Panics if a universe entry names a bank outside the system, or if
     /// the slab executor cannot inject one.
     pub fn run(&self, universe: &[SystemFault]) -> SystemResult {
-        let (chunks, partials) = self.run_grid(
-            universe,
-            |chunk, block| {
-                chunk
-                    .positions
-                    .iter()
-                    .map(|&p| SystemFaultResult::empty(universe[p], block.trials()))
-                    .collect::<Vec<_>>()
-            },
-            |results, outcomes| {
-                for (result, out) in results.iter_mut().zip(outcomes) {
-                    result.record(out, &self.system.checkpoint, self.campaign.cycles);
-                }
-            },
+        let (grid, runner) = self.executor(universe);
+        let per_fault = grid.fold(
+            &runner,
+            |p, _| SystemFaultResult::empty(universe[p]),
+            |row, out| row.record(out, &self.system.checkpoint, self.campaign.cycles),
+            |row, part| row.merge(&part),
         );
-        // Scatter lane results back onto universe positions; the per-trial
-        // counters commute, so trial splits of one chunk just sum.
-        let mut per_fault: Vec<SystemFaultResult> = universe
-            .iter()
-            .map(|&fault| SystemFaultResult::empty(fault, 0))
-            .collect();
-        for (block, partial) in &partials {
-            for (&pos, lane) in chunks[block.unit].positions.iter().zip(partial) {
-                per_fault[pos].merge(lane);
-            }
-        }
         SystemResult {
             per_fault,
             campaign: self.campaign,
@@ -546,48 +515,21 @@ impl SystemCampaign {
     /// global system clock.
     ///
     /// The trace runs the same executor as [`run`](Self::run) — same lane
-    /// chunks, trial blocks, projection arena and thread dispatch — and
-    /// derives each cell's events from the per-lane outcome that pass
-    /// returns, assembled in canonical `(universe position, trial)` order.
-    /// Both executors yield the same outcomes, so the trace is a pure
-    /// function of `(seed, bank, fault index, trial)`: bit-identical at
-    /// any thread count, lane width and executor. It is a second pass,
-    /// not a tap: the result path never consults it, so tracing off costs
-    /// nothing.
+    /// grid, projection arena and thread dispatch — and derives each
+    /// cell's events from the per-lane outcome that pass returns,
+    /// assembled in canonical `(universe position, trial)` order. Both
+    /// executors yield the same outcomes, so the trace is a pure function
+    /// of `(seed, bank, fault index, trial)`: bit-identical at any thread
+    /// count, lane width and executor. It is a second pass, not a tap:
+    /// the result path never consults it, so tracing off costs nothing.
     ///
     /// # Panics
     /// As [`run`](Self::run).
     pub fn trace(&self, universe: &[SystemFault]) -> Vec<Event> {
-        let (chunks, partials) = self.run_grid(
-            universe,
-            |chunk, block| Vec::with_capacity(chunk.positions.len() * block.trials() as usize),
-            |packed: &mut Vec<PackedOutcome>, outcomes| {
-                packed.extend(outcomes.iter().map(PackedOutcome::pack));
-            },
-        );
-        // Where each universe entry rides: (chunk, lane).
-        let mut slot = vec![(0, 0); universe.len()];
-        for (c, chunk) in chunks.iter().enumerate() {
-            for (lane, &pos) in chunk.positions.iter().enumerate() {
-                slot[pos] = (c, lane);
-            }
-        }
-        // A chunk's blocks are adjacent with ascending trial ranges, each
-        // holding its trials' outcomes trial-major.
-        let packs: Vec<&[(TrialBlock, Vec<PackedOutcome>)]> =
-            partials.chunk_by(|a, b| a.0.unit == b.0.unit).collect();
-        let mut events = Vec::new();
-        for (fault, &(c, lane)) in universe.iter().zip(&slot) {
-            let lanes = chunks[c].positions.len();
-            for (block, packed) in packs[c] {
-                for trial in block.trial_start..block.trial_end {
-                    let i = (trial - block.trial_start) as usize * lanes + lane;
-                    let out = packed[i].unpack(self.campaign.cycles);
-                    self.cell_events(fault, trial, &out, &mut events);
-                }
-            }
-        }
-        events
+        let (grid, runner) = self.executor(universe);
+        grid.cells(&runner, |p, trial, out, events| {
+            self.cell_events(&universe[p], trial, out, events);
+        })
     }
 
     /// Append the events of one `(fault, trial)` cell, chronologically
@@ -628,22 +570,12 @@ impl SystemCampaign {
         sort_chronological(&mut events[start..]);
     }
 
-    /// The grid executor behind both [`run`](Self::run) and
-    /// [`trace`](Self::trace). Universe entries group bank-major into
-    /// lane chunks — [`lane_width`](Self::lane_width) wide on the slab
-    /// executor, one fault each on the generic one — chunks split into
-    /// trial blocks ([`trial_blocks`] at the worker count), and every block
-    /// runs on the executor [`sliced`](Self::sliced) selects: `init`
-    /// builds the block's accumulator, `fold` takes each trial's
-    /// per-lane outcomes in trial order. Returns the chunks and every
-    /// block with its accumulator, chunk-major with ascending trial
-    /// ranges.
-    fn run_grid<A: Send>(
-        &self,
-        universe: &[SystemFault],
-        init: impl Fn(&LaneChunk, TrialBlock) -> A + Sync,
-        fold: impl Fn(&mut A, &[DetectionOutcome]) + Sync,
-    ) -> (Vec<LaneChunk>, Vec<(TrialBlock, A)>) {
+    /// The lane grid and pack runner behind both [`run`](Self::run) and
+    /// [`trace`](Self::trace). Universe entries pack bank by bank —
+    /// [`lane_width`](Self::lane_width) lanes on the slab executor, one on
+    /// the generic one — and every pack runs on the executor
+    /// [`sliced`](Self::sliced) selects.
+    fn executor<'a>(&'a self, universe: &'a [SystemFault]) -> (LaneGrid, BankRunner<'a>) {
         if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
             panic!(
                 "fault targets bank {} of a {}-bank system",
@@ -651,62 +583,32 @@ impl SystemCampaign {
                 self.system.num_banks()
             );
         }
-        // The slab executor packs `lane_width` faults per chunk and
-        // replays the projection arena; the generic executor runs one
-        // fault per chunk on clones of a prefilled behavioural template.
-        let (width, template, projections) = if self.sliced {
+        let (width, executor) = if self.sliced {
             if let Some(bad) = universe
                 .iter()
                 .find(|f| !SlicedBackend::<1>::supports(&f.scenario()))
             {
                 panic!("backend 'sliced' cannot inject {:?}", bad.scenario());
             }
-            (self.lane_width, None, self.projections(universe))
+            (self.lane_width, Executor::Slab(self.projections(universe)))
         } else {
             let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-            (1, Some(template), None)
+            (1, Executor::Oracle(template))
         };
-        let mut chunks: Vec<LaneChunk> = Vec::new();
-        for bank in 0..self.system.num_banks() {
-            let positions: Vec<usize> = (0..universe.len())
-                .filter(|&i| universe[i].bank == bank)
-                .collect();
-            for chunk in positions.chunks(width) {
-                chunks.push(LaneChunk {
-                    bank,
-                    positions: chunk.to_vec(),
-                });
-            }
-        }
-        let blocks = trial_blocks(
-            chunks.len(),
-            self.campaign.trials,
-            resolve_threads(self.threads),
+        let grid = LaneGrid::new(
+            &self.campaign,
+            self.threads,
+            self.serial_threshold,
+            width,
+            universe.len(),
+            |p| universe[p].bank,
         );
-        let serial = self.runs_serially(universe.len());
-        let partials = dispatch(serial, self.threads, &blocks, |block| {
-            let chunk = &chunks[block.unit];
-            let mut acc = init(chunk, block);
-            let visit = &mut |outcomes: &[DetectionOutcome]| fold(&mut acc, outcomes);
-            match &template {
-                Some(template) => {
-                    self.run_generic_block(template, universe[chunk.positions[0]], block, visit)
-                }
-                None => with_slab_words(
-                    chunk.positions.len(),
-                    SlabBlock {
-                        campaign: self,
-                        chunk,
-                        universe,
-                        block,
-                        projections: projections.as_ref(),
-                        visit,
-                    },
-                ),
-            }
-            acc
-        });
-        (chunks, partials)
+        let runner = BankRunner {
+            campaign: self,
+            universe,
+            executor,
+        };
+        (grid, runner)
     }
 
     /// Traffic seed of one `(bank, trial)` system event stream: shared by
@@ -720,11 +622,33 @@ impl SystemCampaign {
         )
     }
 
+    /// One `(bank, trial)` system event stream walked on the global clock:
+    /// every global cycle of the horizon with the bank that cycle's
+    /// event targets.
+    fn clock_walk(&self, bank: usize, trial: u32) -> impl Iterator<Item = (u64, usize, Op)> + '_ {
+        let spec = self.system.workload_spec(self.campaign.write_fraction);
+        let traffic = self.model.stream(spec, self.traffic_seed(bank, trial));
+        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+        (0..self.campaign.cycles).map(move |cycle| {
+            let (target, op) = clock.next_event().target();
+            (cycle, target, op)
+        })
+    }
+
+    /// The `(global cycle, op)` pairs `bank` serves within the horizon of
+    /// one trial's system event stream. Pure in `(campaign seed, model,
+    /// bank, trial)` — fault-blind by construction, which is what lets
+    /// every lane pack of the bank replay the same projection.
+    fn bank_traffic(&self, bank: usize, trial: u32) -> impl Iterator<Item = (u64, Op)> + '_ {
+        self.clock_walk(bank, trial)
+            .filter_map(move |(cycle, target, op)| (target == bank).then_some((cycle, op)))
+    }
+
     /// The projection arena: every `(bank, trial)` event stream projected
-    /// onto its bank once, shared read-only by every lane chunk and trial
+    /// onto its bank once, shared read-only by every lane pack and trial
     /// block of that bank. Walk cost is banks × trials × cycles, so the
     /// op budget that bounds the campaign arena bounds it; over budget
-    /// (`None`) every chunk regenerates its streams on the fly.
+    /// (`None`) every pack walks its streams on the fly.
     fn projections(&self, universe: &[SystemFault]) -> Option<Projections> {
         let banks_used: BTreeSet<usize> = universe.iter().map(|f| f.bank).collect();
         let walk_cells = (banks_used.len() as u64)
@@ -734,202 +658,110 @@ impl SystemCampaign {
             let mut map = HashMap::new();
             for &bank in &banks_used {
                 for trial in 0..self.campaign.trials {
-                    map.insert(
-                        (bank, trial),
-                        Arc::new(self.project_bank_traffic(bank, trial)),
-                    );
+                    map.insert((bank, trial), self.bank_traffic(bank, trial).collect());
                 }
             }
             map
         })
     }
-
-    /// Project one `(bank, trial)` shared system event stream onto the
-    /// bank: the `(global cycle, op)` pairs the bank actually serves
-    /// within the horizon. Pure in `(campaign seed, model, bank,
-    /// trial)` — fault-blind by construction, which is what lets every
-    /// lane chunk of the bank replay the same projection.
-    fn project_bank_traffic(&self, bank: usize, trial: u32) -> Vec<(u64, Op)> {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let traffic = self.model.stream(spec, self.traffic_seed(bank, trial));
-        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-        let mut events = Vec::new();
-        for cycle in 0..self.campaign.cycles {
-            let (target, op) = clock.next_event().target();
-            if target == bank {
-                events.push((cycle, op));
-            }
-        }
-        events
-    }
-
-    /// One trial range of one fault on the generic executor: a clone of
-    /// the faulted bank's prefilled behavioural backend walks the whole
-    /// global event stream cycle by cycle, and each trial hands its
-    /// outcome to `visit`. This is the oracle the slab executor is held
-    /// to.
-    fn run_generic_block(
-        &self,
-        template: &MemorySystem,
-        fault: SystemFault,
-        block: TrialBlock,
-        visit: &mut dyn FnMut(&[DetectionOutcome]),
-    ) {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let scenario = fault.scenario();
-        let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
-        for trial in block.trial_start..block.trial_end {
-            backend.reset(Some(&scenario));
-            let traffic = self
-                .model
-                .stream(spec, self.traffic_seed(fault.bank, trial));
-            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-            let mut out = DetectionOutcome {
-                cycles_run: self.campaign.cycles,
-                ..DetectionOutcome::default()
-            };
-            for cycle in 0..self.campaign.cycles {
-                let (bank, op) = clock.next_event().target();
-                if bank != fault.bank {
-                    // Fault-free banks are exactly silent, but the
-                    // faulted bank's temporal process rides the *global*
-                    // clock: an SEU strikes whether or not traffic is
-                    // routed to the bank that cycle.
-                    backend.advance(1);
-                    continue;
-                }
-                let obs = backend.step(op);
-                if obs.erroneous.unwrap_or(false) && out.first_error.is_none() {
-                    out.first_error = Some(cycle);
-                }
-                if obs.detected() {
-                    // Latched indication: the trial is complete.
-                    out.first_detection = Some(cycle);
-                    out.cycles_run = cycle + 1;
-                    break;
-                }
-            }
-            visit(std::slice::from_ref(&out));
-        }
-    }
-
-    /// One trial range of one lane chunk on the slab executor: all
-    /// packed faults of one bank ride the same global event stream,
-    /// lanes latch their own first error / first detection out of the
-    /// packed observation masks, and each trial hands the per-lane
-    /// outcomes to `visit`.
-    ///
-    /// With a projection arena in hand the trial replays only the
-    /// cycles the bank serves, jumping the activation clock over the
-    /// gaps — exactly equivalent to stepping idle cycles one by one,
-    /// because an unserved bank cycle changes nothing but the clock.
-    fn run_slab_block<const W: usize>(
-        &self,
-        chunk: &LaneChunk,
-        universe: &[SystemFault],
-        block: TrialBlock,
-        projections: Option<&Projections>,
-        visit: &mut dyn FnMut(&[DetectionOutcome]),
-    ) {
-        let scenarios: Vec<FaultScenario> = chunk
-            .positions
-            .iter()
-            .map(|&p| universe[p].scenario())
-            .collect();
-        let cfg = &self.system.banks[chunk.bank];
-        let mut backend = SlicedBackend::<W>::prefilled(
-            cfg,
-            &scenarios,
-            bank_prefill_seed(self.campaign.seed, chunk.bank),
-        );
-        let all = backend.lane_mask();
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let horizon = DetectionOutcome {
-            cycles_run: self.campaign.cycles,
-            ..DetectionOutcome::default()
-        };
-        let mut outcomes = vec![horizon; scenarios.len()];
-        for trial in block.trial_start..block.trial_end {
-            backend.reset();
-            outcomes.fill(horizon);
-            let mut seen_err = LaneSet::<W>::EMPTY;
-            let mut seen_det = LaneSet::<W>::EMPTY;
-            // Mirror the generic trial loop per lane: errors latch
-            // before detection on the same cycle; a detected lane's
-            // trial is over — later cycles no longer touch it. Returns
-            // the freshly detected lanes for the caller to retire (so
-            // their fault machinery stops costing per-op work), or
-            // `None` once every lane is done.
-            let mut latch = |cycle: u64, obs: &SlicedObservation<W>| -> Option<LaneSet<W>> {
-                let pending = !seen_det;
-                let new_err = obs.erroneous & pending & !seen_err & all;
-                new_err.for_each_lane(|lane| outcomes[lane].first_error = Some(cycle));
-                seen_err |= new_err;
-                let new_det = obs.detected() & pending & all;
-                new_det.for_each_lane(|lane| {
-                    outcomes[lane].first_detection = Some(cycle);
-                    outcomes[lane].cycles_run = cycle + 1;
-                });
-                seen_det |= new_det;
-                (seen_det != all).then_some(new_det)
-            };
-            if let Some(events) = projections.map(|p| &p[&(chunk.bank, trial)]) {
-                for &(cycle, op) in events.iter() {
-                    backend.advance(cycle - backend.cycle());
-                    let obs = backend.step(op);
-                    let Some(new_det) = latch(cycle, &obs) else {
-                        break;
-                    };
-                    backend.retire(new_det);
-                }
-            } else {
-                let traffic = self
-                    .model
-                    .stream(spec, self.traffic_seed(chunk.bank, trial));
-                let mut clock =
-                    SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-                for cycle in 0..self.campaign.cycles {
-                    let (bank, op) = clock.next_event().target();
-                    if bank != chunk.bank {
-                        backend.advance(1);
-                        continue;
-                    }
-                    let obs = backend.step(op);
-                    let Some(new_det) = latch(cycle, &obs) else {
-                        break;
-                    };
-                    backend.retire(new_det);
-                }
-            }
-            visit(&outcomes);
-        }
-    }
 }
 
 /// Bank-projected op streams, keyed `(bank, trial)`.
-type Projections = HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>;
+type Projections = HashMap<(usize, u32), Vec<(u64, Op)>>;
 
-/// One trial block of one lane chunk, runnable at any slab width.
-struct SlabBlock<'a> {
-    campaign: &'a SystemCampaign,
-    chunk: &'a LaneChunk,
-    universe: &'a [SystemFault],
-    block: TrialBlock,
-    projections: Option<&'a Projections>,
-    visit: &'a mut dyn FnMut(&[DetectionOutcome]),
+/// Which executor a [`BankRunner`] drives.
+enum Executor {
+    /// The slab executor: the pack's faults ride the lanes of one
+    /// bit-sliced bank, replaying the projection arena (`None` over
+    /// budget, where each pack walks its streams off the clock).
+    Slab(Option<Projections>),
+    /// The generic executor, the oracle the slab is held to: a clone of
+    /// the template's prefilled behavioural bank walks every global cycle
+    /// of each cell's own event stream.
+    Oracle(MemorySystem),
 }
 
-impl SlabTask for SlabBlock<'_> {
-    type Output = ();
+/// The system engine's pack runner: a pack's positions name faults of
+/// one bank.
+struct BankRunner<'a> {
+    campaign: &'a SystemCampaign,
+    universe: &'a [SystemFault],
+    executor: Executor,
+}
 
-    fn run<const W: usize>(self) {
-        self.campaign.run_slab_block::<W>(
-            self.chunk,
-            self.universe,
-            self.block,
-            self.projections,
-            self.visit,
-        );
+impl PackRunner for BankRunner<'_> {
+    fn run_pack<const W: usize>(
+        &self,
+        positions: &[usize],
+        trials: Range<u32>,
+        visit: &mut dyn FnMut(&[DetectionOutcome]),
+    ) {
+        let (engine, cycles) = (self.campaign, self.campaign.campaign.cycles);
+        let bank = self.universe[positions[0]].bank;
+        match &self.executor {
+            Executor::Slab(projections) => {
+                let scenarios: Vec<FaultScenario> = positions
+                    .iter()
+                    .map(|&p| self.universe[p].scenario())
+                    .collect();
+                let seed = bank_prefill_seed(engine.campaign.seed, bank);
+                let cfg = &engine.system.banks[bank];
+                let mut backend = SlicedBackend::<W>::prefilled(cfg, &scenarios, seed);
+                // A trial steps only the cycles the bank serves, jumping
+                // the activation clock over the gaps.
+                for trial in trials {
+                    backend.reset();
+                    let outcomes = match projections {
+                        Some(p) => {
+                            let ops = p[&(bank, trial)].iter().copied();
+                            measure_detection_sliced_at(&mut backend, ops, cycles)
+                        }
+                        None => {
+                            let ops = engine.bank_traffic(bank, trial);
+                            measure_detection_sliced_at(&mut backend, ops, cycles)
+                        }
+                    };
+                    visit(&outcomes);
+                }
+            }
+            Executor::Oracle(template) => {
+                let mut backend = template.banks()[bank].clone();
+                let mut outcomes = Vec::with_capacity(positions.len());
+                for trial in trials {
+                    outcomes.clear();
+                    for &p in positions {
+                        backend.reset(Some(&self.universe[p].scenario()));
+                        let mut out = DetectionOutcome {
+                            cycles_run: cycles,
+                            ..DetectionOutcome::default()
+                        };
+                        for (cycle, target, op) in engine.clock_walk(bank, trial) {
+                            if target != bank {
+                                // Fault-free banks are exactly silent, but
+                                // the faulted bank's temporal process
+                                // rides the *global* clock: an SEU strikes
+                                // whether or not traffic is routed to the
+                                // bank that cycle.
+                                backend.advance(1);
+                                continue;
+                            }
+                            let obs = backend.step(op);
+                            if obs.erroneous.unwrap_or(false) && out.first_error.is_none() {
+                                out.first_error = Some(cycle);
+                            }
+                            if obs.detected() {
+                                // Latched indication: the trial is complete.
+                                out.first_detection = Some(cycle);
+                                out.cycles_run = cycle + 1;
+                                break;
+                            }
+                        }
+                        outcomes.push(out);
+                    }
+                    visit(&outcomes);
+                }
+            }
+        }
     }
 }
 
@@ -941,6 +773,7 @@ mod tests {
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
     use scm_memory::design::RamConfig;
+    use scm_memory::grid::TrialBlock;
 
     fn bank(words: u64) -> RamConfig {
         let org = RamOrganization::new(words, 8, 4);
@@ -1002,17 +835,21 @@ mod tests {
         )
         .threads(2);
         let universe = engine.decoder_universe(12);
-        let (chunks, partials) = engine.run_grid(&universe, |_, _| (), |_, _| ());
-        assert_eq!(chunks.len(), 4);
-        let blocks: Vec<TrialBlock> = partials.iter().map(|(b, ())| *b).collect();
+        let (grid, _) = engine.executor(&universe);
         let expect: Vec<TrialBlock> = (0..4)
-            .map(|unit| TrialBlock {
-                unit,
+            .map(|pack| TrialBlock {
+                pack,
                 trial_start: 0,
                 trial_end: 8,
             })
             .collect();
-        assert_eq!(blocks, expect);
+        assert_eq!(grid.blocks(), expect);
+        for (bank, block) in grid.blocks().iter().enumerate() {
+            assert!(grid
+                .pack(block.pack)
+                .iter()
+                .all(|&p| universe[p].bank == bank));
+        }
     }
 
     #[test]
@@ -1152,6 +989,41 @@ mod tests {
             "the oracle walks one stream per cell"
         );
         assert_eq!(result, oracle);
+    }
+
+    #[test]
+    fn over_budget_grids_walk_the_clock_per_pack_and_match_the_oracle() {
+        use std::sync::atomic::Ordering;
+        // Three banks × one trial, one cycle per bank past the arena
+        // budget: nothing is projected, every lane pack walks its own
+        // clock. The scrubbed decoder faults detect early, so the long
+        // horizon costs nothing.
+        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let model = Arc::new(CountingModel {
+            inner: Arc::new(UniformRandom),
+            calls: calls.clone(),
+        });
+        let engine = SystemCampaign::new(
+            config(),
+            CampaignConfig {
+                cycles: ARENA_OP_BUDGET / 3 + 1,
+                trials: 1,
+                ..campaign()
+            },
+        )
+        .lane_width(1)
+        .workload_model(model);
+        let universe = engine.decoder_universe(2);
+        let result = engine.run(&universe);
+        assert!(result.per_fault.iter().all(|f| f.detected == 1));
+        assert_eq!(
+            calls.swap(0, Ordering::Relaxed),
+            universe.len() as u64,
+            "one clock walk per one-lane pack, not one per bank"
+        );
+        let oracle = engine.clone().sliced(false);
+        assert_eq!(result, oracle.run(&universe));
+        assert_eq!(engine.trace(&universe), oracle.trace(&universe));
     }
 
     #[test]
