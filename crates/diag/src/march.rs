@@ -21,8 +21,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scm_memory::backend::FaultSimBackend;
-use scm_memory::sliced::SlicedBackend;
+use scm_memory::backend::{CycleObservation, FaultSimBackend};
+use scm_memory::sliced::{LaneSet, SlicedBackend};
 use scm_memory::workload::{Op, OpSource};
 
 /// One March operation applied at the current address.
@@ -256,6 +256,18 @@ impl MarchStream {
         }
     }
 
+    /// The next op with its March-local coordinates.
+    fn next_session_op(&mut self) -> MarchSessionOp {
+        let at = MarchSessionOp {
+            op: self.current(),
+            element: self.element as u32,
+            op_idx: self.op as u32,
+            is_read: self.test.elements[self.element].ops[self.op].is_read(),
+        };
+        self.advance();
+        at
+    }
+
     fn advance(&mut self) {
         self.op += 1;
         if self.op < self.test.elements[self.element].ops.len() {
@@ -320,21 +332,59 @@ pub struct MarchLog {
 pub const MAX_SYNDROME_EVENTS: usize = 4096;
 
 impl MarchLog {
+    /// An empty log of a `cycles`-cycle session.
+    fn new(cycles: u64) -> Self {
+        MarchLog {
+            cycles,
+            first_syndrome: None,
+            events: Vec::new(),
+            truncated: false,
+        }
+    }
+
     /// Did the session observe any anomaly?
     pub fn clean(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Fold the observation of session cycle `cycle`, which applied `at`,
+    /// into the log: a read mismatch or any checker indication latches
+    /// the first syndrome and adds an event, up to
+    /// [`MAX_SYNDROME_EVENTS`]. Returns whether the cycle flagged. Every
+    /// runner records through here, scalar and sliced alike.
+    fn record(&mut self, cycle: u64, at: &MarchSessionOp, obs: CycleObservation) -> bool {
+        let read_mismatch = obs.erroneous.unwrap_or(false) && at.is_read;
+        let flagged = read_mismatch || obs.verdict.any_error();
+        if flagged {
+            self.first_syndrome.get_or_insert(cycle);
+            if self.events.len() < MAX_SYNDROME_EVENTS {
+                self.events.push(SyndromeEvent {
+                    element: at.element,
+                    op: at.op_idx,
+                    addr: at.op.addr(),
+                    read_mismatch,
+                    row_code_error: obs.verdict.row_code_error,
+                    col_code_error: obs.verdict.col_code_error,
+                    parity_error: obs.verdict.parity_error,
+                });
+            } else {
+                self.truncated = true;
+            }
+        }
+        flagged
     }
 }
 
 /// An incremental March session: hands out one operation at a time and
 /// folds the backend's observation into the growing [`MarchLog`].
 ///
-/// This is the **single source of truth** for syndrome recording —
-/// [`run_march`] is a thin loop over it, and schedulers that interleave
-/// sessions with other bookkeeping (the system layer's `DiagCampaign`,
-/// which charges global-clock cycles between ops and may abandon a
-/// session at its horizon) drive the same object, so their logs can
-/// never drift from the signatures a dictionary filed.
+/// Its log records through the same [`MarchLog`] method as the sliced
+/// runner [`run_march_sliced_ops`] that builds dictionaries.
+/// [`run_march`] is a thin loop over the session, and schedulers that
+/// interleave sessions with other bookkeeping (the system layer's
+/// `DiagCampaign`, which charges global-clock cycles between ops and may
+/// abandon a session at its horizon) drive the same object, so their
+/// logs can never drift from the signatures a dictionary filed.
 ///
 /// Protocol: call [`next_op`](Self::next_op) (advances the coordinates),
 /// step the backend, then [`record`](Self::record) the observation —
@@ -342,8 +392,8 @@ impl MarchLog {
 #[derive(Debug, Clone)]
 pub struct MarchSession {
     stream: MarchStream,
-    /// Coordinates of the op handed out but not yet recorded.
-    pending: Option<(u32, u32, u64, bool)>,
+    /// The op handed out but not yet recorded.
+    pending: Option<MarchSessionOp>,
     emitted: u64,
     total: u64,
     log: MarchLog,
@@ -358,12 +408,7 @@ impl MarchSession {
             pending: None,
             emitted: 0,
             total: test.session_cycles(words),
-            log: MarchLog {
-                cycles: 0,
-                first_syndrome: None,
-                events: Vec::new(),
-                truncated: false,
-            },
+            log: MarchLog::new(0),
         }
     }
 
@@ -377,13 +422,10 @@ impl MarchSession {
         if self.emitted >= self.total {
             return None;
         }
-        let element = self.stream.element as u32;
-        let op_idx = self.stream.op as u32;
-        let is_read = self.stream.test.elements[self.stream.element].ops[self.stream.op].is_read();
-        let op = OpSource::next_op(&mut self.stream);
-        self.pending = Some((element, op_idx, op.addr(), is_read));
+        let at = self.stream.next_session_op();
+        self.pending = Some(at);
         self.emitted += 1;
-        Some(op)
+        Some(at.op)
     }
 
     /// Fold the backend's observation of the pending op into the log;
@@ -391,28 +433,9 @@ impl MarchSession {
     ///
     /// # Panics
     /// Panics if no op is pending.
-    pub fn record(&mut self, obs: scm_memory::backend::CycleObservation) -> bool {
-        let (element, op, addr, is_read) = self.pending.take().expect("no op pending");
-        let read_mismatch = obs.erroneous.unwrap_or(false) && is_read;
-        let flagged = read_mismatch || obs.verdict.any_error();
-        if flagged {
-            if self.log.first_syndrome.is_none() {
-                self.log.first_syndrome = Some(self.log.cycles);
-            }
-            if self.log.events.len() < MAX_SYNDROME_EVENTS {
-                self.log.events.push(SyndromeEvent {
-                    element,
-                    op,
-                    addr,
-                    read_mismatch,
-                    row_code_error: obs.verdict.row_code_error,
-                    col_code_error: obs.verdict.col_code_error,
-                    parity_error: obs.verdict.parity_error,
-                });
-            } else {
-                self.log.truncated = true;
-            }
-        }
+    pub fn record(&mut self, obs: CycleObservation) -> bool {
+        let at = self.pending.take().expect("no op pending");
+        let flagged = self.log.record(self.log.cycles, &at, obs);
         self.log.cycles += 1;
         flagged
     }
@@ -454,8 +477,9 @@ pub fn run_march<B: FaultSimBackend + ?Sized>(
     session.into_log()
 }
 
-/// One materialised March operation: the op plus its March-local
-/// coordinates, precomputed so every lane chunk of a dictionary build
+/// One March operation with its March-local coordinates — what a log
+/// records an event against. Materialised per session
+/// ([`materialize_session`]) so every lane chunk of a dictionary build
 /// replays the session by reference instead of re-walking the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarchSessionOp {
@@ -469,86 +493,24 @@ pub struct MarchSessionOp {
     pub is_read: bool,
 }
 
-/// Materialise one complete March session — the shared-op-stream arena
-/// unit of the diagnosis layer. Pure in `(test, words, word_bits,
-/// seed)`; a March stream never depends on the fault, so every lane
-/// chunk of a build legitimately shares one materialisation.
+/// Materialise one complete March session. Pure in `(test, words,
+/// word_bits, seed)`; a March stream never depends on the fault, so
+/// every lane chunk of a dictionary build legitimately shares one
+/// materialisation.
 pub fn materialize_session(
     test: &MarchTest,
     words: u64,
     word_bits: u32,
     seed: u64,
 ) -> Vec<MarchSessionOp> {
-    let total = test.session_cycles(words);
     let mut stream = test.stream(words, word_bits, seed);
-    let mut ops = Vec::with_capacity(total as usize);
-    for _ in 0..total {
-        let element = stream.element as u32;
-        let op_idx = stream.op as u32;
-        let is_read = stream.test.elements[stream.element].ops[stream.op].is_read();
-        let op = OpSource::next_op(&mut stream);
-        ops.push(MarchSessionOp {
-            op,
-            element,
-            op_idx,
-            is_read,
-        });
-    }
-    ops
+    (0..test.session_cycles(words))
+        .map(|_| stream.next_session_op())
+        .collect()
 }
 
 /// Replay a materialised March session over **every lane** of a sliced
-/// backend at once, yielding the per-lane logs in lane order. The
-/// caller resets the backend (the session is as destructive as the
-/// scalar one).
-pub fn run_march_sliced_ops<const W: usize>(
-    backend: &mut SlicedBackend<W>,
-    session: &[MarchSessionOp],
-) -> Vec<MarchLog> {
-    let all = backend.lane_mask();
-    let total = session.len() as u64;
-    let mut logs: Vec<MarchLog> = (0..backend.lanes())
-        .map(|_| MarchLog {
-            cycles: total,
-            first_syndrome: None,
-            events: Vec::new(),
-            truncated: false,
-        })
-        .collect();
-    for (cycle, entry) in session.iter().enumerate() {
-        let obs = backend.step(entry.op);
-        let read_mismatch = if entry.is_read {
-            obs.erroneous
-        } else {
-            scm_memory::sliced::LaneSet::EMPTY
-        };
-        let flagged =
-            (read_mismatch | obs.row_code_error | obs.col_code_error | obs.parity_error) & all;
-        flagged.for_each_lane(|lane| {
-            let log = &mut logs[lane];
-            if log.first_syndrome.is_none() {
-                log.first_syndrome = Some(cycle as u64);
-            }
-            if log.events.len() < MAX_SYNDROME_EVENTS {
-                log.events.push(SyndromeEvent {
-                    element: entry.element,
-                    op: entry.op_idx,
-                    addr: entry.op.addr(),
-                    read_mismatch: read_mismatch.test(lane),
-                    row_code_error: obs.row_code_error.test(lane),
-                    col_code_error: obs.col_code_error.test(lane),
-                    parity_error: obs.parity_error.test(lane),
-                });
-            } else {
-                log.truncated = true;
-            }
-        });
-    }
-    logs
-}
-
-/// Run one March session over **every lane** of a sliced backend at
-/// once, yielding the per-lane logs in lane order.
+/// backend at once, yielding the per-lane logs in lane order.
 ///
 /// A March stream depends only on `(test, geometry, seed)` — never on the
 /// fault — so all packed scenarios legitimately share one session; the
@@ -556,14 +518,25 @@ pub fn run_march_sliced_ops<const W: usize>(
 /// equal to [`run_march`] on a scalar backend carrying that lane's
 /// scenario alone. The caller resets the backend (the session is as
 /// destructive as the scalar one).
-pub fn run_march_sliced<const W: usize>(
+pub fn run_march_sliced_ops<const W: usize>(
     backend: &mut SlicedBackend<W>,
-    test: &MarchTest,
-    seed: u64,
+    session: &[MarchSessionOp],
 ) -> Vec<MarchLog> {
-    let org = backend.config().org();
-    let session = materialize_session(test, org.words(), org.word_bits(), seed);
-    run_march_sliced_ops(backend, &session)
+    let all = backend.lane_mask();
+    let mut logs = vec![MarchLog::new(session.len() as u64); backend.lanes()];
+    for (cycle, at) in (0..).zip(session) {
+        let obs = backend.step(at.op);
+        // Only the lanes that flag need a per-lane look.
+        let read_mismatch = if at.is_read {
+            obs.erroneous
+        } else {
+            LaneSet::EMPTY
+        };
+        ((read_mismatch | obs.detected()) & all).for_each_lane(|lane| {
+            logs[lane].record(cycle, at, obs.lane(lane));
+        });
+    }
+    logs
 }
 
 #[cfg(test)]
@@ -738,13 +711,14 @@ mod tests {
             .collect();
         for name in MarchTest::NAMES {
             let test = MarchTest::by_name(name).unwrap();
-            let mut sliced = scm_memory::sliced::SlicedBackend::<1>::new(&config(), &scenarios);
-            let logs = run_march_sliced(&mut sliced, &test, 17);
+            let session = materialize_session(&test, 64, 8, 17);
+            let mut sliced = SlicedBackend::<1>::new(&config(), &scenarios);
+            let logs = run_march_sliced_ops(&mut sliced, &session);
             assert_eq!(logs.len(), sites.len());
             // The same lanes on a wide slab must log identically — the
             // multi-word path through the March runner.
-            let mut wide = scm_memory::sliced::SlicedBackend::<4>::new(&config(), &scenarios);
-            let wide_logs = run_march_sliced(&mut wide, &test, 17);
+            let mut wide = SlicedBackend::<4>::new(&config(), &scenarios);
+            let wide_logs = run_march_sliced_ops(&mut wide, &session);
             assert_eq!(logs, wide_logs, "{name}: slab width changed a log");
             for (site, log) in sites.iter().zip(&logs) {
                 let mut backend = BehavioralBackend::new(&config());

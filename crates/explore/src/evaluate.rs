@@ -13,7 +13,11 @@
 //!    worst-case sweep bound (memoised on `(rows, r, a)`).
 //! 3. **Empirical adjudication** (optional) — a Monte-Carlo campaign on
 //!    the deterministic parallel [`CampaignEngine`], driven by the
-//!    point's workload model, over the row-decoder fault universe.
+//!    point's workload model, over the row-decoder fault universe. The
+//!    campaign draws each trial's op stream as it runs it; nothing is
+//!    cached across points or fidelity rungs, and none needs to be:
+//!    trial seeds are pure in the trial index, so a lower rung's trials
+//!    are a prefix of a higher rung's.
 //! 4. **System stage** (optional) — the point's scheme composed into a
 //!    homogeneous `point.banks`-wide sharded system
 //!    (`scm_system::SystemCampaign`) with the point's scrub policy and
@@ -34,7 +38,6 @@ use scm_codes::{CodeError, MOutOfN};
 use scm_diag::march::MarchTest;
 use scm_diag::repair::SpareBudget;
 use scm_latency::goal::{assess_escape, ProtectionGrade};
-use scm_memory::arena::OpStreamArena;
 use scm_memory::campaign::{
     decoder_fault_universe, intermittent_universe, mixed_universe, transient_universe,
     CampaignConfig,
@@ -450,9 +453,10 @@ type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// The memoised, rayon-parallel design-space evaluator.
 ///
-/// Construct once, feed it points or whole spaces. Caches are shared
-/// across calls and across worker threads; results never depend on cache
-/// state (memoised sub-results are pure), only the work saved does.
+/// Construct once, feed it points or whole spaces. The analytic memos
+/// (plans, areas, scrub bounds) are shared across calls and across
+/// worker threads; results never depend on cache state (memoised
+/// sub-results are pure), only the work saved does.
 #[derive(Debug)]
 pub struct Evaluator {
     tech: TechnologyParams,
@@ -461,12 +465,6 @@ pub struct Evaluator {
     repair: Option<RepairAdjudication>,
     threads: usize,
     registry: HashMap<String, Arc<dyn WorkloadModel>>,
-    /// Shared op-stream arena for every sliced campaign the evaluator
-    /// runs: one `(seed, trial)` stream materialised once, replayed by
-    /// reference across points **and fidelity rungs** (lower rungs'
-    /// streams are prefixes of higher ones — the common-random-numbers
-    /// property guided search leans on, now also a cache hit).
-    arena: Arc<OpStreamArena>,
     plans: Memo<PlanKey, Result<CodePlan, CodeError>>,
     areas: Memo<AreaKey, OverheadBreakdown>,
     scrub_bounds: Memo<ScrubKey, Result<SweepBound, CodeError>>,
@@ -496,7 +494,6 @@ impl Evaluator {
             repair: None,
             threads: 0,
             registry,
-            arena: Arc::new(OpStreamArena::new()),
             plans: Mutex::new(HashMap::new()),
             areas: Mutex::new(HashMap::new()),
             scrub_bounds: Mutex::new(HashMap::new()),
@@ -690,7 +687,6 @@ impl Evaluator {
             .scrub(scrub_period)
             .sliced(adjudication.sliced)
             .lane_width(adjudication.lane_width)
-            .arena(self.arena.clone())
             .run_scenarios(&config, &scenarios);
         let horizon = campaign.cycles;
         let (mut latency_sum, mut trial_sum) = (0u64, 0u64);
@@ -1366,24 +1362,35 @@ mod tests {
     }
 
     #[test]
-    fn oracle_adjudication_draws_every_cell_stream_itself() {
-        // The executor tests compare slab adjudication against
-        // `sliced: false`; that is only an oracle check while the oracle
-        // draws each (scenario, trial) stream itself instead of
-        // replaying the evaluator's shared arena.
+    fn adjudication_draws_one_stream_per_pack_and_trial_and_the_oracle_one_per_cell() {
         let p = DesignPoint::paper(small_geometry(), 10, 1e-9, SelectionPolicy::InverseA);
-        let adjudicate = |sliced: bool| {
-            let calls = Arc::new(AtomicUsize::new(0));
-            let ev = adjudicated_evaluator(4, sliced)
-                .register_workload(Arc::new(CountingModel(calls.clone())));
-            let emp = ev.evaluate(&p).unwrap().empirical.unwrap();
-            (calls.load(Ordering::Relaxed) as u64, emp)
+        let calls = Arc::new(AtomicUsize::new(0));
+        let adjudicate = |sliced: bool, lane_width: usize, threads: usize| {
+            let ev = Evaluator::default()
+                .adjudicate(Adjudication {
+                    lane_width,
+                    ..adjudicated_evaluator(4, sliced).adjudicate.unwrap()
+                })
+                .register_workload(Arc::new(CountingModel(calls.clone())))
+                .threads(threads);
+            // A one-point sweep hands its campaign the sweep's threads.
+            let mut evals = ev.evaluate_points(std::slice::from_ref(&p));
+            let emp = evals.remove(0).unwrap().empirical.unwrap();
+            (calls.swap(0, Ordering::Relaxed) as u64, emp)
         };
-        let (oracle_calls, oracle) = adjudicate(false);
-        assert_eq!(oracle_calls, oracle.scenario_trials, "one per cell");
-        let (slab_calls, slab) = adjudicate(true);
-        assert_eq!(slab_calls, 4, "one per trial");
-        assert_eq!(oracle, slab);
+        let (oracle_draws, oracle) = adjudicate(false, MAX_SLAB_LANES, 1);
+        assert_eq!(oracle_draws, oracle.scenario_trials, "one per cell");
+        assert!(oracle.faults > 3, "width 3 must cut several packs");
+        for lane_width in [3, MAX_SLAB_LANES] {
+            let packs = oracle.faults.div_ceil(lane_width) as u64;
+            for threads in [1, 2, 4] {
+                let (draws, slab) = adjudicate(true, lane_width, threads);
+                let at = format!("width {lane_width}, {threads} threads");
+                let per_pack = u64::from(oracle.trials_per_fault);
+                assert_eq!(draws, packs * per_pack, "{at}: one per pack and trial");
+                assert_eq!(slab, oracle, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -1,47 +1,25 @@
-//! Shared op-stream arena: each `(trial)` workload stream materialised
-//! exactly once, replayed by reference everywhere it is shared.
+//! Op-stream arena: each trial's workload stream materialised once and
+//! replayed by reference.
 //!
-//! The sliced campaign path seeds every trial's stream purely from
-//! `(campaign seed, trial)` — never from a fault index or lane geometry
-//! ([`shared_trial_seed`]). That is what makes results invariant under
-//! lane width and thread count, and it has a second consequence this
-//! module exploits: every lane block, bank, and fidelity rung that
-//! shares a `(model, spec, seed, scrub)` tuple replays **the same op
-//! sequences**. Before the arena each ≤ 64-lane block regenerated its
-//! streams from the RNG; with hundreds of blocks that regeneration —
-//! not the bit-parallel word ops — dominated single-core time. The
-//! arena materialises each trial's ops once into an `Arc<[Op]>`-style
-//! buffer and hands out cheap replay cursors.
-//!
-//! # Determinism and lifetime
+//! No campaign engine uses it: both draw each trial's stream where they
+//! run it (one `shared_trial_seed` stream per lane pack and trial),
+//! which costs a small share of a slab step and no memory. The arena
+//! stays only because the benchmark's layer metrics (`perfbench`'s
+//! `memory.arena_*` and `memory.replay_ns_per_op`) price it against that
+//! regeneration; it is deleted with the next benchmark change.
 //!
 //! A materialised stream is a pure function of its `StreamKey`
 //! `(model name, words, word bits, write fraction, seed, scrub period)`
-//! plus the trial index — the arena caches values that were already
-//! deterministic, so results are bit-identical with or without it (the
-//! engines keep a regenerate-on-the-fly fallback for over-budget
-//! grids). Streams are RNG prefixes: a request for more cycles than a
-//! cached trial holds re-materialises that trial to the longer length,
-//! of which the old ops are a prefix. This is exactly the
-//! common-random-numbers property multi-fidelity search relies on, so
-//! one arena shared across guided-search rungs means rung `N + 1`
-//! reuses every stream rung `N` generated.
-//!
-//! The key includes the model's registry *name*, not its address: the
-//! built-in model registry maps names to behaviours 1:1, which the
-//! arena inherits as a contract — two models that share a name must
-//! produce identical streams.
+//! plus the trial index. Streams are RNG prefixes: a request for more
+//! cycles than a cached trial holds re-materialises that trial to the
+//! longer length, of which the old ops are a prefix. The key includes
+//! the model's registry *name*, not its address: two models that share
+//! a name must produce identical streams.
 
 use crate::sliced::shared_trial_seed;
 use crate::workload::{Op, OpSource, ScrubInterleaver, WorkloadModel, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Largest `trials × cycles` product the engines will materialise
-/// through an arena (~48 MiB of ops). Grids beyond it fall back to
-/// per-block stream regeneration — bit-identical, just slower — so
-/// streaming campaigns with huge horizons keep O(1) stream memory.
-pub const ARENA_OP_BUDGET: u64 = 1 << 21;
 
 /// Everything a materialised stream is a pure function of, minus the
 /// trial index.
@@ -65,8 +43,8 @@ struct TrialStreams {
     generated: u64,
 }
 
-/// Process-wide cache of materialised trial op streams, shareable
-/// across engines and fidelity rungs via `Arc`.
+/// Cache of materialised trial op streams, keyed by everything a stream
+/// is a pure function of.
 #[derive(Debug, Default)]
 pub struct OpStreamArena {
     entries: Mutex<HashMap<StreamKey, Arc<Mutex<TrialStreams>>>>,

@@ -124,7 +124,7 @@ pub trait FaultSimBackend {
 }
 
 /// Compare one operation on the faulty design against the fault-free twin.
-pub(crate) fn compare_step(
+fn compare_step(
     faulty: &mut SelfCheckingRam,
     golden: &mut SelfCheckingRam,
     op: Op,

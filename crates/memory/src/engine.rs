@@ -28,11 +28,13 @@
 //! each pack's trials into blocks at the worker count, dispatches them
 //! and folds the outcomes back into one [`FaultResult`] per scenario (or
 //! walks them cell by cell for the trace). The engine supplies the two
-//! pack runners — the slab one, fed by the op-stream arena or, over
-//! [`ARENA_OP_BUDGET`], by regenerated streams, and the generic one —
-//! and the per-cell builders (`FaultResult::record`, `cell_events`).
+//! pack runners — the slab one and the generic one, both drawing each
+//! trial's stream where they run it through one helper — and the
+//! per-cell builders (`FaultResult::record`, `cell_events`). A lane pack
+//! draws one stream per trial of its trial blocks, so the slab executor
+//! draws `packs × trials` streams and the oracle one per
+//! `(scenario, trial)` cell.
 
-use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
 use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
@@ -42,7 +44,7 @@ use crate::sim::{measure_detection_on, DetectionOutcome};
 use crate::sliced::{
     measure_detection_sliced, shared_trial_seed, slab_words, SlicedBackend, MAX_SLAB_LANES,
 };
-use crate::workload::{Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec};
+use crate::workload::{OpStream, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::ops::Range;
 use std::sync::Arc;
@@ -57,7 +59,6 @@ pub struct CampaignEngine {
     sliced: bool,
     lane_width: usize,
     serial_threshold: u64,
-    arena: Option<Arc<OpStreamArena>>,
 }
 
 /// How full the sliced engine's lane blocks are for one grid: `filled`
@@ -89,7 +90,6 @@ impl CampaignEngine {
             sliced: true,
             lane_width: MAX_SLAB_LANES,
             serial_threshold: DEFAULT_SERIAL_THRESHOLD,
-            arena: None,
         }
     }
 
@@ -158,31 +158,18 @@ impl CampaignEngine {
         self
     }
 
-    /// Share a materialised op-stream arena with other engines (e.g.
-    /// across guided-search fidelity rungs). Without one the engine
-    /// builds a private arena per [`run_scenarios`](Self::run_scenarios)
-    /// call; either way each trial's stream is generated exactly once
-    /// per campaign while the grid fits [`ARENA_OP_BUDGET`].
-    pub fn arena(mut self, arena: Arc<OpStreamArena>) -> Self {
-        self.arena = Some(arena);
-        self
-    }
-
     /// Lane occupancy of a `scenarios`-wide grid at the current lane
     /// width — what the campaign CLI prints as its `occupancy:` line.
+    /// Read off the packs the slab executor's [`LaneGrid`] cuts.
     pub fn occupancy(&self, scenarios: usize) -> LaneOccupancy {
-        let width = self.lane_width;
-        let blocks = scenarios.div_ceil(width);
-        let full = scenarios / width;
-        let rem = scenarios % width;
-        let capacity =
-            full * slab_words(width) * 64 + if rem > 0 { slab_words(rem) * 64 } else { 0 };
-        LaneOccupancy {
-            filled: scenarios,
-            capacity,
-            blocks,
-            width,
-        }
+        let grid = self.grid(scenarios, self.lane_width);
+        let occupancy = LaneOccupancy {
+            filled: grid.packs().map(<[usize]>::len).sum(),
+            capacity: grid.packs().map(|p| slab_words(p.len()) * 64).sum(),
+            blocks: grid.packs().len(),
+            width: self.lane_width,
+        };
+        occupancy
     }
 
     /// The campaign parameters.
@@ -204,11 +191,10 @@ impl CampaignEngine {
     /// The slab executor packs [`lane_width`](Self::lane_width) scenarios
     /// per pass; each pack runs at the narrowest multi-word slab that
     /// fits it ([`slab_words`]), and every trial advances all its lanes
-    /// through one shared op stream, replayed from the op-stream arena
-    /// (or regenerated per block beyond [`ARENA_OP_BUDGET`] —
-    /// bit-identical either way). The trial stream seed depends only on
-    /// `(campaign seed, trial)`, never on lane geometry, so the result is
-    /// bit-identical at any thread count and any lane width.
+    /// through one shared op stream, which the pack draws as it runs the
+    /// trial. The trial stream seed depends only on `(campaign seed,
+    /// trial)`, never on lane geometry, so the result is bit-identical at
+    /// any thread count and any lane width.
     ///
     /// # Panics
     /// Panics if the slab executor is selected and the sliced backend
@@ -287,9 +273,7 @@ impl CampaignEngine {
         )
     }
 
-    /// The slab executor over `scenarios`, with the trial streams
-    /// materialised in the op-stream arena while the grid fits
-    /// [`ARENA_OP_BUDGET`].
+    /// The slab executor over `scenarios`.
     ///
     /// # Panics
     /// Panics if the sliced backend does not
@@ -298,23 +282,10 @@ impl CampaignEngine {
         if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
             panic!("backend 'sliced' cannot inject {bad:?}");
         }
-        let streams = (u64::from(self.campaign.trials).saturating_mul(self.campaign.cycles)
-            <= ARENA_OP_BUDGET)
-            .then(|| {
-                self.arena.clone().unwrap_or_default().prepare(
-                    &self.model,
-                    self.workload_spec(config),
-                    self.campaign.seed,
-                    self.scrub_period,
-                    self.campaign.trials,
-                    self.campaign.cycles,
-                )
-            });
         SlabRunner {
             engine: self,
             config,
             scenarios,
-            streams,
         }
     }
 
@@ -328,7 +299,7 @@ impl CampaignEngine {
     ///
     /// The trace runs the slab executor of
     /// [`run_scenarios`](Self::run_scenarios) on the same lane grid — same
-    /// lane packs, trial blocks, op-stream arena and thread dispatch — and
+    /// lane packs, trial blocks, trial streams and thread dispatch — and
     /// derives each cell's events from the per-lane detection outcome
     /// the slab pass returns, assembled in canonical `(fault, trial)`
     /// order. The lane-exactness contract (DESIGN.md §3a) makes that
@@ -371,10 +342,13 @@ impl CampaignEngine {
         }
     }
 
-    /// One trial's op stream, with the background scrubber merged in
-    /// when one is configured.
-    fn trial_stream(&self, spec: WorkloadSpec, seed: u64) -> OpStream {
-        let stream = self.model.stream(spec, seed);
+    /// Trial `trial`'s op stream, seeded by [`shared_trial_seed`], with
+    /// the background scrubber merged in when one is configured: the one
+    /// stream source of both executors.
+    fn trial_stream(&self, spec: WorkloadSpec, trial: u32) -> OpStream {
+        let stream = self
+            .model
+            .stream(spec, shared_trial_seed(self.campaign.seed, trial));
         if self.scrub_period > 0 {
             Box::new(ScrubInterleaver::new(stream, self.scrub_period, spec.words))
         } else {
@@ -389,14 +363,12 @@ impl CampaignEngine {
     }
 }
 
-/// The slab executor: each lane pack runs on one [`SlicedBackend`], its
-/// trials replayed from the op-stream arena or, over budget, regenerated
-/// from the model (identical sequences either way).
+/// The slab executor: each lane pack runs on one [`SlicedBackend`],
+/// every trial's lanes stepping through one stream the pack draws.
 struct SlabRunner<'a> {
     engine: &'a CampaignEngine,
     config: &'a RamConfig,
     scenarios: &'a [FaultScenario],
-    streams: Option<Vec<Arc<Vec<Op>>>>,
 }
 
 impl PackRunner for SlabRunner<'_> {
@@ -413,18 +385,12 @@ impl PackRunner for SlabRunner<'_> {
         let cycles = engine.campaign.cycles;
         for trial in trials {
             backend.reset();
-            let outcomes = match &self.streams {
-                Some(streams) => {
-                    let mut replay = ReplayOps::new(&streams[trial as usize]);
-                    measure_detection_sliced(&mut backend, &mut replay, cycles)
-                }
-                None => {
-                    let seed = shared_trial_seed(engine.campaign.seed, trial);
-                    let mut workload = engine.trial_stream(spec, seed);
-                    measure_detection_sliced(&mut backend, workload.as_mut(), cycles)
-                }
-            };
-            visit(&outcomes);
+            let mut workload = engine.trial_stream(spec, trial);
+            visit(&measure_detection_sliced(
+                &mut backend,
+                workload.as_mut(),
+                cycles,
+            ));
         }
     }
 }
@@ -454,8 +420,7 @@ impl<B: FaultSimBackend + Clone + Sync> PackRunner for OracleRunner<'_, B> {
             outcomes.clear();
             for &p in positions {
                 backend.reset(Some(&self.scenarios[p]));
-                let seed = shared_trial_seed(engine.campaign.seed, trial);
-                let mut workload = engine.trial_stream(spec, seed);
+                let mut workload = engine.trial_stream(spec, trial);
                 outcomes.push(measure_detection_on(
                     &mut backend,
                     workload.as_mut(),
@@ -754,49 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_draws_each_trial_stream_once_and_the_oracle_each_cell_stream() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cfg = config();
-        let scenarios = mixed_scenarios();
-        let calls = Arc::new(AtomicU64::new(0));
-        let campaign = CampaignConfig {
-            cycles: 12,
-            trials: 10,
-            seed: 77,
-            write_fraction: 0.1,
-        };
-        // Lane width 8 splits the universe into many blocks; before the
-        // op-stream arena every block regenerated all ten streams.
-        let engine = CampaignEngine::new(campaign)
-            .workload_model(Arc::new(CountingModel {
-                inner: Arc::new(UniformRandom),
-                calls: calls.clone(),
-            }))
-            .lane_width(8)
-            .serial_threshold(0)
-            .threads(4);
-        let result = engine.run_scenarios(&cfg, &scenarios);
-        assert_eq!(result.per_fault.len(), scenarios.len());
-        assert!(scenarios.len() > 8, "universe must span several blocks");
-        assert_eq!(
-            calls.swap(0, Ordering::Relaxed),
-            u64::from(campaign.trials),
-            "one stream per trial, regardless of lane blocks"
-        );
-        // The executor tests compare the slab path against
-        // `.sliced(false)`; that is only an oracle check while the oracle
-        // draws each (scenario, trial) stream itself instead of replaying
-        // the slab path's arena.
-        let oracle = engine.sliced(false).run_scenarios(&cfg, &scenarios);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            scenarios.len() as u64 * u64::from(campaign.trials),
-            "the oracle draws one stream per cell"
-        );
-        assert_eq!(result.determinism_profile(), oracle.determinism_profile());
-    }
-
-    #[test]
     fn a_sweep_longer_than_u64_cycles_never_completes_in_the_trace() {
         // On the 64-word test RAM, 2^58 + 1 cycles per sweep read makes
         // the sweep 2^64 + 64 cycles long: wrapped, it would claim a
@@ -823,47 +745,6 @@ mod tests {
             trace,
             CampaignEngine::new(campaign).trace_scenarios(&cfg, &scenarios)
         );
-    }
-
-    #[test]
-    fn shared_arena_reuses_streams_across_runs() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cfg = config();
-        let scenarios = mixed_scenarios();
-        let calls = Arc::new(AtomicU64::new(0));
-        let model: Arc<dyn WorkloadModel> = Arc::new(CountingModel {
-            inner: Arc::new(UniformRandom),
-            calls: calls.clone(),
-        });
-        let arena = Arc::new(crate::arena::OpStreamArena::new());
-        let campaign = CampaignConfig {
-            cycles: 12,
-            trials: 6,
-            seed: 5,
-            write_fraction: 0.1,
-        };
-        let low = CampaignEngine::new(campaign)
-            .workload_model(model.clone())
-            .arena(arena.clone())
-            .run_scenarios(&cfg, &scenarios);
-        assert_eq!(calls.load(Ordering::Relaxed), 6);
-        // A higher-fidelity rung with more trials only generates the new
-        // trials; the first six replay from the shared arena.
-        let high = CampaignEngine::new(campaign)
-            .workload_model(model.clone())
-            .arena(arena.clone())
-            .run_scenarios(&cfg, &scenarios);
-        assert_eq!(calls.load(Ordering::Relaxed), 6, "second run regenerated");
-        assert_eq!(low.determinism_profile(), high.determinism_profile());
-        let more = CampaignConfig {
-            trials: 9,
-            ..campaign
-        };
-        CampaignEngine::new(more)
-            .workload_model(model)
-            .arena(arena)
-            .run_scenarios(&cfg, &scenarios);
-        assert_eq!(calls.load(Ordering::Relaxed), 9, "only trials 6..9 are new");
     }
 
     #[test]
@@ -985,8 +866,7 @@ mod tests {
         for (fidx, scenario) in scenarios.iter().enumerate() {
             for trial in 0..campaign.trials {
                 backend.reset(Some(scenario));
-                let seed = shared_trial_seed(campaign.seed, trial);
-                let mut stream = engine.trial_stream(spec, seed);
+                let mut stream = engine.trial_stream(spec, trial);
                 let out = measure_detection_on(&mut backend, stream.as_mut(), campaign.cycles);
                 cell_events(scenario, fidx as u32, trial, &out, sweep_len, &mut events);
             }
@@ -995,43 +875,68 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_grids_regenerate_streams_and_match_the_oracle() {
+    fn slab_draws_one_stream_per_pack_and_trial_and_the_oracle_one_per_cell() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        // One trial one op past the arena budget: no stream is
-        // materialised, every slab block draws its own. The faults all
-        // detect within a few dozen cycles, so the long horizon costs
-        // nothing.
         let cfg = config();
-        let scenarios: Vec<FaultScenario> = row_faults()[..4]
+        let mixed = mixed_scenarios();
+        // The second grid's `trials × cycles` passes 2^21 ops. Its row
+        // faults all detect within a few dozen cycles, so the long
+        // horizon costs nothing.
+        let rows: Vec<FaultScenario> = row_faults()[..4]
             .iter()
             .copied()
             .map(FaultScenario::permanent)
             .collect();
-        let campaign = CampaignConfig {
-            cycles: ARENA_OP_BUDGET + 1,
-            trials: 1,
+        let short = CampaignConfig {
+            cycles: 12,
+            trials: 10,
+            seed: 77,
+            write_fraction: 0.1,
+        };
+        let long = CampaignConfig {
+            cycles: (1 << 20) + 1,
+            trials: 2,
             seed: 21,
             write_fraction: 0.1,
         };
         let calls = Arc::new(AtomicU64::new(0));
-        let engine = CampaignEngine::new(campaign)
-            .workload_model(Arc::new(CountingModel {
-                inner: Arc::new(UniformRandom),
-                calls: calls.clone(),
-            }))
-            .lane_width(2);
-        let result = engine.run_scenarios(&cfg, &scenarios);
-        assert!(result.per_fault.iter().all(|f| f.detected == 1));
+        let draws = || calls.swap(0, Ordering::Relaxed);
+        for (campaign, scenarios) in [(short, &mixed), (long, &rows)] {
+            let engine = CampaignEngine::new(campaign)
+                .workload_model(Arc::new(CountingModel {
+                    inner: Arc::new(UniformRandom),
+                    calls: calls.clone(),
+                }))
+                .serial_threshold(0);
+            let trials = u64::from(campaign.trials);
+            let oracle = engine.clone().sliced(false).run_scenarios(&cfg, scenarios);
+            assert_eq!(draws(), scenarios.len() as u64 * trials, "one per cell");
+            // Width 3 cuts both universes into several packs, the last
+            // one partial; no pack may reuse another pack's stream.
+            for width in [3, MAX_SLAB_LANES] {
+                let packs = scenarios.len().div_ceil(width) as u64;
+                for threads in [1, 2, 4] {
+                    let slab = engine.clone().lane_width(width).threads(threads);
+                    let result = slab.run_scenarios(&cfg, scenarios);
+                    let at = format!("width {width}, {threads} threads");
+                    assert_eq!(draws(), packs * trials, "{at}: one per pack and trial");
+                    assert_eq!(
+                        result.determinism_profile(),
+                        oracle.determinism_profile(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+        let engine = CampaignEngine::new(long);
+        assert!(engine
+            .run_scenarios(&cfg, &rows)
+            .per_fault
+            .iter()
+            .all(|f| f.detected == long.trials));
         assert_eq!(
-            calls.swap(0, Ordering::Relaxed),
-            2,
-            "two lane packs each regenerate the trial's stream"
-        );
-        let oracle = engine.clone().sliced(false).run_scenarios(&cfg, &scenarios);
-        assert_eq!(result.determinism_profile(), oracle.determinism_profile());
-        assert_eq!(
-            engine.trace_scenarios(&cfg, &scenarios),
-            behavioural_trace(&engine, &cfg, &scenarios)
+            engine.trace_scenarios(&cfg, &rows),
+            behavioural_trace(&engine, &cfg, &rows)
         );
     }
 

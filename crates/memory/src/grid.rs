@@ -217,6 +217,11 @@ impl LaneGrid {
         &self.order[self.packs[pack].clone()]
     }
 
+    /// Every pack's universe positions, pack order.
+    pub(crate) fn packs(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        (0..self.packs.len()).map(|pack| self.pack(pack))
+    }
+
     /// Run every block through `runner` and fold its cells into one row
     /// per universe position, position order. `init(position, trials)`
     /// makes an empty row for `trials` outcomes, `record` adds one trial's

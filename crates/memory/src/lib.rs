@@ -65,14 +65,14 @@ pub mod sim;
 pub mod sliced;
 pub mod workload;
 
-pub use arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
+pub use arena::{OpStreamArena, ReplayOps};
 pub use backend::{BehavioralBackend, CycleObservation, FaultSimBackend, GateLevelBackend};
 pub use campaign::{CampaignConfig, CampaignResult, FaultResult};
 pub use design::{RamConfig, ReadOutcome, SelfCheckingRam, Verdict};
 pub use engine::{CampaignEngine, LaneOccupancy};
 pub use fault::FaultSite;
 pub use grid::DEFAULT_SERIAL_THRESHOLD;
-pub use sim::{measure_detection, measure_detection_on, DetectionOutcome, PackedOutcome};
+pub use sim::{measure_detection_on, DetectionOutcome, PackedOutcome};
 pub use sliced::{
     measure_detection_sliced, slab_words, LaneSet, SlicedBackend, SlicedObservation,
     MAX_SLAB_LANES, MAX_SLAB_WORDS,

@@ -6,10 +6,9 @@
 //! error indication. The TSC goal is met on a cycle when an error is
 //! accompanied by an indication no later than itself.
 
-use crate::backend::{compare_step, FaultSimBackend};
-use crate::design::SelfCheckingRam;
+use crate::backend::FaultSimBackend;
 use crate::fault::FaultProcess;
-use crate::workload::{Op, OpSource, Workload};
+use crate::workload::{Op, OpSource};
 
 /// Outcome of one measurement run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,12 +115,13 @@ impl PackedOutcome {
 /// detection: the error indication is latched, so later cycles carry no
 /// information.
 ///
-/// Any [`OpSource`] drives the measurement — a concrete [`Workload`] or a
-/// stream fabricated by a [`crate::workload::WorkloadModel`]. The source
-/// is consumed as fresh operations and may be advanced past `cycles_run`
-/// when the backend batches (bursts draw their ops up front); construct a
-/// new seeded stream per measurement rather than relying on where a
-/// shared one left off.
+/// Any [`OpSource`] drives the measurement — a concrete
+/// [`Workload`](crate::workload::Workload) or a stream fabricated by a
+/// [`crate::workload::WorkloadModel`]. The source is consumed as fresh
+/// operations and may be advanced past `cycles_run` when the backend
+/// batches (bursts draw their ops up front); construct a new seeded
+/// stream per measurement rather than relying on where a shared one left
+/// off.
 pub fn measure_detection_on<B: FaultSimBackend + ?Sized, S: OpSource + ?Sized>(
     backend: &mut B,
     workload: &mut S,
@@ -180,62 +180,14 @@ fn measure_detection_batched<B: FaultSimBackend + ?Sized, S: OpSource + ?Sized>(
     out
 }
 
-/// Run `cycles` operations from `workload` against both designs.
-///
-/// The twin must be in the same pre-fault state as the faulty design
-/// (callers typically clone after prefill, then inject). This is the
-/// borrowed-pair convenience form of [`measure_detection_on`] over the
-/// behavioural model.
-pub fn measure_detection(
-    faulty: &mut SelfCheckingRam,
-    golden: &mut SelfCheckingRam,
-    workload: &mut Workload,
-    cycles: u64,
-) -> DetectionOutcome {
-    struct Pair<'a> {
-        faulty: &'a mut SelfCheckingRam,
-        golden: &'a mut SelfCheckingRam,
-    }
-    impl FaultSimBackend for Pair<'_> {
-        fn name(&self) -> &'static str {
-            "behavioral-pair"
-        }
-        fn config(&self) -> &crate::design::RamConfig {
-            self.faulty.config()
-        }
-        fn supports(&self, scenario: &crate::fault::FaultScenario) -> bool {
-            // The borrowed pair has no activation clock of its own: only
-            // the classical injected-at-reset model is realisable.
-            matches!(
-                scenario.process,
-                crate::fault::FaultProcess::Permanent { onset: 0 }
-            )
-        }
-        fn reset(&mut self, scenario: Option<&crate::fault::FaultScenario>) {
-            // The borrowed pair owns no pristine copy: callers prepared the
-            // memory state; only the injected fault is resettable.
-            self.faulty.clear_fault();
-            if let Some(s) = scenario {
-                assert!(
-                    self.supports(s),
-                    "the borrowed pair realises only permanent injected-at-reset faults"
-                );
-                self.faulty.inject(s.site);
-            }
-        }
-        fn step(&mut self, op: Op) -> crate::backend::CycleObservation {
-            compare_step(self.faulty, self.golden, op)
-        }
-    }
-    measure_detection_on(&mut Pair { faulty, golden }, workload, cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BehavioralBackend;
     use crate::decoder_unit::DecoderFault;
-    use crate::design::RamConfig;
+    use crate::design::{RamConfig, SelfCheckingRam};
     use crate::fault::FaultSite;
+    use crate::workload::Workload;
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
 
@@ -326,12 +278,18 @@ mod tests {
         assert!(out(Some(u64::MAX - 1), Some(u64::MAX)).detected_within(u64::MAX));
     }
 
+    /// A behavioural backend over [`prefilled`], reset with `fault`
+    /// pinned from cycle 0.
+    fn backend(fault: Option<FaultSite>) -> BehavioralBackend {
+        let mut backend = BehavioralBackend::from_state(prefilled());
+        backend.reset_site(fault);
+        backend
+    }
+
     #[test]
     fn fault_free_pair_never_flags() {
-        let mut golden = prefilled();
-        let mut faulty = golden.clone();
         let mut w = Workload::uniform(64, 8, 11);
-        let out = measure_detection(&mut faulty, &mut golden, &mut w, 500);
+        let out = measure_detection_on(&mut backend(None), &mut w, 500);
         assert_eq!(out.first_error, None);
         assert_eq!(out.first_detection, None);
         assert_eq!(out.cycles_run, 500);
@@ -339,16 +297,14 @@ mod tests {
 
     #[test]
     fn sa0_detected_with_zero_error_escape() {
-        let mut golden = prefilled();
-        let mut faulty = golden.clone();
-        faulty.inject(FaultSite::RowDecoder(DecoderFault {
+        let mut faulty = backend(Some(FaultSite::RowDecoder(DecoderFault {
             bits: 4,
             offset: 0,
             value: 3,
             stuck_one: false,
-        }));
+        })));
         let mut w = Workload::uniform(64, 8, 5);
-        let out = measure_detection(&mut faulty, &mut golden, &mut w, 10_000);
+        let out = measure_detection_on(&mut faulty, &mut w, 10_000);
         assert!(out.first_detection.is_some(), "SA0 must eventually be hit");
         assert!(!out.error_escaped(), "SA0 errors are caught the same cycle");
     }
@@ -392,16 +348,14 @@ mod tests {
         // addressing.
         let mut latencies = Vec::new();
         for seed in 0..20u64 {
-            let mut golden = prefilled();
-            let mut faulty = golden.clone();
-            faulty.inject(FaultSite::RowDecoder(DecoderFault {
+            let mut faulty = backend(Some(FaultSite::RowDecoder(DecoderFault {
                 bits: 4,
                 offset: 0,
                 value: 0,
                 stuck_one: true,
-            }));
+            })));
             let mut w = Workload::uniform(64, 8, seed);
-            let out = measure_detection(&mut faulty, &mut golden, &mut w, 10_000);
+            let out = measure_detection_on(&mut faulty, &mut w, 10_000);
             let d = out
                 .first_detection
                 .expect("should detect under uniform addressing");

@@ -393,10 +393,9 @@ fn splitmix(mut z: u64) -> u64 {
 /// The per-trial workload seed of a campaign, on either executor. The
 /// stream is shared by every scenario of the grid and therefore must not
 /// depend on any fault index — that is what makes results invariant
-/// under lane-packing width (the same trial replays the same stream no
-/// matter how the universe was chunked) and under the executor choice,
-/// and what lets the op-stream arena materialise each trial exactly
-/// once.
+/// under lane-packing width (every lane pack draws the same stream for
+/// the same trial, no matter how the universe was chunked) and under the
+/// executor choice (the oracle draws it once per scenario).
 pub fn shared_trial_seed(seed: u64, trial: u32) -> u64 {
     splitmix(splitmix(seed ^ SHARED_STREAM_TAG).wrapping_add(trial as u64))
 }

@@ -36,14 +36,15 @@
 //! every trial's per-fault [`DetectionOutcome`] to the same fold —
 //! [`SystemFaultResult`]'s accounting for results, one cell-event builder
 //! for traces — so the executor cannot change a number. The engine's own
-//! part is each executor's trial loop and the bank's traffic: projected
-//! once per `(bank, trial)` into an arena, or walked off the clock per
-//! pack when the grid exceeds [`ARENA_OP_BUDGET`].
+//! part is each executor's trial loop and the bank's traffic, which both
+//! walk off the global clock through one helper where they run the
+//! trial: the slab executor once per lane pack and trial, stepping only
+//! the cycles the bank serves; the oracle once per `(fault, trial)` cell,
+//! stepping every cycle.
 
 use crate::clock::{CheckpointSchedule, SystemClock};
 use crate::seu::SeuProcess;
 use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
-use scm_memory::arena::ARENA_OP_BUDGET;
 use scm_memory::backend::FaultSimBackend;
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::engine::onset_event;
@@ -53,7 +54,6 @@ use scm_memory::sim::DetectionOutcome;
 use scm_memory::sliced::{measure_detection_sliced_at, SlicedBackend, MAX_SLAB_LANES};
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
-use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -515,7 +515,7 @@ impl SystemCampaign {
     /// global system clock.
     ///
     /// The trace runs the same executor as [`run`](Self::run) — same lane
-    /// grid, projection arena and thread dispatch — and derives each
+    /// grid, traffic walks and thread dispatch — and derives each
     /// cell's events from the per-lane outcome that pass returns,
     /// assembled in canonical `(universe position, trial)` order. Both
     /// executors yield the same outcomes, so the trace is a pure function
@@ -590,7 +590,7 @@ impl SystemCampaign {
             {
                 panic!("backend 'sliced' cannot inject {:?}", bad.scenario());
             }
-            (self.lane_width, Executor::Slab(self.projections(universe)))
+            (self.lane_width, Executor::Slab)
         } else {
             let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
             (1, Executor::Oracle(template))
@@ -624,7 +624,7 @@ impl SystemCampaign {
 
     /// One `(bank, trial)` system event stream walked on the global clock:
     /// every global cycle of the horizon with the bank that cycle's
-    /// event targets.
+    /// event targets. The one traffic source of both executors.
     fn clock_walk(&self, bank: usize, trial: u32) -> impl Iterator<Item = (u64, usize, Op)> + '_ {
         let spec = self.system.workload_spec(self.campaign.write_fraction);
         let traffic = self.model.stream(spec, self.traffic_seed(bank, trial));
@@ -638,43 +638,19 @@ impl SystemCampaign {
     /// The `(global cycle, op)` pairs `bank` serves within the horizon of
     /// one trial's system event stream. Pure in `(campaign seed, model,
     /// bank, trial)` — fault-blind by construction, which is what lets
-    /// every lane pack of the bank replay the same projection.
+    /// every lane pack of the bank step the same traffic.
     fn bank_traffic(&self, bank: usize, trial: u32) -> impl Iterator<Item = (u64, Op)> + '_ {
         self.clock_walk(bank, trial)
             .filter_map(move |(cycle, target, op)| (target == bank).then_some((cycle, op)))
     }
-
-    /// The projection arena: every `(bank, trial)` event stream projected
-    /// onto its bank once, shared read-only by every lane pack and trial
-    /// block of that bank. Walk cost is banks × trials × cycles, so the
-    /// op budget that bounds the campaign arena bounds it; over budget
-    /// (`None`) every pack walks its streams on the fly.
-    fn projections(&self, universe: &[SystemFault]) -> Option<Projections> {
-        let banks_used: BTreeSet<usize> = universe.iter().map(|f| f.bank).collect();
-        let walk_cells = (banks_used.len() as u64)
-            .saturating_mul(self.campaign.trials as u64)
-            .saturating_mul(self.campaign.cycles);
-        (walk_cells <= ARENA_OP_BUDGET).then(|| {
-            let mut map = HashMap::new();
-            for &bank in &banks_used {
-                for trial in 0..self.campaign.trials {
-                    map.insert((bank, trial), self.bank_traffic(bank, trial).collect());
-                }
-            }
-            map
-        })
-    }
 }
-
-/// Bank-projected op streams, keyed `(bank, trial)`.
-type Projections = HashMap<(usize, u32), Vec<(u64, Op)>>;
 
 /// Which executor a [`BankRunner`] drives.
 enum Executor {
     /// The slab executor: the pack's faults ride the lanes of one
-    /// bit-sliced bank, replaying the projection arena (`None` over
-    /// budget, where each pack walks its streams off the clock).
-    Slab(Option<Projections>),
+    /// bit-sliced bank, each trial walking the bank's traffic off the
+    /// clock.
+    Slab,
     /// The generic executor, the oracle the slab is held to: a clone of
     /// the template's prefilled behavioural bank walks every global cycle
     /// of each cell's own event stream.
@@ -699,7 +675,7 @@ impl PackRunner for BankRunner<'_> {
         let (engine, cycles) = (self.campaign, self.campaign.campaign.cycles);
         let bank = self.universe[positions[0]].bank;
         match &self.executor {
-            Executor::Slab(projections) => {
+            Executor::Slab => {
                 let scenarios: Vec<FaultScenario> = positions
                     .iter()
                     .map(|&p| self.universe[p].scenario())
@@ -711,17 +687,8 @@ impl PackRunner for BankRunner<'_> {
                 // the activation clock over the gaps.
                 for trial in trials {
                     backend.reset();
-                    let outcomes = match projections {
-                        Some(p) => {
-                            let ops = p[&(bank, trial)].iter().copied();
-                            measure_detection_sliced_at(&mut backend, ops, cycles)
-                        }
-                        None => {
-                            let ops = engine.bank_traffic(bank, trial);
-                            measure_detection_sliced_at(&mut backend, ops, cycles)
-                        }
-                    };
-                    visit(&outcomes);
+                    let ops = engine.bank_traffic(bank, trial);
+                    visit(&measure_detection_sliced_at(&mut backend, ops, cycles));
                 }
             }
             Executor::Oracle(template) => {
@@ -931,8 +898,7 @@ mod tests {
         }
     }
 
-    /// A model wrapper that counts stream instantiations — the
-    /// projection-arena regression hook.
+    /// A model wrapper that counts stream instantiations.
     #[derive(Debug)]
     struct CountingModel {
         inner: Arc<dyn WorkloadModel>,
@@ -955,74 +921,50 @@ mod tests {
     }
 
     #[test]
-    fn slab_projects_each_bank_trial_stream_once_and_the_oracle_walks_each_cell() {
-        use std::sync::atomic::Ordering;
-        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let model = Arc::new(CountingModel {
-            inner: Arc::new(UniformRandom),
-            calls: calls.clone(),
-        });
-        // Lane width 4 splits every bank's universe into several chunks
-        // that all share the bank's projections; without the arena each
-        // chunk would regenerate every trial's stream.
-        let engine = SystemCampaign::new(config(), campaign())
-            .lane_width(4)
-            .workload_model(model)
-            .threads(4)
-            .serial_threshold(0);
-        let universe = engine.decoder_universe(10);
-        let banks_with_faults = 3u64;
-        let result = engine.run(&universe);
-        assert_eq!(
-            calls.swap(0, Ordering::Relaxed),
-            banks_with_faults * campaign().trials as u64,
-            "one clock walk per (bank, trial), shared by all of its chunks"
-        );
-        // The executor tests compare the slab path against
-        // `.sliced(false)`; that is only an oracle check while the oracle
-        // walks each (fault, trial) stream on the global clock instead of
-        // replaying the slab path's bank projections.
-        let oracle = engine.sliced(false).run(&universe);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            universe.len() as u64 * campaign().trials as u64,
-            "the oracle walks one stream per cell"
-        );
-        assert_eq!(result, oracle);
-    }
-
-    #[test]
-    fn over_budget_grids_walk_the_clock_per_pack_and_match_the_oracle() {
-        use std::sync::atomic::Ordering;
-        // Three banks × one trial, one cycle per bank past the arena
-        // budget: nothing is projected, every lane pack walks its own
-        // clock. The scrubbed decoder faults detect early, so the long
-        // horizon costs nothing.
-        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let model = Arc::new(CountingModel {
-            inner: Arc::new(UniformRandom),
-            calls: calls.clone(),
-        });
-        let engine = SystemCampaign::new(
-            config(),
-            CampaignConfig {
-                cycles: ARENA_OP_BUDGET / 3 + 1,
-                trials: 1,
-                ..campaign()
-            },
-        )
-        .lane_width(1)
-        .workload_model(model);
+    fn slab_walks_one_stream_per_pack_and_trial_and_the_oracle_one_per_cell() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // The second grid's `trials × cycles` passes 2^21 cycles. The
+        // scrubbed decoder faults detect early, so the long horizon
+        // costs nothing.
+        let long = CampaignConfig {
+            cycles: (1 << 20) + 1,
+            trials: 2,
+            ..campaign()
+        };
+        let calls = Arc::new(AtomicU64::new(0));
+        let draws = || calls.swap(0, Ordering::Relaxed);
+        for (campaign, per_bank) in [(campaign(), 10), (long, 2)] {
+            let engine = SystemCampaign::new(config(), campaign)
+                .workload_model(Arc::new(CountingModel {
+                    inner: Arc::new(UniformRandom),
+                    calls: calls.clone(),
+                }))
+                .serial_threshold(0);
+            let universe = engine.decoder_universe(per_bank);
+            let trials = u64::from(campaign.trials);
+            let oracle = engine.clone().sliced(false).run(&universe);
+            assert_eq!(draws(), universe.len() as u64 * trials, "one per cell");
+            // Width 3 cuts every bank's faults into several packs, the
+            // last one partial; no pack may reuse another pack's walk.
+            for width in [3, MAX_SLAB_LANES] {
+                let packs: u64 = (0..config().num_banks())
+                    .map(|bank| universe.iter().filter(|f| f.bank == bank).count())
+                    .map(|faults| faults.div_ceil(width) as u64)
+                    .sum();
+                for threads in [1, 2, 4] {
+                    let slab = engine.clone().lane_width(width).threads(threads);
+                    let result = slab.run(&universe);
+                    let at = format!("width {width}, {threads} threads");
+                    assert_eq!(draws(), packs * trials, "{at}: one per pack and trial");
+                    assert_eq!(result, oracle, "{at}");
+                }
+            }
+        }
+        let engine = SystemCampaign::new(config(), long);
         let universe = engine.decoder_universe(2);
         let result = engine.run(&universe);
-        assert!(result.per_fault.iter().all(|f| f.detected == 1));
-        assert_eq!(
-            calls.swap(0, Ordering::Relaxed),
-            universe.len() as u64,
-            "one clock walk per one-lane pack, not one per bank"
-        );
+        assert!(result.per_fault.iter().all(|f| f.detected == long.trials));
         let oracle = engine.clone().sliced(false);
-        assert_eq!(result, oracle.run(&universe));
         assert_eq!(engine.trace(&universe), oracle.trace(&universe));
     }
 

@@ -5,7 +5,7 @@ use scm_core::prelude::*;
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::decoder_unit::DecoderFault;
 use scm_memory::engine::CampaignEngine;
-use scm_memory::sim::measure_detection;
+use scm_memory::sim::measure_detection_on;
 
 fn build(words: u64, bits: u32, mux: u32, c: u32, pndc: f64) -> Design {
     SelfCheckingRamBuilder::new(words, bits)
@@ -164,10 +164,11 @@ fn detection_latency_scales_with_code_strength() {
 #[test]
 fn single_fault_detection_across_all_classes() {
     let design = build(256, 8, 4, 10, 1e-9);
-    let mut golden = design.instantiate();
+    let mut prefill = design.instantiate();
     for a in 0..256u64 {
-        golden.write(a, a & 0xFF);
+        prefill.write(a, a & 0xFF);
     }
+    let mut backend = BehavioralBackend::from_state(prefill);
     let candidates = [
         FaultSite::Cell {
             row: 5,
@@ -204,10 +205,9 @@ fn single_fault_detection_across_all_classes() {
         },
     ];
     for fault in candidates {
-        let mut faulty = golden.clone();
-        faulty.inject(fault);
+        backend.reset_site(Some(fault));
         let mut w = Workload::uniform(256, 8, 1234);
-        let out = measure_detection(&mut faulty, &mut golden.clone(), &mut w, 20_000);
+        let out = measure_detection_on(&mut backend, &mut w, 20_000);
         assert!(
             out.first_detection.is_some(),
             "fault {fault:?} never detected in 20k uniform cycles"
