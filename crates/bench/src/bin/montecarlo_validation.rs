@@ -16,16 +16,12 @@
 //! Stuck-at-0 faults must show **zero** error escapes (the paper's
 //! zero-latency claim); the binary verifies that explicitly.
 //!
-//! Campaigns run on the parallel [`CampaignEngine`]; the binary first
-//! times the identical fault universe single-threaded and at full width
-//! and prints the speedup, then verifies the two runs agreed bit-for-bit
-//! (the engine's determinism contract). The speedup column is purely
-//! informational — on a single-core runner it prints `n/a` instead of a
-//! meaningless (and flaky) timing ratio, and nothing ever asserts on it;
-//! only the determinism comparison can fail the run.
+//! Campaigns run on the parallel [`CampaignEngine`]; the binary runs the
+//! stuck-at-1 universe pinned to 1 and to 4 threads and verifies the two
+//! runs agree bit-for-bit (the engine's determinism contract). Speed is
+//! measured by the `perfbench` harness, not here.
 //!
 //! Run: `cargo run --release -p scm-bench --bin montecarlo_validation`
-//! (set `SCM_THREADS` to pin the parallel width).
 
 use scm_codes::mapping::MappingKind;
 use scm_core::prelude::*;
@@ -34,41 +30,23 @@ use scm_logic::Netlist;
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::design::RamConfig;
 use scm_memory::fault::FaultSite;
-use std::time::Instant;
 
-fn threads_from_env() -> usize {
-    std::env::var("SCM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
+/// The pinned parallel width compared against one thread.
+const THREADS: usize = 4;
 
 fn main() {
     let c = 10u32;
     let trials = 128u32;
-    let threads = threads_from_env();
     println!(
         "Monte-Carlo validation on 1Kx16 (p = 7, s = 3), c = {c}, {trials} trials/fault, \
-         {threads} threads"
+         1 vs {THREADS} threads"
     );
     println!();
     println!(
-        "{:<12} | {:>4} | {:>13} | {:>13} | {:>14} | {:>8} | {:>8} | {:>9}",
-        "code",
-        "a",
-        "paper bound",
-        "analytic e-esc",
-        "empirical e-esc",
-        "sa0-esc",
-        "faults",
-        "speedup"
+        "{:<12} | {:>4} | {:>13} | {:>13} | {:>14} | {:>8} | {:>8}",
+        "code", "a", "paper bound", "analytic e-esc", "empirical e-esc", "sa0-esc", "faults",
     );
-    println!("{}", "-".repeat(104));
+    println!("{}", "-".repeat(93));
 
     for pndc in [1e-2, 1e-5, 1e-9, 1e-15] {
         let design = SelfCheckingRamBuilder::new(1024, 16)
@@ -105,39 +83,17 @@ fn main() {
             write_fraction: 0.1,
         };
 
-        let serial_start = Instant::now();
         let sa1_serial = CampaignEngine::new(cfg).threads(1).run(config, &sa1);
-        let serial_time = serial_start.elapsed();
-
-        let parallel_start = Instant::now();
-        let sa1_result = CampaignEngine::new(cfg).threads(threads).run(config, &sa1);
-        let parallel_time = parallel_start.elapsed();
-
-        // The determinism assertion is the contract; it runs first and
-        // unconditionally, so no timing quirk can mask a real divergence.
+        let sa1_result = CampaignEngine::new(cfg).threads(THREADS).run(config, &sa1);
         assert_eq!(
             sa1_serial.determinism_profile(),
             sa1_result.determinism_profile(),
             "engine must be bit-identical across thread counts"
         );
-        let sa0_result = CampaignEngine::new(cfg).threads(threads).run(config, &sa0);
-        // Informational only: with one worker (or one core) the 1-vs-N
-        // ratio is pure scheduling noise, so print n/a rather than a
-        // number nobody should read.
-        let multi_core = std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false);
-        let speedup = if threads > 1 && multi_core {
-            format!(
-                "{:>7.2}x",
-                serial_time.as_secs_f64() / parallel_time.as_secs_f64().max(1e-9)
-            )
-        } else {
-            format!("{:>8}", "n/a")
-        };
+        let sa0_result = CampaignEngine::new(cfg).threads(THREADS).run(config, &sa0);
 
         println!(
-            "{:<12} | {:>4} | {:>13.4} | {:>14.4} | {:>15.4} | {:>8.4} | {:>8} | {speedup}",
+            "{:<12} | {:>4} | {:>13.4} | {:>14.4} | {:>15.4} | {:>8.4} | {:>8}",
             design.report().row_code,
             match config.row_map().kind() {
                 MappingKind::ModA { a } => a,
@@ -159,7 +115,6 @@ fn main() {
     println!("reading: 'empirical e-esc' must sit at or below 'paper bound' (within");
     println!("~1/trials noise) and track 'analytic e-esc'; 'sa0-esc' must be exactly 0,");
     println!("confirming the zero-latency claim for stuck-at-0 decoder faults.");
-    println!("'speedup' compares the same campaign at 1 vs {threads} threads (informational");
-    println!("only — 'n/a' on single-core runners); the profiles are asserted");
-    println!("bit-identical before the numbers are printed.");
+    println!("The stuck-at-1 profiles at 1 and {THREADS} threads are asserted bit-identical");
+    println!("before the numbers are printed.");
 }

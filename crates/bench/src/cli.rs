@@ -1368,12 +1368,13 @@ fn diag_system_section(
     };
     let engine = DiagCampaign::new(system, policy, campaign).threads(threads);
     let universe = engine.diag_universe(6, 4);
-    let result = profiler.time("diag-campaign", || engine.run(&universe));
-    let events = if want_events {
-        profiler.time("trace-replay", || engine.trace(&universe))
-    } else {
-        Vec::new()
-    };
+    let (result, events) = profiler.time("diag-campaign", || {
+        if want_events {
+            engine.run_traced(&universe)
+        } else {
+            (engine.run(&universe), Vec::new())
+        }
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -16,12 +16,14 @@
 //!     > crates/bench/tests/fixtures/campaign_trace.stdout
 //! ```
 
-use scm_bench::cli;
+mod common;
+
+use common::{assert_bytes_identical, run_scm};
 
 const FIXTURE: &str = include_str!("fixtures/campaign_trace.stdout");
 
 fn run_campaign(extra: &[&str]) -> String {
-    let mut args: Vec<String> = [
+    let args = [
         "campaign",
         "--fault-model",
         "mix",
@@ -32,44 +34,8 @@ fn run_campaign(extra: &[&str]) -> String {
         "--cycles",
         "6",
         "--trace",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect();
-    args.extend(extra.iter().map(|s| (*s).to_owned()));
-    cli::run(&args).expect("scm campaign succeeds")
-}
-
-/// Assert byte equality, printing a full line-by-line diff on failure.
-fn assert_bytes_identical(label: &str, actual: &str, expected: &str) {
-    if actual == expected {
-        return;
-    }
-    let mut diff = String::new();
-    let mut expected_lines = expected.lines();
-    let mut actual_lines = actual.lines();
-    let mut line_no = 0usize;
-    loop {
-        line_no += 1;
-        match (expected_lines.next(), actual_lines.next()) {
-            (None, None) => break,
-            (e, a) => {
-                if e != a {
-                    diff.push_str(&format!(
-                        "  line {line_no}:\n    expected: {}\n    actual:   {}\n",
-                        e.unwrap_or("<missing>"),
-                        a.unwrap_or("<missing>")
-                    ));
-                }
-            }
-        }
-    }
-    panic!(
-        "{label}: stdout diverged from fixture ({} expected bytes, {} actual)\
-         \n\n--- diff ---\n{diff}",
-        expected.len(),
-        actual.len()
-    );
+    ];
+    run_scm(&args, extra)
 }
 
 #[test]

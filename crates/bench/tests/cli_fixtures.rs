@@ -5,24 +5,33 @@
 //! stdout **byte for byte**, so EXPERIMENTS.md's recorded outputs never
 //! drift when the machinery underneath is refactored.
 
-use scm_bench::cli;
+mod common;
 
-fn run(args: &[&str]) -> String {
-    let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-    cli::run(&owned).expect("fixture commands succeed")
-}
+use common::{assert_bytes_identical, run_scm};
 
 #[test]
 fn table1_stdout_is_byte_identical_to_pre_refactor_output() {
-    assert_eq!(run(&["table1"]), include_str!("fixtures/table1.stdout"));
+    assert_bytes_identical(
+        "scm table1",
+        &run_scm(&["table1"], &[]),
+        include_str!("fixtures/table1.stdout"),
+    );
 }
 
 #[test]
 fn table2_stdout_is_byte_identical_to_pre_refactor_output() {
-    assert_eq!(run(&["table2"]), include_str!("fixtures/table2.stdout"));
+    assert_bytes_identical(
+        "scm table2",
+        &run_scm(&["table2"], &[]),
+        include_str!("fixtures/table2.stdout"),
+    );
 }
 
 #[test]
 fn pareto_stdout_is_byte_identical_to_pre_refactor_output() {
-    assert_eq!(run(&["pareto"]), include_str!("fixtures/pareto.stdout"));
+    assert_bytes_identical(
+        "scm pareto",
+        &run_scm(&["pareto"], &[]),
+        include_str!("fixtures/pareto.stdout"),
+    );
 }

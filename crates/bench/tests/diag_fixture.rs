@@ -8,46 +8,14 @@
 //! — is reproduced **byte for byte** at 1, 2, 4 and 8 rayon threads. On
 //! any mismatch the full stdout diff is printed.
 
-use scm_bench::cli;
+mod common;
+
+use common::{assert_bytes_identical, run_scm};
 
 const FIXTURE: &str = include_str!("fixtures/diag.stdout");
 
 fn run_diag(extra: &[&str]) -> String {
-    let mut args = vec!["diag".to_owned()];
-    args.extend(extra.iter().map(|s| (*s).to_owned()));
-    cli::run(&args).expect("scm diag succeeds")
-}
-
-/// Assert byte equality, printing a full line-by-line diff on failure.
-fn assert_bytes_identical(label: &str, actual: &str, expected: &str) {
-    if actual == expected {
-        return;
-    }
-    let mut diff = String::new();
-    let mut expected_lines = expected.lines();
-    let mut actual_lines = actual.lines();
-    let mut line_no = 0usize;
-    loop {
-        line_no += 1;
-        match (expected_lines.next(), actual_lines.next()) {
-            (None, None) => break,
-            (e, a) => {
-                if e != a {
-                    diff.push_str(&format!(
-                        "  line {line_no}:\n    expected: {}\n    actual:   {}\n",
-                        e.unwrap_or("<missing>"),
-                        a.unwrap_or("<missing>")
-                    ));
-                }
-            }
-        }
-    }
-    panic!(
-        "{label}: stdout diverged from fixture\n\n--- full diff ---\n{diff}\n--- expected \
-         ({} bytes) ---\n{expected}\n--- actual ({} bytes) ---\n{actual}",
-        expected.len(),
-        actual.len()
-    );
+    run_scm(&["diag"], extra)
 }
 
 #[test]

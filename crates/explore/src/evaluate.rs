@@ -39,8 +39,8 @@ use scm_diag::march::MarchTest;
 use scm_diag::repair::SpareBudget;
 use scm_latency::goal::{assess_escape, ProtectionGrade};
 use scm_memory::campaign::{
-    decoder_fault_universe, intermittent_universe, mixed_universe, transient_universe,
-    CampaignConfig,
+    decoder_fault_universe, intermittent_universe, mixed_universe, stride_sample,
+    transient_universe, CampaignConfig,
 };
 use scm_memory::design::RamConfig;
 use scm_memory::engine::CampaignEngine;
@@ -631,15 +631,17 @@ impl Evaluator {
                     .into_iter()
                     .map(FaultSite::RowDecoder)
                     .collect();
-                subsample(&universe, max)
+                stride_sample(&universe, max)
                     .into_iter()
                     .map(FaultScenario::permanent)
                     .collect()
             }
             FaultMix::Transient => transient_universe(config, samples, horizon, seed),
-            FaultMix::Intermittent => subsample(&intermittent_universe(config, 8, 2, seed), max),
+            FaultMix::Intermittent => {
+                stride_sample(&intermittent_universe(config, 8, 2, seed), max)
+            }
             FaultMix::Mix => {
-                subsample(&mixed_universe(config, samples / 3 + 1, horizon, seed), max)
+                stride_sample(&mixed_universe(config, samples / 3 + 1, horizon, seed), max)
             }
         }
     }
@@ -1073,15 +1075,6 @@ fn profile_digest(per_fault: &[scm_memory::campaign::FaultResult]) -> u64 {
     h
 }
 
-/// Deterministic even subsample: every k-th element so the cap is met.
-fn subsample<T: Copy>(universe: &[T], max_faults: usize) -> Vec<T> {
-    if max_faults == 0 || universe.len() <= max_faults {
-        return universe.to_vec();
-    }
-    let stride = universe.len().div_ceil(max_faults);
-    universe.iter().copied().step_by(stride).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1476,17 +1469,5 @@ mod tests {
             a.profile_digest, c.profile_digest,
             "a different horizon must change the outcome profile"
         );
-    }
-
-    #[test]
-    fn subsample_even_and_capped() {
-        let universe: Vec<FaultSite> = decoder_fault_universe(4)
-            .into_iter()
-            .map(FaultSite::RowDecoder)
-            .collect();
-        assert_eq!(subsample(&universe, 0).len(), universe.len());
-        let capped = subsample(&universe, 10);
-        assert!(capped.len() <= 10 && capped.len() >= 8, "{}", capped.len());
-        assert_eq!(subsample(&universe, 1000).len(), universe.len());
     }
 }

@@ -411,6 +411,18 @@ pub fn mixed_universe(
     universe
 }
 
+/// A deterministic even subset of `universe` with at most `cap` entries:
+/// every `⌈len / cap⌉`-th one, first included. `cap = 0` (or a cap the
+/// universe already fits) keeps everything.
+pub fn stride_sample<T: Copy>(universe: &[T], cap: usize) -> Vec<T> {
+    let stride = if cap == 0 || universe.len() <= cap {
+        1
+    } else {
+        universe.len().div_ceil(cap)
+    };
+    universe.iter().copied().step_by(stride).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +438,17 @@ mod tests {
             CodewordMap::mod_a(code, 9, 16).unwrap(),
             CodewordMap::mod_a(code, 9, 4).unwrap(),
         )
+    }
+
+    #[test]
+    fn stride_sample_is_even_and_capped() {
+        let universe = decoder_fault_universe(4);
+        assert_eq!(stride_sample(&universe, 0), universe);
+        let capped = stride_sample(&universe, 10);
+        assert!(capped.len() <= 10 && capped.len() >= 8, "{}", capped.len());
+        assert_eq!(capped[0], universe[0]);
+        assert_eq!(capped[1], universe[universe.len().div_ceil(10)]);
+        assert_eq!(stride_sample(&universe, 1000), universe);
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //! continues on it; any post-repair erroneous output or indication is
 //! counted — zero is the acceptance bar.
 //!
-//! Determinism mirrors [`crate::engine::SystemCampaign`] exactly: trial
-//! traffic seeds are pure in `(seed, bank, per-bank fault index, trial)`,
-//! the March background is pinned by the policy (sessions must replay
-//! the dictionary's background for signatures to align), and per-fault
-//! statistics are commutative sums — **bit-identical at every thread
-//! count**.
+//! The campaign is a client of [`crate::engine::SystemCampaign`]'s
+//! estimator: a trial draws the system engine's `(seed, bank, trial)`
+//! traffic stream, shared by every fault of the bank, and its first
+//! pre-repair mission error and first indication (mission checker or
+//! BIST syndrome) fold through [`SystemFaultResult`]'s accounting — the
+//! same detections, escapes and Aupy lost work. The March background is
+//! pinned by the policy (sessions must replay the dictionary's
+//! background for signatures to align), and per-fault statistics are
+//! commutative sums — **bit-identical at every thread count**.
 //!
 //! Dictionary scope: the engine files only the *campaigned* candidates
 //! of each bank, so diagnosing distinguishes among the hypotheses the
@@ -37,18 +40,19 @@
 //! spot — live in the single-memory layer (`scm_diag::dictionary`).
 
 use crate::clock::SystemClock;
-use crate::engine::SystemFault;
-use crate::system::{bank_prefill_seed, seed_mix, MemorySystem, SystemConfig};
+use crate::engine::{check_banks, trial_clock, Detection, SystemFault, SystemFaultResult, Totals};
+use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
 use scm_diag::dictionary::FaultDictionary;
 use scm_diag::march::{MarchSession, MarchTest};
 use scm_diag::repair::{RepairOutcome, RepairedRam, SpareAllocator, SpareBudget};
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
-use scm_memory::campaign::CampaignConfig;
+use scm_memory::campaign::{stride_sample, CampaignConfig};
 use scm_memory::fault::FaultSite;
 use scm_memory::grid::par_map;
+use scm_memory::sim::DetectionOutcome;
 use scm_memory::sliced::MAX_SLAB_LANES;
-use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
-use scm_obs::{sort_chronological, Event, EventKind, NullSink, TraceSink, VecSink, Verdict};
+use scm_memory::workload::{Op, OpStream, UniformRandom, WorkloadModel};
+use scm_obs::{sort_chronological, Event, EventKind, Verdict};
 use std::sync::Arc;
 
 /// How the system schedules BIST diagnosis and what it may repair with.
@@ -88,15 +92,11 @@ impl DiagPolicy {
 /// Aggregated trial counters for one system fault under diagnosis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiagFaultResult {
-    /// The campaign cell.
-    pub fault: SystemFault,
-    /// Trials run.
-    pub trials: u32,
-    /// Trials detected (mission checker or BIST syndrome) within the
-    /// horizon.
-    pub detected: u32,
-    /// Sum of detection cycles (global clock) over detected trials.
-    pub detection_cycle_sum: u64,
+    /// The system engine's row for this cell, folded by the same
+    /// accounting: trials, detections (mission checker or BIST syndrome)
+    /// within the horizon, escapes, onset latency and lost work. A
+    /// trial's error onset is its first pre-repair erroneous output.
+    pub detection: SystemFaultResult,
     /// Trials whose diagnosing session localized the fault (ambiguity
     /// set contains the true site).
     pub localized: u32,
@@ -110,9 +110,6 @@ pub struct DiagFaultResult {
     pub time_to_repair_sum: u64,
     /// Cycles stolen by BIST sessions, summed over trials.
     pub bist_cycle_sum: u64,
-    /// Aupy-style lost work (detection-anchored, horizon-censored when
-    /// undetected), summed over trials.
-    pub lost_work_sum: u64,
     /// Post-repair erroneous outputs across all trials (acceptance: 0).
     pub post_repair_escapes: u32,
     /// Post-repair checker indications across all trials (acceptance: 0).
@@ -122,16 +119,12 @@ pub struct DiagFaultResult {
 impl DiagFaultResult {
     fn new(fault: SystemFault) -> Self {
         DiagFaultResult {
-            fault,
-            trials: 0,
-            detected: 0,
-            detection_cycle_sum: 0,
+            detection: SystemFaultResult::empty(fault),
             localized: 0,
             ambiguity_sum: 0,
             repaired: 0,
             time_to_repair_sum: 0,
             bist_cycle_sum: 0,
-            lost_work_sum: 0,
             post_repair_escapes: 0,
             post_repair_indications: 0,
         }
@@ -158,20 +151,23 @@ impl DiagSystemResult {
         self.per_fault
             .iter()
             .map(|f| {
+                let d = &f.detection;
                 (
-                    f.fault.bank,
-                    f.fault.index,
-                    f.fault.site,
+                    d.fault.bank,
+                    d.fault.index,
+                    d.fault.site,
                     vec![
-                        f.trials as u64,
-                        f.detected as u64,
-                        f.detection_cycle_sum,
+                        d.trials as u64,
+                        d.detected as u64,
+                        d.error_escapes as u64,
+                        d.detection_cycle_sum,
+                        d.latency_from_error_sum,
+                        d.lost_work_sum,
                         f.localized as u64,
                         f.ambiguity_sum,
                         f.repaired as u64,
                         f.time_to_repair_sum,
                         f.bist_cycle_sum,
-                        f.lost_work_sum,
                         f.post_repair_escapes as u64,
                         f.post_repair_indications as u64,
                     ],
@@ -180,66 +176,42 @@ impl DiagSystemResult {
             .collect()
     }
 
-    fn trials(&self) -> u64 {
-        self.per_fault.iter().map(|f| f.trials as u64).sum()
+    fn totals(&self) -> Totals {
+        Totals::of(self.per_fault.iter().map(|f| &f.detection))
     }
 
     /// Fraction of trials detected within the horizon.
     pub fn detected_fraction(&self) -> f64 {
-        let trials = self.trials();
-        if trials == 0 {
-            return 0.0;
-        }
-        self.per_fault
-            .iter()
-            .map(|f| f.detected as u64)
-            .sum::<u64>() as f64
-            / trials as f64
+        let totals = self.totals();
+        totals.per_trial(totals.detected)
     }
 
     /// Fraction of trials whose fault was localized.
     pub fn localized_fraction(&self) -> f64 {
-        let trials = self.trials();
-        if trials == 0 {
-            return 0.0;
-        }
-        self.per_fault
-            .iter()
-            .map(|f| f.localized as u64)
-            .sum::<u64>() as f64
-            / trials as f64
+        let localized = self.per_fault.iter().map(|f| f.localized as u64).sum();
+        self.totals().per_trial(localized)
     }
 
     /// Fraction of trials repaired back to service.
     pub fn repaired_fraction(&self) -> f64 {
-        let trials = self.trials();
-        if trials == 0 {
-            return 0.0;
-        }
-        self.per_fault
-            .iter()
-            .map(|f| f.repaired as u64)
-            .sum::<u64>() as f64
-            / trials as f64
+        let repaired = self.per_fault.iter().map(|f| f.repaired as u64).sum();
+        self.totals().per_trial(repaired)
     }
 
     /// Mean time to repair over **all** trials, unrepaired trials
     /// censored at the full horizon — the scheduler-facing availability
     /// figure (and the repair-aware Pareto's latency axis).
     pub fn mean_time_to_repair(&self) -> f64 {
-        let trials = self.trials();
-        if trials == 0 {
-            return 0.0;
-        }
+        let totals = self.totals();
         let repaired: u64 = self.per_fault.iter().map(|f| f.repaired as u64).sum();
         let sum: u64 = self.per_fault.iter().map(|f| f.time_to_repair_sum).sum();
-        let censored = (trials - repaired) * self.campaign.cycles;
-        (sum + censored) as f64 / trials as f64
+        let censored = (totals.trials - repaired) * self.campaign.cycles;
+        totals.per_trial(sum + censored)
     }
 
     /// Mean fraction of the horizon stolen by BIST sessions.
     pub fn bist_overhead(&self) -> f64 {
-        let trials = self.trials();
+        let trials = self.totals().trials;
         if trials == 0 || self.campaign.cycles == 0 {
             return 0.0;
         }
@@ -249,11 +221,8 @@ impl DiagSystemResult {
 
     /// Expected lost work per failure (Aupy-style, horizon-censored).
     pub fn expected_lost_work(&self) -> f64 {
-        let trials = self.trials();
-        if trials == 0 {
-            return 0.0;
-        }
-        self.per_fault.iter().map(|f| f.lost_work_sum).sum::<u64>() as f64 / trials as f64
+        let totals = self.totals();
+        totals.per_trial(totals.lost_work)
     }
 
     /// Total post-repair erroneous outputs (must be 0 for sound repairs).
@@ -312,7 +281,7 @@ impl DiagCampaign {
     /// Unlike `SystemCampaign::decoder_universe`, a cap of `0` *excludes*
     /// that class (this builder mixes classes, so "everything" is spelled
     /// with an explicit large cap). Per-bank indices are the fault's
-    /// seeding identity, shared across both classes.
+    /// identity in results and events, shared across both classes.
     pub fn diag_universe(
         &self,
         max_cells_per_bank: usize,
@@ -322,13 +291,17 @@ impl DiagCampaign {
         for (bank, cfg) in self.system.banks.iter().enumerate() {
             let mut sites: Vec<FaultSite> = Vec::new();
             let cells = scm_diag::cell_universe(cfg);
-            sites.extend(subsample(&cells, max_cells_per_bank));
+            if max_cells_per_bank > 0 {
+                sites.extend(stride_sample(&cells, max_cells_per_bank));
+            }
             let decoders: Vec<FaultSite> =
                 scm_memory::campaign::decoder_fault_universe(cfg.org().row_bits())
                     .into_iter()
                     .map(FaultSite::RowDecoder)
                     .collect();
-            sites.extend(subsample(&decoders, max_decoder_per_bank));
+            if max_decoder_per_bank > 0 {
+                sites.extend(stride_sample(&decoders, max_decoder_per_bank));
+            }
             for (index, site) in sites.into_iter().enumerate() {
                 universe.push(SystemFault::permanent(bank, index, site));
             }
@@ -359,28 +332,44 @@ impl DiagCampaign {
             .collect()
     }
 
-    /// Traffic seed for one grid cell — the system engine's pure-mix
-    /// scheme, domain-separated from `SystemCampaign` by a tag so the
-    /// two engines never share streams.
-    fn trial_seed(&self, fault: SystemFault, trial: u32) -> u64 {
-        seed_mix(
-            self.campaign.seed ^ 0xD1A6_0000,
-            &[fault.bank as u64, fault.index as u64, trial as u64],
-        )
-    }
-
     /// Run the `bank × fault × trial` grid under the diagnosis policy.
     ///
     /// # Panics
-    /// Panics if a universe entry names a bank outside the system.
+    /// Panics if a universe entry names a bank outside the system, or a
+    /// non-permanent fault process.
     pub fn run(&self, universe: &[SystemFault]) -> DiagSystemResult {
+        self.pass(universe, false).0
+    }
+
+    /// [`run`](Self::run), also recording the grid as a structured event
+    /// trace: fault activation, BIST session start/verdict, spare
+    /// commit, detection, escape.
+    ///
+    /// The events come from the same pass and the same state machine
+    /// the results do, each trial's sorted chronologically when the
+    /// trial ends and assembled in `(universe position, trial)` order —
+    /// a pure function of the trial's inputs, so bit-identical at any
+    /// thread count.
+    ///
+    /// # Panics
+    /// As [`run`](Self::run).
+    pub fn run_traced(&self, universe: &[SystemFault]) -> (DiagSystemResult, Vec<Event>) {
+        self.pass(universe, true)
+    }
+
+    fn pass(&self, universe: &[SystemFault], traced: bool) -> (DiagSystemResult, Vec<Event>) {
         self.validate(universe);
         let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
         let dictionaries = self.dictionaries(universe);
-        let per_fault = par_map(self.threads, universe, |&fault| {
-            self.run_fault_with(&template, &dictionaries, fault, &mut NullSink)
-        });
-        DiagSystemResult {
+        let (per_fault, events): (Vec<_>, Vec<_>) = par_map(self.threads, universe, |&fault| {
+            let mut events = Vec::new();
+            let trace = traced.then_some(&mut events);
+            let result = self.run_fault(&template, &dictionaries, fault, trace);
+            (result, events)
+        })
+        .into_iter()
+        .unzip();
+        let result = DiagSystemResult {
             per_fault,
             campaign: self.campaign,
             policy_period: self.policy.period,
@@ -390,17 +379,12 @@ impl DiagCampaign {
                 .iter()
                 .map(|b| self.policy.test.session_cycles(b.org().words()))
                 .collect(),
-        }
+        };
+        (result, events.into_iter().flatten().collect())
     }
 
     fn validate(&self, universe: &[SystemFault]) {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
+        check_banks(&self.system, universe);
         // Diagnosis sessions roll banks back to the recovery image, which
         // restarts a backend's activation clock: the scheduler is only
         // sound for the classical injected-at-reset model. Transient
@@ -417,70 +401,36 @@ impl DiagCampaign {
         }
     }
 
-    /// Replay the grid as a structured event trace: fault activation,
-    /// BIST session start/verdict, spare commit, detection, escape.
-    ///
-    /// The diagnosis scheduler is scalar-only and its trial loop is
-    /// already pure in `(seed, bank, fault index, trial)`, so unlike
-    /// the campaign engines the trace here taps the *same* state
-    /// machine the results come from — through a [`TraceSink`] that
-    /// monomorphises to a no-op on the result path ([`NullSink`]).
-    /// Bit-identical at any thread count; the engine has no sliced or
-    /// lane axis.
-    ///
-    /// # Panics
-    /// Panics on out-of-range banks or non-permanent processes, exactly
-    /// like [`run`](Self::run).
-    pub fn trace(&self, universe: &[SystemFault]) -> Vec<Event> {
-        self.validate(universe);
-        let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-        let dictionaries = self.dictionaries(universe);
-        let trace_fault = |fault: SystemFault| -> Vec<Event> {
-            let mut sink = VecSink::new();
-            self.run_fault_with(&template, &dictionaries, fault, &mut sink);
-            let mut events = sink.into_events();
-            // Each trial's events are contiguous but Detect/Escape are
-            // latched after the session events; restore chronology
-            // within every trial range.
-            let mut start = 0;
-            for i in 1..=events.len() {
-                if i == events.len() || events[i].trial != events[start].trial {
-                    sort_chronological(&mut events[start..i]);
-                    start = i;
-                }
-            }
-            events
-        };
-        par_map(self.threads, universe, |&fault| trace_fault(fault))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    fn run_fault_with<K: TraceSink>(
+    /// Run every trial of one fault, appending its events to `trace`
+    /// when one is given.
+    fn run_fault(
         &self,
         template: &MemorySystem,
         dictionaries: &[Option<FaultDictionary>],
         fault: SystemFault,
-        sink: &mut K,
+        mut trace: Option<&mut Vec<Event>>,
     ) -> DiagFaultResult {
         let mut result = DiagFaultResult::new(fault);
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
         let plain_template: BehavioralBackend = template.banks()[fault.bank].clone();
+        let (checkpoint, horizon) = (&self.system.checkpoint, self.campaign.cycles);
         for trial in 0..self.campaign.trials {
-            result.trials += 1;
-            let traffic = self.model.stream(spec, self.trial_seed(fault, trial));
-            let clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+            let start = trace.as_ref().map_or(0, |events| events.len());
             let mut trial_run = TrialRun {
                 engine: self,
                 fault,
                 trial,
-                sink: &mut *sink,
+                trace: trace.as_deref_mut(),
                 dictionary: dictionaries[fault.bank].as_ref(),
                 plain: plain_template.clone(),
                 repaired: None,
                 allocator: SpareAllocator::new(self.policy.budget),
-                clock,
+                clock: trial_clock(
+                    &self.system,
+                    &self.campaign,
+                    &*self.model,
+                    fault.bank,
+                    trial,
+                ),
                 cycle: 0,
                 onset: None,
                 detected_at: None,
@@ -497,29 +447,22 @@ impl DiagCampaign {
             // The classical injected-at-reset model: active from cycle 0.
             trial_run.emit(0, EventKind::Activate);
             trial_run.run();
-            if let Some(d) = trial_run.detected_at {
-                let onset = trial_run.onset.unwrap_or(d).min(d);
-                trial_run.emit(d, EventKind::Detect { latency: d - onset });
+            // BIST can flag before mission traffic ever delivers an
+            // erroneous output; `Detection::of` then anchors the rollback
+            // at the detection itself, never at a later onset.
+            let out = DetectionOutcome {
+                cycles_run: horizon,
+                first_error: trial_run.onset,
+                first_detection: trial_run.detected_at,
+            };
+            if let Some(d) = Detection::of(&fault.process, &out, checkpoint) {
+                trial_run.emit(d.cycle, EventKind::Detect { latency: d.latency });
             }
-            if let Some(e) = trial_run.onset {
-                if trial_run.detected_at.is_none_or(|d| e < d) {
-                    trial_run.emit(e, EventKind::Escape);
-                }
+            if out.error_escaped() {
+                let e = out.first_error.expect("an escape implies an error");
+                trial_run.emit(e, EventKind::Escape);
             }
-            let horizon = self.campaign.cycles;
-            match trial_run.detected_at {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // BIST can flag before mission traffic ever delivers
-                    // an erroneous output; the rollback anchor is then
-                    // the detection itself, never a later onset.
-                    let onset = trial_run.onset.unwrap_or(d).min(d);
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                }
-                None => result.lost_work_sum += horizon,
-            }
+            result.detection.record(&out, checkpoint, horizon);
             if trial_run.localized {
                 result.localized += 1;
                 result.ambiguity_sum += trial_run.ambiguity as u64;
@@ -536,34 +479,27 @@ impl DiagCampaign {
             result.bist_cycle_sum += trial_run.bist_cycles;
             result.post_repair_escapes += trial_run.post_repair_escapes;
             result.post_repair_indications += trial_run.post_repair_indications;
+            // Detect and Escape are latched after the session events.
+            if let Some(events) = trace.as_deref_mut() {
+                sort_chronological(&mut events[start..]);
+            }
         }
         result
     }
 }
 
-/// Deterministic even subsample; `cap = 0` yields the empty class.
-fn subsample(universe: &[FaultSite], cap: usize) -> Vec<FaultSite> {
-    if cap == 0 {
-        return Vec::new();
-    }
-    if universe.len() <= cap {
-        return universe.to_vec();
-    }
-    let stride = universe.len().div_ceil(cap);
-    universe.iter().copied().step_by(stride).collect()
-}
-
 /// One trial's state machine.
-struct TrialRun<'a, S: scm_memory::workload::OpSource, K: TraceSink> {
+struct TrialRun<'a> {
     engine: &'a DiagCampaign,
     fault: SystemFault,
     trial: u32,
-    sink: &'a mut K,
+    /// The fault's event trace, when the pass records one.
+    trace: Option<&'a mut Vec<Event>>,
     dictionary: Option<&'a FaultDictionary>,
     plain: BehavioralBackend,
     repaired: Option<RepairedRam>,
     allocator: SpareAllocator,
-    clock: SystemClock<S>,
+    clock: SystemClock<OpStream>,
     cycle: u64,
     onset: Option<u64>,
     detected_at: Option<u64>,
@@ -578,17 +514,16 @@ struct TrialRun<'a, S: scm_memory::workload::OpSource, K: TraceSink> {
     rr_bank: usize,
 }
 
-impl<S: scm_memory::workload::OpSource, K: TraceSink> TrialRun<'_, S, K> {
+impl TrialRun<'_> {
     fn horizon(&self) -> u64 {
         self.engine.campaign.cycles
     }
 
-    /// Record a trace event against this trial's grid cell. With the
-    /// [`NullSink`] the guard is a constant `false` and the whole call
-    /// compiles away.
+    /// Record a trace event against this trial's grid cell, when the
+    /// pass records a trace.
     fn emit(&mut self, t: u64, kind: EventKind) {
-        if self.sink.enabled() {
-            self.sink.record(Event::cell(
+        if let Some(trace) = self.trace.as_deref_mut() {
+            trace.push(Event::cell(
                 t,
                 self.fault.bank as u32,
                 self.fault.index as u32,
@@ -771,6 +706,7 @@ impl<S: scm_memory::workload::OpSource, K: TraceSink> TrialRun<'_, S, K> {
 mod tests {
     use super::*;
     use crate::clock::{CheckpointSchedule, ScrubSchedule};
+    use crate::engine::SystemCampaign;
     use crate::interleave::Interleaving;
     use scm_area::RamOrganization;
     use scm_codes::{CodewordMap, MOutOfN};
@@ -850,7 +786,7 @@ mod tests {
         assert!(result.bist_overhead() > 0.0);
         // Repaired trials must localize first.
         for f in &result.per_fault {
-            assert!(f.repaired <= f.localized, "{:?}", f.fault);
+            assert!(f.repaired <= f.localized, "{:?}", f.detection.fault);
         }
     }
 
@@ -867,6 +803,108 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    /// A model that logs every seed it streams.
+    #[derive(Debug, Default)]
+    struct SeedLog(std::sync::Mutex<Vec<u64>>);
+
+    impl SeedLog {
+        /// The seeds streamed since the last call, sorted.
+        fn take(&self) -> Vec<u64> {
+            let mut seeds = std::mem::take(&mut *self.0.lock().unwrap());
+            seeds.sort_unstable();
+            seeds
+        }
+    }
+
+    impl WorkloadModel for SeedLog {
+        fn name(&self) -> &'static str {
+            "seed-log"
+        }
+        fn stream(
+            &self,
+            spec: scm_memory::workload::WorkloadSpec,
+            seed: u64,
+        ) -> scm_memory::workload::OpStream {
+            self.0.lock().unwrap().push(seed);
+            UniformRandom.stream(spec, seed)
+        }
+    }
+
+    #[test]
+    fn every_fault_of_a_bank_draws_the_system_engines_trial_traffic() {
+        // The system engine's oracle draws one `(bank, trial)` stream per
+        // `(fault, trial)` cell; the diagnosis scheduler must draw exactly
+        // those, so every fault of a bank shares each trial's traffic.
+        let log = Arc::new(SeedLog::default());
+        let engine = DiagCampaign::new(config(), policy(), campaign())
+            .workload_model(log.clone())
+            .threads(4);
+        let universe = engine.diag_universe(3, 2);
+        engine.run(&universe);
+        let diag = log.take();
+        SystemCampaign::new(config(), campaign())
+            .workload_model(log.clone())
+            .sliced(false)
+            .run(&universe);
+        let trials = campaign().trials as usize;
+        assert_eq!(diag.len(), universe.len() * trials);
+        assert_eq!(diag, log.take());
+        let mut streams = diag;
+        streams.dedup();
+        assert_eq!(streams.len(), config().num_banks() * trials);
+    }
+
+    #[test]
+    fn traced_pass_returns_the_result_and_events_that_account_for_it() {
+        let engine = DiagCampaign::new(config(), policy(), campaign());
+        // Every row-decoder fault: the few whose lines share a codeword
+        // let an erroneous read escape before any indication.
+        let universe = engine.diag_universe(4, 64);
+        let result = engine.clone().threads(1).run(&universe);
+        let (traced, events) = engine.clone().threads(1).run_traced(&universe);
+        assert_eq!(traced, result);
+        for threads in [2usize, 4, 8] {
+            let (traced, threaded) = engine.clone().threads(threads).run_traced(&universe);
+            assert_eq!(traced, result, "{threads} threads");
+            assert_eq!(threaded, events, "{threads} threads");
+        }
+        for pair in events.windows(2) {
+            let same_trial = (pair[0].bank, pair[0].fault, pair[0].trial)
+                == (pair[1].bank, pair[1].fault, pair[1].trial);
+            assert!(!same_trial || pair[0].t <= pair[1].t, "{pair:?}");
+        }
+        let (mut escapes, mut repaired) = (0, 0);
+        for f in &result.per_fault {
+            let d = &f.detection;
+            let count = |kind: fn(&EventKind) -> bool| {
+                events
+                    .iter()
+                    .filter(|e| e.bank == d.fault.bank as u32 && e.fault == d.fault.index as u32)
+                    .filter(|e| kind(&e.kind))
+                    .count() as u32
+            };
+            let at = d.fault;
+            assert_eq!(
+                count(|k| matches!(k, EventKind::Detect { .. })),
+                d.detected,
+                "{at:?}"
+            );
+            assert_eq!(
+                count(|k| matches!(k, EventKind::Escape)),
+                d.error_escapes,
+                "{at:?}"
+            );
+            let commits = count(|k| matches!(k, EventKind::SpareCommit { .. }));
+            assert_eq!(commits, f.repaired, "{at:?}");
+            escapes += d.error_escapes;
+            repaired += f.repaired;
+        }
+        assert!(
+            escapes > 0 && repaired > 0,
+            "escapes {escapes}, repairs {repaired}"
+        );
     }
 
     #[test]
@@ -944,15 +982,19 @@ mod tests {
         let universe = vec![SystemFault::permanent(0, 0, site)];
         let result = engine.run(&universe);
         let f = &result.per_fault[0];
-        assert!(f.detected > 0, "mission traffic must tickle the cell");
+        let trials = f.detection.trials;
+        assert!(
+            f.detection.detected > 0,
+            "mission traffic must tickle the cell"
+        );
         assert_eq!(f.localized, 0, "the test is blind to this fault");
         assert_eq!(f.repaired, 0);
         assert!(
-            f.bist_cycle_sum <= f.trials as u64 * session_len,
+            f.bist_cycle_sum <= trials as u64 * session_len,
             "at most one clean session per trial: {} BIST cycles over {} trials \
              of {session_len}-cycle sessions",
             f.bist_cycle_sum,
-            f.trials
+            trials
         );
     }
 

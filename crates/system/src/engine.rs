@@ -44,15 +44,15 @@
 
 use crate::clock::{CheckpointSchedule, SystemClock};
 use crate::seu::SeuProcess;
-use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
+use crate::system::{bank_prefill_seed, seed_mix, MemorySystem, SystemConfig};
 use scm_memory::backend::FaultSimBackend;
-use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
+use scm_memory::campaign::{decoder_fault_universe, stride_sample, CampaignConfig};
 use scm_memory::engine::onset_event;
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
 use scm_memory::grid::{LaneGrid, PackRunner, DEFAULT_SERIAL_THRESHOLD};
 use scm_memory::sim::DetectionOutcome;
 use scm_memory::sliced::{measure_detection_sliced_at, SlicedBackend, MAX_SLAB_LANES};
-use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
+use scm_memory::workload::{Op, OpStream, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::ops::Range;
 use std::sync::Arc;
@@ -126,7 +126,7 @@ pub struct SystemFaultResult {
 
 impl SystemFaultResult {
     /// A zeroed row for `fault`, before any trial.
-    fn empty(fault: SystemFault) -> Self {
+    pub(crate) fn empty(fault: SystemFault) -> Self {
         SystemFaultResult {
             fault,
             trials: 0,
@@ -143,7 +143,12 @@ impl SystemFaultResult {
     /// for a detected trial; the whole `horizon` charged as lost
     /// (censored) for an undetected one; an escape when an erroneous
     /// output preceded any indication.
-    fn record(&mut self, out: &DetectionOutcome, checkpoint: &CheckpointSchedule, horizon: u64) {
+    pub(crate) fn record(
+        &mut self,
+        out: &DetectionOutcome,
+        checkpoint: &CheckpointSchedule,
+        horizon: u64,
+    ) {
         self.trials += 1;
         match Detection::of(&self.fault.process, out, checkpoint) {
             Some(d) => {
@@ -196,13 +201,13 @@ impl SystemFaultResult {
 }
 
 /// What a detected trial costs on the global clock.
-struct Detection {
+pub(crate) struct Detection {
     /// Cycle of the first indication.
-    cycle: u64,
+    pub(crate) cycle: u64,
     /// Cycles from the true onset — the silent-corruption instant when
     /// the process has one (a transient strikes its cell silently, the
     /// Aupy anchor), the first erroneous output otherwise.
-    latency: u64,
+    pub(crate) latency: u64,
     /// Aupy-style lost work: cycles from the last checkpoint at or
     /// before the onset through the detection cycle.
     lost_work: u64,
@@ -210,7 +215,7 @@ struct Detection {
 
 impl Detection {
     /// `None` when the trial went undetected.
-    fn of(
+    pub(crate) fn of(
         process: &FaultProcess,
         out: &DetectionOutcome,
         checkpoint: &CheckpointSchedule,
@@ -345,23 +350,72 @@ impl SystemResult {
     /// every fault (the Aupy-style joint quantity the checkpoint interval
     /// trades against detection latency).
     pub fn expected_lost_work(&self) -> f64 {
-        let trials: u64 = self.per_fault.iter().map(|f| f.trials as u64).sum();
-        if trials == 0 {
-            return 0.0;
-        }
-        let lost: u64 = self.per_fault.iter().map(|f| f.lost_work_sum).sum();
-        lost as f64 / trials as f64
+        let totals = Totals::of(&self.per_fault);
+        totals.per_trial(totals.lost_work)
     }
 
     /// Fraction of all trials detected within the horizon.
     pub fn detected_fraction(&self) -> f64 {
-        let trials: u64 = self.per_fault.iter().map(|f| f.trials as u64).sum();
-        let detected: u64 = self.per_fault.iter().map(|f| f.detected as u64).sum();
-        if trials == 0 {
+        let totals = Totals::of(&self.per_fault);
+        totals.per_trial(totals.detected)
+    }
+}
+
+/// Trial, detection and lost-work sums over fault rows: what every
+/// whole-campaign figure divides.
+#[derive(Default)]
+pub(crate) struct Totals {
+    pub(crate) trials: u64,
+    pub(crate) detected: u64,
+    pub(crate) lost_work: u64,
+}
+
+impl Totals {
+    pub(crate) fn of<'a>(rows: impl IntoIterator<Item = &'a SystemFaultResult>) -> Self {
+        rows.into_iter().fold(Totals::default(), |t, f| Totals {
+            trials: t.trials + u64::from(f.trials),
+            detected: t.detected + u64::from(f.detected),
+            lost_work: t.lost_work + f.lost_work_sum,
+        })
+    }
+
+    /// `sum` averaged over the trials (0 without trials).
+    pub(crate) fn per_trial(&self, sum: u64) -> f64 {
+        if self.trials == 0 {
             0.0
         } else {
-            detected as f64 / trials as f64
+            sum as f64 / self.trials as f64
         }
+    }
+}
+
+/// The system event stream of one `(bank, trial)`: `model`'s mission
+/// traffic, seeded from `(campaign seed, bank, trial)`, merged with the
+/// scrub reads on the global clock. Every campaign over `system` —
+/// both [`SystemCampaign`] executors and
+/// [`DiagCampaign`](crate::DiagCampaign) — draws a trial's traffic
+/// here, so every fault of a bank shares it (common random numbers) and
+/// lane packing cannot move it.
+pub(crate) fn trial_clock(
+    system: &SystemConfig,
+    campaign: &CampaignConfig,
+    model: &dyn WorkloadModel,
+    bank: usize,
+    trial: u32,
+) -> SystemClock<OpStream> {
+    let spec = system.workload_spec(campaign.write_fraction);
+    let seed = seed_mix(campaign.seed ^ TRAFFIC_TAG, &[bank as u64, trial as u64]);
+    SystemClock::new(system.interleaver(), system.scrub, model.stream(spec, seed))
+}
+
+/// Panic unless every universe entry names a bank of `system`.
+pub(crate) fn check_banks(system: &SystemConfig, universe: &[SystemFault]) {
+    if let Some(bad) = universe.iter().find(|f| f.bank >= system.num_banks()) {
+        panic!(
+            "fault targets bank {} of a {}-bank system",
+            bad.bank,
+            system.num_banks()
+        );
     }
 }
 
@@ -452,12 +506,7 @@ impl SystemCampaign {
                 .into_iter()
                 .map(FaultSite::RowDecoder)
                 .collect();
-            let stride = if max_per_bank == 0 || faults.len() <= max_per_bank {
-                1
-            } else {
-                faults.len().div_ceil(max_per_bank)
-            };
-            for (index, site) in faults.into_iter().step_by(stride).enumerate() {
+            for (index, site) in stride_sample(&faults, max_per_bank).into_iter().enumerate() {
                 universe.push(SystemFault::permanent(bank, index, site));
             }
         }
@@ -576,13 +625,7 @@ impl SystemCampaign {
     /// the generic one — and every pack runs on the executor
     /// [`sliced`](Self::sliced) selects.
     fn executor<'a>(&'a self, universe: &'a [SystemFault]) -> (LaneGrid, BankRunner<'a>) {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
+        check_banks(&self.system, universe);
         let (width, executor) = if self.sliced {
             if let Some(bad) = universe
                 .iter()
@@ -611,24 +654,11 @@ impl SystemCampaign {
         (grid, runner)
     }
 
-    /// Traffic seed of one `(bank, trial)` system event stream: shared by
-    /// every fault of the bank (common random numbers) and by both
-    /// executors, and never keyed by a fault index, so lane packing
-    /// cannot move it.
-    fn traffic_seed(&self, bank: usize, trial: u32) -> u64 {
-        crate::system::seed_mix(
-            self.campaign.seed ^ TRAFFIC_TAG,
-            &[bank as u64, trial as u64],
-        )
-    }
-
     /// One `(bank, trial)` system event stream walked on the global clock:
     /// every global cycle of the horizon with the bank that cycle's
     /// event targets. The one traffic source of both executors.
     fn clock_walk(&self, bank: usize, trial: u32) -> impl Iterator<Item = (u64, usize, Op)> + '_ {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let traffic = self.model.stream(spec, self.traffic_seed(bank, trial));
-        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+        let mut clock = trial_clock(&self.system, &self.campaign, &*self.model, bank, trial);
         (0..self.campaign.cycles).map(move |cycle| {
             let (target, op) = clock.next_event().target();
             (cycle, target, op)

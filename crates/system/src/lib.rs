@@ -15,7 +15,7 @@
 //!   [`CheckpointSchedule`] anchoring Aupy-style lost-work accounting;
 //! * [`SystemCampaign`] — the parallel `bank × fault × trial` campaign,
 //!   bit-identical at every thread count (traffic seeds pure in
-//!   `(seed, bank, fault, trial)`, prefill seeds pure in `(seed, bank)`);
+//!   `(seed, bank, trial)`, prefill seeds pure in `(seed, bank)`);
 //! * [`system_report`] — the byte-stable rendering behind `scm system`;
 //! * [`DiagPolicy`] / [`DiagCampaign`] — March-BIST diagnosis sessions
 //!   scheduled on the same clock (stealing slots like scrubs, but in
