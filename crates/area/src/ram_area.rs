@@ -26,21 +26,29 @@ impl RamOrganization {
     /// `mux_factor < words` (the row decoder needs at least one address
     /// bit), and `word_bits ≥ 1`.
     pub fn new(words: u64, word_bits: u32, mux_factor: u32) -> Self {
-        assert!(words.is_power_of_two(), "word count must be a power of two");
-        assert!(
-            mux_factor.is_power_of_two(),
-            "mux factor must be a power of two"
-        );
-        assert!(
-            (mux_factor as u64) < words,
-            "mux factor exceeds word count (need at least two rows)"
-        );
-        assert!(word_bits >= 1, "word width must be at least 1");
-        RamOrganization {
+        Self::try_new(words, word_bits, mux_factor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for untrusted dimensions: the broken rule as
+    /// an error instead of a panic.
+    pub fn try_new(words: u64, word_bits: u32, mux_factor: u32) -> Result<Self, &'static str> {
+        if !words.is_power_of_two() {
+            return Err("word count must be a power of two");
+        }
+        if !mux_factor.is_power_of_two() {
+            return Err("mux factor must be a power of two");
+        }
+        if mux_factor as u64 >= words {
+            return Err("mux factor exceeds word count (need at least two rows)");
+        }
+        if word_bits == 0 {
+            return Err("word width must be at least 1");
+        }
+        Ok(RamOrganization {
             words,
             word_bits,
             mux_factor,
-        }
+        })
     }
 
     /// The paper's style: 1-out-of-8 column multiplexing.

@@ -258,6 +258,37 @@ fn a_tampered_fleet_checkpoint_is_refused_on_resume() {
 }
 
 #[test]
+fn hostile_fleet_specs_exit_two_instead_of_panicking() {
+    let file = std::env::temp_dir().join(format!("scm-cli-spec-{}.txt", std::process::id()));
+    let path = file.display().to_string();
+    for (line, error) in [
+        ("bank 63 8 4 9", "word count must be a power of two"),
+        ("bank 64 8 3 9", "mux factor must be a power of two"),
+        ("bank 64 8 64 9", "mux factor exceeds word count"),
+        ("bank 64 0 4 9", "word width must be at least 1"),
+        ("bank 64 4294967304 4 9", "4294967304 exceeds 4294967295"),
+        (
+            "write_fraction_ppm 4295067296",
+            "4295067296 exceeds 4294967295",
+        ),
+    ] {
+        let spec = format!(
+            "scm-fleet-spec v1\ncycles_per_hour 3600\ncohort a\n  bank 64 8 4 9\n  {line}\n  devices 2\nend\n"
+        );
+        std::fs::write(&file, spec).unwrap();
+        let out = scm(&["fleet", "--spec", &path]);
+        assert_eq!(out.status.code(), Some(2), "{line}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(error), "{line}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{line}: no report from a refused spec"
+        );
+    }
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn valid_subcommand_exits_zero() {
     let out = scm(&["help"]);
     assert_eq!(out.status.code(), Some(0));

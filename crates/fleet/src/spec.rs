@@ -340,7 +340,14 @@ impl FleetSpec {
                 ));
             }
             for recipe in &cohort.banks {
-                let org = RamOrganization::new(recipe.words, recipe.word_bits, recipe.mux);
+                let org = RamOrganization::try_new(recipe.words, recipe.word_bits, recipe.mux)
+                    .map_err(|e| format!("{who}: bank geometry: {e}"))?;
+                if recipe.word_bits > 64 {
+                    return Err(format!(
+                        "{who}: bank geometry: word width {} exceeds the simulator's 64-bit data word",
+                        recipe.word_bits
+                    ));
+                }
                 let code = MOutOfN::new(3, 5).expect("3-out-of-5 exists");
                 CodewordMap::mod_a(code, recipe.modulus, org.rows())
                     .map_err(|e| format!("{who}: bank row map: {e}"))?;
@@ -414,6 +421,9 @@ impl FleetSpec {
                 v.parse()
                     .map_err(|_| format!("'{key}': not an integer: '{v}'"))
             };
+            let int32 = |v: &str| -> Result<u32, String> {
+                u32::try_from(int(v)?).map_err(|_| format!("'{key}': {v} exceeds {}", u32::MAX))
+            };
             match (key, &mut current) {
                 ("cycles_per_hour", None) => spec.cycles_per_hour = int(one()?)?,
                 ("cohort", None) => {
@@ -443,8 +453,8 @@ impl FleetSpec {
                 ("bank", Some(c)) => match rest.as_slice() {
                     [w, b, m, a] => c.banks.push(BankRecipe {
                         words: int(w)?,
-                        word_bits: int(b)? as u32,
-                        mux: int(m)? as u32,
+                        word_bits: int32(b)?,
+                        mux: int32(m)?,
                         modulus: int(a)?,
                     }),
                     _ => {
@@ -460,17 +470,17 @@ impl FleetSpec {
                 ("scrub_period", Some(c)) => c.scrub_period = int(one()?)?,
                 ("checkpoint_interval", Some(c)) => c.checkpoint_interval = int(one()?)?,
                 ("workload", Some(c)) => c.workload = one()?.to_owned(),
-                ("write_fraction_ppm", Some(c)) => c.write_fraction_ppm = int(one()?)? as u32,
+                ("write_fraction_ppm", Some(c)) => c.write_fraction_ppm = int32(one()?)?,
                 ("devices", Some(c)) => c.devices = int(one()?)?,
                 ("horizon", Some(c)) => c.horizon = int(one()?)?,
                 ("seu_mean_cycles", Some(c)) => c.seu_mean_cycles = int(one()?)?,
-                ("arrivals_per_bank", Some(c)) => c.arrivals_per_bank = int(one()?)? as u32,
-                ("hard_ppm", Some(c)) => c.hard_ppm = int(one()?)? as u32,
-                ("spare_rows", Some(c)) => c.spare_rows = int(one()?)? as u32,
-                ("spare_cols", Some(c)) => c.spare_cols = int(one()?)? as u32,
+                ("arrivals_per_bank", Some(c)) => c.arrivals_per_bank = int32(one()?)?,
+                ("hard_ppm", Some(c)) => c.hard_ppm = int32(one()?)?,
+                ("spare_rows", Some(c)) => c.spare_rows = int32(one()?)?,
+                ("spare_cols", Some(c)) => c.spare_cols = int32(one()?)?,
                 ("march", Some(c)) => c.march = one()?.to_owned(),
                 ("slo_max_sdc_fit", Some(c)) => c.slo_max_sdc_fit = int(one()?)?,
-                ("slo_min_detect_ppm", Some(c)) => c.slo_min_detect_ppm = int(one()?)? as u32,
+                ("slo_min_detect_ppm", Some(c)) => c.slo_min_detect_ppm = int32(one()?)?,
                 _ => return Err(format!("unexpected spec line: '{line}'")),
             }
         }
@@ -499,6 +509,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn presets_validate_and_round_trip() {
@@ -525,6 +536,117 @@ mod tests {
         assert!(FleetSpec::parse(unterminated)
             .unwrap_err()
             .contains("missing its 'end'"));
+    }
+
+    /// A one-cohort spec around `line`.
+    fn one_cohort(line: &str) -> String {
+        format!(
+            "scm-fleet-spec v1\ncycles_per_hour 3600\ncohort a\n  bank 64 8 4 9\n  {line}\nend\n"
+        )
+    }
+
+    #[test]
+    fn u32_fields_refuse_values_past_u32_max() {
+        for (line, value) in [
+            ("bank 64 4294967304 4 9", "4294967304"),
+            ("bank 64 8 4294967300 9", "4294967300"),
+            ("write_fraction_ppm 4295067296", "4295067296"),
+            ("arrivals_per_bank 4294967296", "4294967296"),
+            ("hard_ppm 18446744073709551615", "18446744073709551615"),
+            ("spare_rows 4294967297", "4294967297"),
+            ("spare_cols 4294967298", "4294967298"),
+            ("slo_min_detect_ppm 4294967296", "4294967296"),
+        ] {
+            let err = FleetSpec::parse(&one_cohort(line)).unwrap_err();
+            assert!(
+                err.contains(&format!("{value} exceeds 4294967295")),
+                "{line}: {err}"
+            );
+        }
+        let spec = FleetSpec::parse(&one_cohort("spare_rows 4294967295")).unwrap();
+        assert_eq!(spec.cohorts[0].spare_rows, u32::MAX);
+    }
+
+    #[test]
+    fn impossible_bank_geometries_are_errors() {
+        for (bank, rule) in [
+            ("63 8 4 9", "word count must be a power of two"),
+            ("64 8 3 9", "mux factor must be a power of two"),
+            ("64 8 0 9", "mux factor must be a power of two"),
+            ("64 8 64 9", "mux factor exceeds word count"),
+            ("64 0 4 9", "word width must be at least 1"),
+            ("64 65 4 9", "word width 65 exceeds"),
+        ] {
+            let text = one_cohort(&format!("bank {bank}"));
+            let err = FleetSpec::parse(&text).unwrap_err();
+            assert!(
+                err.contains("cohort 'a': bank geometry") && err.contains(rule),
+                "{bank}: {err}"
+            );
+        }
+    }
+
+    /// Zero, a negative, and the first values past `u32` and `u64`.
+    const HOSTILE: [&str; 4] = ["0", "-1", "4294967296", "18446744073709551616"];
+
+    /// Apply one edit to a spec's lines: `kind` 0 deletes line `a`, 1
+    /// duplicates it, 2 swaps lines `a` and `b`, and 3 replaces integer
+    /// token `a` (counted over the whole text) with `HOSTILE[b]`; `a`
+    /// and `b` wrap to the lines or tokens there are.
+    fn mutate(lines: &mut Vec<String>, (kind, a, b): (u8, u64, u64)) {
+        let n = lines.len() as u64;
+        if n == 0 {
+            return;
+        }
+        let (a, b) = ((a % n) as usize, (b % n) as usize);
+        match kind {
+            0 => {
+                lines.remove(a);
+            }
+            1 => lines.insert(a, lines[a].clone()),
+            2 => lines.swap(a, b),
+            _ => {
+                let numbers: Vec<(usize, usize)> = lines
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(l, line)| {
+                        line.split_whitespace()
+                            .enumerate()
+                            .filter(|(_, t)| t.parse::<u64>().is_ok())
+                            .map(move |(t, _)| (l, t))
+                    })
+                    .collect();
+                if numbers.is_empty() {
+                    return;
+                }
+                let (l, t) = numbers[a % numbers.len()];
+                let mut tokens: Vec<&str> = lines[l].split_whitespace().collect();
+                tokens[t] = HOSTILE[b % HOSTILE.len()];
+                lines[l] = tokens.join(" ");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// A mutated preset either fails to parse or parses to a spec
+        /// whose canonical text parses back to the same spec; parsing
+        /// never panics.
+        #[test]
+        fn mutated_presets_error_or_round_trip(
+            preset in 0usize..2,
+            edits in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..6),
+        ) {
+            let text = FleetSpec::preset(PRESET_NAMES[preset]).unwrap().to_text();
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            for &edit in &edits {
+                mutate(&mut lines, edit);
+            }
+            if let Ok(spec) = FleetSpec::parse(&lines.join("\n")) {
+                prop_assert_eq!(FleetSpec::parse(&spec.to_text()), Ok(spec));
+            }
+        }
     }
 
     #[test]

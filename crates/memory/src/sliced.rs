@@ -62,7 +62,10 @@
 //! ones. The prefill image and the fault-free golden twin are packed
 //! one-bit-per-cell bitmaps: every lane starts from the same image and
 //! the twin's writes are lane-uniform, so a slab per cell would only
-//! repeat one bit `64 · W` times.
+//! repeat one bit `64 · W` times. The slabs themselves are expanded from
+//! the prefill one site at a time, on first touch: building a backend
+//! expands nothing, and a short trial on a large array pays only for
+//! the handful of sites it reads or writes.
 //!
 //! The differential proptests in `tests/differential_backends.rs` and the
 //! unit tests in `sliced/tests.rs` enforce the contract against the
@@ -454,35 +457,103 @@ fn pack_prefill(config: &RamConfig, seed: u64, bits: &mut [u64]) {
     }
 }
 
-/// The sites (word addresses) whose cells or golden image may differ
-/// from the prefill since the last reset, one bit per site. Writes,
-/// their double-selection companions, one-shot flips and coupling
-/// victims mark their site; [`reset`](SlicedBackend::reset) drains the
-/// set.
+/// A set of sites (word addresses), one bit per site.
 #[derive(Debug, Clone)]
-struct DirtySites {
+struct SiteSet {
     bits: Vec<u64>,
 }
 
-impl DirtySites {
+impl SiteSet {
     fn new(sites: usize) -> Self {
-        DirtySites {
+        SiteSet {
             bits: vec![0; sites.div_ceil(64)],
         }
     }
 
-    /// Record a change at `site`.
+    /// Add `site`.
     #[inline]
     fn mark(&mut self, site: usize) {
         self.bits[site >> 6] |= 1u64 << (site & 63);
     }
 
-    /// Hand every marked site to `f` in ascending order, clearing the
-    /// marks: O(sites / 64 + marked).
+    /// Is `site` a member?
+    #[inline]
+    fn contains(&self, site: usize) -> bool {
+        self.bits[site >> 6] >> (site & 63) & 1 == 1
+    }
+
+    /// Hand every member to `f` in ascending order, emptying the set:
+    /// O(sites / 64 + members).
     fn drain(&mut self, mut f: impl FnMut(usize)) {
         for (w, word) in self.bits.iter_mut().enumerate() {
             for_each_lane(std::mem::take(word), |b| f(w * 64 + b));
         }
+    }
+}
+
+/// The faulty underlying state, one slab per cell, access-contiguous:
+/// index `(rv · mux + cv) · stride + k`. Pinned-cell overlays apply at
+/// read time, like [`CellArray`].
+///
+/// Slabs are materialised from the prefill one site at a time, on the
+/// first access that reads or writes them: a build expands nothing, and
+/// a trial pays only for the sites it touches. Every access goes
+/// through [`site`](Self::site) or [`cell`](Self::cell), so a slab
+/// outside `materialized` is never observed. Sites stay materialised
+/// for the backend's lifetime: [`SlicedBackend::reset`] re-expands the
+/// sites a trial changed, and a site that was only read still holds
+/// the prefill, so reused packs re-expand nothing they touched before.
+///
+/// [`CellArray`]: crate::array::CellArray
+#[derive(Debug, Clone)]
+struct SlabCells<const W: usize> {
+    /// Pre-fault image, one bit per cell index (every lane shares it).
+    base: Vec<u64>,
+    /// Slabs per `(row value, column value)` site: `m` data bit groups
+    /// plus the parity group.
+    stride: usize,
+    /// One slab per cell, valid only at the sites in `materialized`.
+    slabs: Vec<LaneSet<W>>,
+    /// The sites whose slabs hold state.
+    materialized: SiteSet,
+}
+
+impl<const W: usize> SlabCells<W> {
+    fn new(base: Vec<u64>, sites: usize, stride: usize) -> Self {
+        SlabCells {
+            base,
+            stride,
+            slabs: vec![LaneSet::EMPTY; sites * stride],
+            materialized: SiteSet::new(sites),
+        }
+    }
+
+    /// The `stride` slabs of `site`, materialised on first touch.
+    #[inline]
+    fn site(&mut self, site: usize) -> &mut [LaneSet<W>] {
+        let range = site * self.stride..(site + 1) * self.stride;
+        if !self.materialized.contains(site) {
+            self.materialized.mark(site);
+            materialize(&self.base, range.clone(), &mut self.slabs);
+        }
+        &mut self.slabs[range]
+    }
+
+    /// The slab of cell `idx`, its site materialised on first touch.
+    #[inline]
+    fn cell(&mut self, idx: usize) -> &mut LaneSet<W> {
+        let stride = self.stride;
+        &mut self.site(idx / stride)[idx % stride]
+    }
+
+    /// Put every lane of `site` back to the prefill.
+    fn reset_site(&mut self, site: usize) {
+        self.materialized.mark(site);
+        materialize(
+            &self.base,
+            site * self.stride..(site + 1) * self.stride,
+            &mut self.slabs,
+        );
     }
 }
 
@@ -562,17 +633,9 @@ pub struct SlicedBackend<const W: usize = 1> {
     all_mask: LaneSet<W>,
     mux: usize,
     m: u32,
-    /// Slabs per `(row value, column value)` site: `m` data bit groups
-    /// plus the parity group.
-    stride: usize,
-    /// Pre-fault image, one bit per cell index (every lane shares it).
-    base: Vec<u64>,
-    /// Faulty underlying state, one slab per cell, access-contiguous:
-    /// index `(rv · mux + cv) · stride + k`. Pinned-cell overlays apply
-    /// at read time, like [`CellArray`].
-    ///
-    /// [`CellArray`]: crate::array::CellArray
-    cells: Vec<LaneSet<W>>,
+    /// Faulty underlying state over the pre-fault image, one slab per
+    /// cell, materialised a site at a time on first touch.
+    cells: SlabCells<W>,
     /// The fault-free golden twin's state, one bit per cell index (its
     /// writes are lane-uniform).
     gold: Vec<u64>,
@@ -635,8 +698,11 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// Has a retirement sweep shortened the live prefixes since the
     /// last reset? Only then does reset walk the per-value lists.
     swept: bool,
-    /// Sites to restore on the next reset.
-    dirty: DirtySites,
+    /// Sites whose cells or golden image may differ from the prefill
+    /// since the last reset: writes, their double-selection companions,
+    /// one-shot flips and coupling victims mark their site, and
+    /// [`reset`](Self::reset) restores and drains the set.
+    dirty: SiteSet,
     /// Lanes dropped by [`retire`](Self::retire) since the last reset.
     retired: LaneSet<W>,
     /// Retired lanes not yet swept out of the fault tables. Sweeps are
@@ -844,8 +910,6 @@ impl<const W: usize> SlicedBackend<W> {
         if let Some(seed) = seed {
             pack_prefill(config, seed, &mut base);
         }
-        let mut cells = vec![LaneSet::EMPTY; sites * stride];
-        materialize(&base, 0..cells.len(), &mut cells);
         let flips_all = cell_flips.iter().fold(LaneSet::EMPTY, |acc, f| {
             let mut acc = acc;
             f.0.set_in(&mut acc);
@@ -867,10 +931,8 @@ impl<const W: usize> SlicedBackend<W> {
             all_mask,
             mux,
             m,
-            stride,
-            cells,
             gold: base.clone(),
-            base,
+            cells: SlabCells::new(base, sites, stride),
             scratch: vec![LaneSet::EMPTY; stride],
             cycle: 0,
             fired: LaneSet::EMPTY,
@@ -896,7 +958,7 @@ impl<const W: usize> SlicedBackend<W> {
             col_err,
             live_len,
             swept: false,
-            dirty: DirtySites::new(sites),
+            dirty: SiteSet::new(sites),
             retired: LaneSet::EMPTY,
             pending_retire: LaneSet::EMPTY,
             live: {
@@ -957,23 +1019,23 @@ impl<const W: usize> SlicedBackend<W> {
     /// every lane of each): the walk over the dirty-site bitmap costs
     /// O(sites / 64 + sites touched), so a short trial resets without
     /// touching the rest of the array, and a trial that dirtied every
-    /// site costs one full materialisation. Rows whose tables were
-    /// expanded while lanes were retired are un-expanded.
-    /// Allocation-free.
+    /// site costs one full materialisation. Restored sites stay
+    /// materialised, and so do sites the trial only read (they still
+    /// hold the prefill): a reused pack never re-expands a site it
+    /// touched before. Rows whose tables were expanded while lanes were
+    /// retired are un-expanded. Allocation-free.
     pub fn reset(&mut self) {
         let SlicedBackend {
-            ref base,
             ref mut cells,
             ref mut gold,
             ref mut dirty,
-            stride,
             ..
         } = *self;
+        let stride = cells.stride;
         dirty.drain(|site| {
-            let range = site * stride..(site + 1) * stride;
-            materialize(base, range.clone(), cells);
-            for idx in range {
-                set_uniform_bit(gold, idx, uniform_bit(base, idx));
+            cells.reset_site(site);
+            for idx in site * stride..(site + 1) * stride {
+                set_uniform_bit(gold, idx, uniform_bit(&cells.base, idx));
             }
         });
         for rv in self.row_partial.drain(..) {
@@ -1101,14 +1163,13 @@ impl<const W: usize> SlicedBackend<W> {
                 ref mut fired,
                 ref mut dirty,
                 cycle,
-                stride,
                 ..
             } = *self;
             for &(slot, idx, at) in &cell_flips[..live_len.cell_flips] {
                 if !slot.in_set(fired) && cycle >= at {
-                    cells[idx].0[slot.word] ^= slot.bit;
+                    cells.cell(idx).0[slot.word] ^= slot.bit;
                     slot.set_in(fired);
-                    dirty.mark(idx / stride);
+                    dirty.mark(idx / cells.stride);
                 }
             }
         }
@@ -1199,10 +1260,10 @@ impl<const W: usize> SlicedBackend<W> {
     }
 
     fn read(&mut self, rv: usize, cv: usize, active: LaneSet<W>) -> SlicedObservation<W> {
-        let stride = self.stride;
-        let site = (rv * self.mux + cv) * stride;
+        let site = rv * self.mux + cv;
+        let first = site * self.cells.stride;
         let SlicedBackend {
-            ref cells,
+            ref mut cells,
             ref gold,
             ref mut scratch,
             ref stuck_cells,
@@ -1221,9 +1282,9 @@ impl<const W: usize> SlicedBackend<W> {
         } = *self;
         let full = live.len() == W;
         if full {
-            scratch.copy_from_slice(&cells[site..site + stride]);
+            scratch.copy_from_slice(cells.site(site));
         } else {
-            for (dst, src) in scratch.iter_mut().zip(&cells[site..site + stride]) {
+            for (dst, src) in scratch.iter_mut().zip(cells.site(site).iter()) {
                 for &w in live {
                     dst.0[w] = src.0[w];
                 }
@@ -1247,17 +1308,17 @@ impl<const W: usize> SlicedBackend<W> {
         // Double selection → wired-OR with the companion row / column.
         for &(slot, companion) in &row_two[rv][..live_len.row_two[rv] as usize] {
             if slot.in_set(&active) {
-                let cbase = (companion as usize * mux + cv) * stride;
-                for (k, word) in scratch.iter_mut().enumerate() {
-                    word.0[slot.word] |= cells[cbase + k].0[slot.word] & slot.bit;
+                let other = cells.site(companion as usize * mux + cv);
+                for (word, c) in scratch.iter_mut().zip(other.iter()) {
+                    word.0[slot.word] |= c.0[slot.word] & slot.bit;
                 }
             }
         }
         for &(slot, companion) in &col_two[cv][..live_len.col_two[cv] as usize] {
             if slot.in_set(&active) {
-                let cbase = (rv * mux + companion as usize) * stride;
-                for (k, word) in scratch.iter_mut().enumerate() {
-                    word.0[slot.word] |= cells[cbase + k].0[slot.word] & slot.bit;
+                let other = cells.site(rv * mux + companion as usize);
+                for (word, c) in scratch.iter_mut().zip(other.iter()) {
+                    word.0[slot.word] |= c.0[slot.word] & slot.bit;
                 }
             }
         }
@@ -1272,12 +1333,12 @@ impl<const W: usize> SlicedBackend<W> {
         let mut par = LaneSet::EMPTY;
         if full {
             for (k, &d) in scratch.iter().enumerate() {
-                err |= if uniform_bit(gold, site + k) { !d } else { d };
+                err |= if uniform_bit(gold, first + k) { !d } else { d };
                 par ^= d;
             }
         } else {
             for (k, d) in scratch.iter().enumerate() {
-                let stored_one = uniform_bit(gold, site + k);
+                let stored_one = uniform_bit(gold, first + k);
                 for &w in live {
                     let dw = d.0[w];
                     err.0[w] |= if stored_one { !dw } else { dw };
@@ -1310,8 +1371,8 @@ impl<const W: usize> SlicedBackend<W> {
         // Lanes whose decoder selects no line write nothing at all.
         let none = (self.row_none[rv] | self.col_none[cv]) & active;
         let wmask = !none;
-        let stride = self.stride;
-        let site = (rv * self.mux + cv) * stride;
+        let stride = self.cells.stride;
+        let site = rv * self.mux + cv;
         let SlicedBackend {
             ref mut cells,
             ref mut gold,
@@ -1342,23 +1403,22 @@ impl<const W: usize> SlicedBackend<W> {
         let couplings = &couplings[..live_len.couplings];
         for c in couplings {
             if c.agg_row == rv && c.agg_cv == cv {
-                let cur = c.slot.in_set(&cells[c.agg_idx]);
+                let cur = c.slot.in_set(cells.cell(c.agg_idx));
                 if cur != wbit_at(c.agg_k) {
                     c.slot.set_in(&mut toggled);
                 }
             }
         }
-        dirty.mark(rv * mux + cv);
+        dirty.mark(site);
+        let slabs = cells.site(site);
         if live.len() == W {
-            for k in 0..stride {
+            for (k, cell) in slabs.iter_mut().enumerate() {
                 let wbit = wbit_at(k);
-                let idx = site + k;
-                cells[idx] = (cells[idx] & !wmask) | if wbit { wmask } else { LaneSet::EMPTY };
+                *cell = (*cell & !wmask) | if wbit { wmask } else { LaneSet::EMPTY };
             }
         } else {
-            for k in 0..stride {
+            for (k, cell) in slabs.iter_mut().enumerate() {
                 let wbit = wbit_at(k);
-                let cell = &mut cells[site + k];
                 for &w in live {
                     let select = wmask.0[w];
                     cell.0[w] = (cell.0[w] & !select) | if wbit { select } else { 0 };
@@ -1371,9 +1431,8 @@ impl<const W: usize> SlicedBackend<W> {
             if slot.in_set(&active) {
                 let csite = companion as usize * mux + cv;
                 dirty.mark(csite);
-                let cbase = csite * stride;
-                for k in 0..stride {
-                    slot.assign_in(&mut cells[cbase + k], wbit_at(k));
+                for (k, cell) in cells.site(csite).iter_mut().enumerate() {
+                    slot.assign_in(cell, wbit_at(k));
                 }
             }
         }
@@ -1381,16 +1440,15 @@ impl<const W: usize> SlicedBackend<W> {
             if slot.in_set(&active) {
                 let csite = rv * mux + companion as usize;
                 dirty.mark(csite);
-                let cbase = csite * stride;
-                for k in 0..stride {
-                    slot.assign_in(&mut cells[cbase + k], wbit_at(k));
+                for (k, cell) in cells.site(csite).iter_mut().enumerate() {
+                    slot.assign_in(cell, wbit_at(k));
                 }
             }
         }
         // The fault-free twin always writes (its decoders are clean), on
         // every lane alike.
         for k in 0..stride {
-            set_uniform_bit(gold, site + k, wbit_at(k));
+            set_uniform_bit(gold, site * stride + k, wbit_at(k));
         }
         // Coupling acts after the write settles.
         if toggled.any() {
@@ -1399,10 +1457,10 @@ impl<const W: usize> SlicedBackend<W> {
                     dirty.mark(c.victim_idx / stride);
                     match c.kind {
                         CouplingKind::Inversion => {
-                            cells[c.victim_idx].0[c.slot.word] ^= c.slot.bit;
+                            cells.cell(c.victim_idx).0[c.slot.word] ^= c.slot.bit;
                         }
                         CouplingKind::Idempotent { value } => {
-                            c.slot.assign_in(&mut cells[c.victim_idx], value);
+                            c.slot.assign_in(cells.cell(c.victim_idx), value);
                         }
                     }
                 }
@@ -1421,11 +1479,10 @@ impl<const W: usize> SlicedBackend<W> {
     /// prefill only at written sites, which are marked already, so
     /// healing an unmarked site leaves it at its prefill.
     fn restore(&mut self, site: usize, mask: LaneSet<W>) {
-        let site = site * self.stride;
-        for k in 0..self.stride {
-            let idx = site + k;
-            let gval = LaneSet::splat(uniform_bit(&self.gold, idx));
-            self.cells[idx] = (self.cells[idx] & !mask) | (gval & mask);
+        let first = site * self.cells.stride;
+        for (k, cell) in self.cells.site(site).iter_mut().enumerate() {
+            let gval = LaneSet::splat(uniform_bit(&self.gold, first + k));
+            *cell = (*cell & !mask) | (gval & mask);
         }
     }
 }

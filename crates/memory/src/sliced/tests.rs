@@ -557,7 +557,9 @@ fn packed_prefill_matches_the_per_bit_replay_and_the_scalar_image() {
             );
             let stride = m as usize + 1;
             let seed = 0x5EED ^ (m as u64) << 8 ^ mux as u64;
-            let bits = &SlicedBackend::<1>::prefilled(&cfg, &[probe], seed).base;
+            let bits = &SlicedBackend::<1>::prefilled(&cfg, &[probe], seed)
+                .cells
+                .base;
             assert_eq!(bits, &per_bit_prefill(&cfg, seed), "m {m} mux {mux}: image");
             let scalar = BehavioralBackend::prefilled(&cfg, seed);
             for addr in 0..words {
@@ -690,41 +692,85 @@ fn reuse_pool() -> Vec<FaultScenario> {
     v
 }
 
-/// Run every trial of `trials` on one backend reused through `reset`
-/// (checking after each reset that its cells and golden image are the
-/// fresh build's) and on a fresh backend per trial; return the reused
-/// run's per-trial outcomes, the fresh runs', and how many sites each
-/// reused trial left dirty.
+/// Members of a site set.
+fn site_count(set: &SiteSet) -> u32 {
+    set.bits.iter().map(|w| w.count_ones()).sum()
+}
+
+/// The state a backend's cells stand for: the stored slab at a
+/// materialised site, the prefill on every lane elsewhere.
+fn logical_cells<const W: usize>(b: &SlicedBackend<W>) -> Vec<LaneSet<W>> {
+    let c = &b.cells;
+    (0..c.slabs.len())
+        .map(|idx| {
+            if c.materialized.contains(idx / c.stride) {
+                c.slabs[idx]
+            } else {
+                LaneSet::splat(uniform_bit(&c.base, idx))
+            }
+        })
+        .collect()
+}
+
+fn run_trial<const W: usize>(backend: &mut SlicedBackend<W>, ops: &[Op]) -> Vec<DetectionOutcome> {
+    measure_detection_sliced(backend, &mut ReplayOps::new(ops), ops.len() as u64)
+}
+
+/// What one backend reused through `reset` did over a run of trials.
+struct Reuse {
+    /// Per-trial outcomes.
+    outcomes: Vec<Vec<DetectionOutcome>>,
+    /// Sites each trial left dirty.
+    dirtied: Vec<u32>,
+    /// Sites materialised right after each trial's reset and at its end.
+    materialized: Vec<(u32, u32)>,
+}
+
+/// Run every trial of `trials` on one backend reused through `reset`,
+/// checking after each reset that the dirty set is empty and that its
+/// cells and golden image stand for the fresh build's.
+fn run_reused<const W: usize>(
+    cfg: &RamConfig,
+    pack: &[FaultScenario],
+    seed: u64,
+    trials: &[Vec<Op>],
+) -> Reuse {
+    let pristine = SlicedBackend::<W>::prefilled(cfg, pack, seed);
+    assert_eq!(site_count(&pristine.cells.materialized), 0);
+    let pristine_cells = logical_cells(&pristine);
+    let mut reused = pristine.clone();
+    let mut out = Reuse {
+        outcomes: Vec::new(),
+        dirtied: Vec::new(),
+        materialized: Vec::new(),
+    };
+    for ops in trials {
+        reused.reset();
+        // Every change the last trial made — companion writes included,
+        // even those no later observation happens to read — is undone.
+        assert_eq!(site_count(&reused.dirty), 0, "reset drains the dirty set");
+        assert!(logical_cells(&reused) == pristine_cells && reused.gold == pristine.gold);
+        let at_reset = site_count(&reused.cells.materialized);
+        out.outcomes.push(run_trial(&mut reused, ops));
+        out.dirtied.push(site_count(&reused.dirty));
+        let at_end = site_count(&reused.cells.materialized);
+        out.materialized.push((at_reset, at_end));
+    }
+    out
+}
+
+/// [`run_reused`], plus the outcomes of a fresh backend per trial.
 fn reuse_and_fresh<const W: usize>(
     cfg: &RamConfig,
     pack: &[FaultScenario],
     seed: u64,
     trials: &[Vec<Op>],
-) -> (
-    Vec<Vec<DetectionOutcome>>,
-    Vec<Vec<DetectionOutcome>>,
-    Vec<u32>,
-) {
-    let run = |backend: &mut SlicedBackend<W>, ops: &[Op]| {
-        measure_detection_sliced(backend, &mut ReplayOps::new(ops), ops.len() as u64)
-    };
-    let pristine = SlicedBackend::<W>::prefilled(cfg, pack, seed);
-    let mut reused = pristine.clone();
-    let mut dirtied = Vec::new();
-    let mut again = Vec::new();
-    for ops in trials {
-        reused.reset();
-        // Every change the last trial made — companion writes included,
-        // even those no later observation happens to read — is undone.
-        assert!(reused.cells == pristine.cells && reused.gold == pristine.gold);
-        again.push(run(&mut reused, ops));
-        dirtied.push(reused.dirty.bits.iter().map(|w| w.count_ones()).sum());
-    }
+) -> (Reuse, Vec<Vec<DetectionOutcome>>) {
     let fresh = trials
         .iter()
-        .map(|ops| run(&mut SlicedBackend::<W>::prefilled(cfg, pack, seed), ops))
+        .map(|ops| run_trial(&mut SlicedBackend::<W>::prefilled(cfg, pack, seed), ops))
         .collect();
-    (again, fresh, dirtied)
+    (run_reused::<W>(cfg, pack, seed, trials), fresh)
 }
 
 proptest! {
@@ -766,20 +812,61 @@ proptest! {
                 ops
             })
             .collect();
-        let (reused, fresh, dirtied) = if lanes > 64 {
+        let (reused, fresh) = if lanes > 64 {
             reuse_and_fresh::<8>(&cfg, &pack, seed, &streams)
         } else {
             reuse_and_fresh::<1>(&cfg, &pack, seed, &streams)
         };
-        prop_assert_eq!(reused, fresh);
-        // One lane's 12 ops mark at most 36 sites (the addressed word, a
-        // companion, and a flip or victim); the sweep marks all 1024.
+        prop_assert_eq!(&reused.outcomes, &fresh);
+        let (dirtied, materialized) = (&reused.dirtied, &reused.materialized);
+        // One lane's 12 ops mark and materialise at most 36 sites (the
+        // addressed word, a companion, and a flip or victim); the sweep
+        // marks all 1024.
         if long == 0 && lanes == 1 {
             prop_assert!(dirtied.iter().all(|&n| n <= 36), "{:?}", dirtied);
+            prop_assert!(
+                materialized.iter().all(|&(at_reset, at_end)| at_end - at_reset <= 36),
+                "{:?}",
+                materialized
+            );
         } else if long == 1 && lanes > 1 {
             prop_assert!(dirtied.iter().all(|&n| n == 1024), "{:?}", dirtied);
         }
     }
+}
+
+#[test]
+fn a_repeated_trial_materialises_no_new_site() {
+    let cfg = reuse_config();
+    // A dormant lane plus 511 row-decoder faults: a read of a row a
+    // fault double-selects ORs in that lane's companion site, so one
+    // read can pull in hundreds of sites.
+    let mut pack: Vec<FaultScenario> = decoder_fault_universe(8)
+        .into_iter()
+        .map(|f| FaultSite::RowDecoder(f).into())
+        .cycle()
+        .take(512)
+        .collect();
+    pack[0] = dormant();
+    let model = model_by_name("uniform").unwrap();
+    let spec = WorkloadSpec {
+        words: 1024,
+        word_bits: 4,
+        write_fraction: 0.5,
+    };
+    let mut stream = model.stream(spec, 7);
+    let ops: Vec<Op> = (0..12).map(|_| stream.next_op()).collect();
+    let trials = vec![ops; 3];
+    let reuse = run_reused::<8>(&cfg, &pack, 7, &trials);
+    assert!(reuse.outcomes.iter().all(|o| o == &reuse.outcomes[0]));
+    // A build expands nothing; then the companions, not the 12
+    // addressed words, dominate the set.
+    let (built, first) = reuse.materialized[0];
+    assert_eq!(built, 0);
+    assert!(first > 100, "a wide decoder pack reads {first} sites");
+    // Sites stay materialised across resets, read-only companions
+    // included, so a repeat of the trial expands none of them again.
+    assert_eq!(reuse.materialized[1..], [(first, first); 2]);
 }
 
 #[test]
