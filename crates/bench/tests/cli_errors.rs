@@ -267,6 +267,12 @@ fn hostile_fleet_specs_exit_two_instead_of_panicking() {
         ("bank 64 8 64 9", "mux factor exceeds word count"),
         ("bank 64 0 4 9", "word width must be at least 1"),
         ("bank 64 4294967304 4 9", "4294967304 exceeds 4294967295"),
+        // A power-of-two bank past the cell cap is refused while the
+        // spec is parsed, before any slab is allocated.
+        (
+            "bank 4294967296 8 4 9",
+            "line 5: cohort 'a': bank geometry: 4294967296 words × 9 cells",
+        ),
         (
             "write_fraction_ppm 4295067296",
             "4295067296 exceeds 4294967295",

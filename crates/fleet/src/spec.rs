@@ -32,7 +32,42 @@ pub struct BankRecipe {
     pub modulus: u64,
 }
 
+/// The largest bank a spec may ask for, in cells: `words × (word_bits +
+/// 1)` (data bits plus the parity bit). Every simulated cell becomes a
+/// slab of up to 512 lanes (64 bytes), so the cap bounds a bank's slab
+/// state at 256 MiB. It is 2²² cells, 15× the largest geometry the
+/// presets, the test fixtures and the million-point design grid use
+/// (8192 words × 33 cells), so only hostile specs meet it.
+pub const MAX_BANK_CELLS: u64 = 1 << 22;
+
 impl BankRecipe {
+    /// Check the geometry and both decoder maps, refusing banks past
+    /// [`MAX_BANK_CELLS`] before any table is built.
+    pub fn validate(&self) -> Result<(), String> {
+        let org = RamOrganization::try_new(self.words, self.word_bits, self.mux)
+            .map_err(|e| format!("bank geometry: {e}"))?;
+        if self.word_bits > 64 {
+            return Err(format!(
+                "bank geometry: word width {} exceeds the simulator's 64-bit data word",
+                self.word_bits
+            ));
+        }
+        let cells = u128::from(self.words) * (u128::from(self.word_bits) + 1);
+        if cells > u128::from(MAX_BANK_CELLS) {
+            return Err(format!(
+                "bank geometry: {} words × {} cells is {cells} cells, over the {MAX_BANK_CELLS}-cell cap",
+                self.words,
+                self.word_bits + 1
+            ));
+        }
+        let code = MOutOfN::new(3, 5).expect("3-out-of-5 exists");
+        CodewordMap::mod_a(code, self.modulus, org.rows())
+            .map_err(|e| format!("bank row map: {e}"))?;
+        CodewordMap::mod_a(code, self.modulus, self.mux as u64)
+            .map_err(|e| format!("bank column map: {e}"))?;
+        Ok(())
+    }
+
     /// Instantiate the bank's RAM configuration.
     ///
     /// # Panics
@@ -93,6 +128,50 @@ pub struct CohortSpec {
 }
 
 impl CohortSpec {
+    /// Validate the cohort's name, fields and bank recipes; errors name
+    /// the cohort.
+    pub fn validate(&self) -> Result<(), String> {
+        let who = format!("cohort '{}'", self.name);
+        if self.name.is_empty()
+            || !self
+                .name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "-_".contains(c))
+        {
+            return Err(format!("{who}: names are [a-z0-9_-]+"));
+        }
+        if self.banks.is_empty() {
+            return Err(format!("{who}: needs at least one bank"));
+        }
+        if self.devices == 0 || self.horizon == 0 {
+            return Err(format!("{who}: devices and horizon must be positive"));
+        }
+        if self.seu_mean_cycles == 0 {
+            return Err(format!("{who}: seu_mean_cycles must be at least 1"));
+        }
+        if self.write_fraction_ppm > 1_000_000 || self.hard_ppm > 1_000_000 {
+            return Err(format!("{who}: ppm fields cap at 1000000"));
+        }
+        if model_by_name(&self.workload).is_none() {
+            return Err(format!(
+                "{who}: unknown workload '{}' (one of: {})",
+                self.workload,
+                MODEL_NAMES.join(", ")
+            ));
+        }
+        if MarchTest::by_name(&self.march).is_none() {
+            return Err(format!(
+                "{who}: unknown March test '{}' (one of: {})",
+                self.march,
+                MarchTest::NAMES.join(", ")
+            ));
+        }
+        for recipe in &self.banks {
+            recipe.validate().map_err(|e| format!("{who}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// The cohort's system configuration.
     pub fn system_config(&self) -> SystemConfig {
         SystemConfig {
@@ -303,59 +382,7 @@ impl FleetSpec {
         if self.cohorts.is_empty() {
             return Err("a fleet needs at least one cohort".to_owned());
         }
-        for cohort in &self.cohorts {
-            let who = format!("cohort '{}'", cohort.name);
-            if cohort.name.is_empty()
-                || !cohort
-                    .name
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "-_".contains(c))
-            {
-                return Err(format!("{who}: names are [a-z0-9_-]+"));
-            }
-            if cohort.banks.is_empty() {
-                return Err(format!("{who}: needs at least one bank"));
-            }
-            if cohort.devices == 0 || cohort.horizon == 0 {
-                return Err(format!("{who}: devices and horizon must be positive"));
-            }
-            if cohort.seu_mean_cycles == 0 {
-                return Err(format!("{who}: seu_mean_cycles must be at least 1"));
-            }
-            if cohort.write_fraction_ppm > 1_000_000 || cohort.hard_ppm > 1_000_000 {
-                return Err(format!("{who}: ppm fields cap at 1000000"));
-            }
-            if model_by_name(&cohort.workload).is_none() {
-                return Err(format!(
-                    "{who}: unknown workload '{}' (one of: {})",
-                    cohort.workload,
-                    MODEL_NAMES.join(", ")
-                ));
-            }
-            if MarchTest::by_name(&cohort.march).is_none() {
-                return Err(format!(
-                    "{who}: unknown March test '{}' (one of: {})",
-                    cohort.march,
-                    MarchTest::NAMES.join(", ")
-                ));
-            }
-            for recipe in &cohort.banks {
-                let org = RamOrganization::try_new(recipe.words, recipe.word_bits, recipe.mux)
-                    .map_err(|e| format!("{who}: bank geometry: {e}"))?;
-                if recipe.word_bits > 64 {
-                    return Err(format!(
-                        "{who}: bank geometry: word width {} exceeds the simulator's 64-bit data word",
-                        recipe.word_bits
-                    ));
-                }
-                let code = MOutOfN::new(3, 5).expect("3-out-of-5 exists");
-                CodewordMap::mod_a(code, recipe.modulus, org.rows())
-                    .map_err(|e| format!("{who}: bank row map: {e}"))?;
-                CodewordMap::mod_a(code, recipe.modulus, recipe.mux as u64)
-                    .map_err(|e| format!("{who}: bank column map: {e}"))?;
-            }
-        }
-        Ok(())
+        self.cohorts.iter().try_for_each(CohortSpec::validate)
     }
 
     /// Canonical text form (parse/serialize round-trips exactly).
@@ -393,41 +420,87 @@ impl FleetSpec {
     }
 
     /// Parse the text form produced by [`to_text`](Self::to_text)
-    /// (whitespace-tolerant; `#` starts a comment).
+    /// (whitespace-tolerant; `#` starts a comment). Every error starts
+    /// with the 1-based `line N:` it concerns: the offending line, a
+    /// cohort's opening line for a cohort that fails validation or
+    /// lacks its `end`, and the last line for a spec missing its
+    /// cohorts.
     pub fn parse(text: &str) -> Result<FleetSpec, String> {
+        let at = |n: usize| move |e: String| format!("line {n}: {e}");
         let mut lines = text
             .lines()
-            .map(|l| l.split('#').next().unwrap_or("").trim())
-            .filter(|l| !l.is_empty());
-        if lines.next() != Some("scm-fleet-spec v1") {
-            return Err("spec must start with 'scm-fleet-spec v1'".to_owned());
+            .enumerate()
+            .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim()))
+            .filter(|(_, l)| !l.is_empty());
+        let last = text.lines().count().max(1);
+        match lines.next() {
+            Some((_, "scm-fleet-spec v1")) => {}
+            first => {
+                let n = first.map_or(last, |(n, _)| n);
+                return Err(at(n)("spec must start with 'scm-fleet-spec v1'".to_owned()));
+            }
         }
         let mut spec = FleetSpec {
             cycles_per_hour: 0,
             cohorts: Vec::new(),
         };
-        let mut current: Option<CohortSpec> = None;
-        for line in lines {
-            let mut words = line.split_whitespace();
-            let key = words.next().expect("blank lines filtered");
-            let rest: Vec<&str> = words.collect();
-            let one = || -> Result<&str, String> {
-                match rest.as_slice() {
-                    [v] => Ok(v),
-                    _ => Err(format!("'{key}' takes exactly one value: '{line}'")),
+        let mut cycles_line = last;
+        // The open cohort and the line that opened it.
+        let mut current: Option<(usize, CohortSpec)> = None;
+        for (n, line) in lines {
+            let opened = current.as_ref().map(|c| c.0);
+            match Self::parse_line(&mut spec, &mut current, n, line).map_err(at(n))? {
+                Some(cohort) => {
+                    let opened = opened.expect("only an open cohort ends");
+                    cohort.validate().map_err(at(opened))?;
+                    spec.cohorts.push(cohort);
                 }
-            };
-            let int = |v: &str| -> Result<u64, String> {
-                v.parse()
-                    .map_err(|_| format!("'{key}': not an integer: '{v}'"))
-            };
-            let int32 = |v: &str| -> Result<u32, String> {
-                u32::try_from(int(v)?).map_err(|_| format!("'{key}': {v} exceeds {}", u32::MAX))
-            };
-            match (key, &mut current) {
-                ("cycles_per_hour", None) => spec.cycles_per_hour = int(one()?)?,
-                ("cohort", None) => {
-                    current = Some(CohortSpec {
+                None if line.starts_with("cycles_per_hour") => cycles_line = n,
+                None => {}
+            }
+        }
+        if let Some((n, c)) = current {
+            return Err(at(n)(format!("cohort '{}' is missing its 'end'", c.name)));
+        }
+        if spec.cycles_per_hour == 0 {
+            return Err(at(cycles_line)(
+                "cycles_per_hour must be positive".to_owned(),
+            ));
+        }
+        spec.validate().map_err(at(last))?;
+        Ok(spec)
+    }
+
+    /// Apply one spec line (`n`, comment-stripped, non-blank) to `spec`
+    /// and the open cohort, returning the cohort an `end` closes.
+    fn parse_line(
+        spec: &mut FleetSpec,
+        current: &mut Option<(usize, CohortSpec)>,
+        n: usize,
+        line: &str,
+    ) -> Result<Option<CohortSpec>, String> {
+        let mut words = line.split_whitespace();
+        let key = words.next().expect("blank lines filtered");
+        let rest: Vec<&str> = words.collect();
+        let one = || -> Result<&str, String> {
+            match rest.as_slice() {
+                [v] => Ok(v),
+                _ => Err(format!("'{key}' takes exactly one value: '{line}'")),
+            }
+        };
+        let int = |v: &str| -> Result<u64, String> {
+            v.parse()
+                .map_err(|_| format!("'{key}': not an integer: '{v}'"))
+        };
+        let int32 = |v: &str| -> Result<u32, String> {
+            u32::try_from(int(v)?).map_err(|_| format!("'{key}': {v} exceeds {}", u32::MAX))
+        };
+        match (key, current.as_mut().map(|c| &mut c.1)) {
+            ("cycles_per_hour", None) => spec.cycles_per_hour = int(one()?)?,
+            ("cohort", None) => {
+                *current = Some((
+                    n,
+                    CohortSpec {
                         name: one()?.to_owned(),
                         banks: Vec::new(),
                         interleaving: Interleaving::LowOrder,
@@ -445,50 +518,51 @@ impl FleetSpec {
                         march: "mats+".to_owned(),
                         slo_max_sdc_fit: u64::MAX,
                         slo_min_detect_ppm: 0,
-                    })
-                }
-                ("end", Some(_)) => spec
-                    .cohorts
-                    .push(current.take().expect("matched Some above")),
-                ("bank", Some(c)) => match rest.as_slice() {
-                    [w, b, m, a] => c.banks.push(BankRecipe {
+                    },
+                ))
+            }
+            ("end", Some(_)) => return Ok(current.take().map(|c| c.1)),
+            ("bank", Some(c)) => match rest.as_slice() {
+                [w, b, m, a] => {
+                    let recipe = BankRecipe {
                         words: int(w)?,
                         word_bits: int32(b)?,
                         mux: int32(m)?,
                         modulus: int(a)?,
-                    }),
-                    _ => {
-                        return Err(format!(
-                            "'bank' takes words word_bits mux modulus: '{line}'"
-                        ))
-                    }
-                },
-                ("interleaving", Some(c)) => {
-                    c.interleaving = Interleaving::parse(one()?)
-                        .ok_or_else(|| format!("unknown interleaving '{}'", rest.join(" ")))?
+                    };
+                    // Checked here, before any later line can build it.
+                    recipe
+                        .validate()
+                        .map_err(|e| format!("cohort '{}': {e}", c.name))?;
+                    c.banks.push(recipe);
                 }
-                ("scrub_period", Some(c)) => c.scrub_period = int(one()?)?,
-                ("checkpoint_interval", Some(c)) => c.checkpoint_interval = int(one()?)?,
-                ("workload", Some(c)) => c.workload = one()?.to_owned(),
-                ("write_fraction_ppm", Some(c)) => c.write_fraction_ppm = int32(one()?)?,
-                ("devices", Some(c)) => c.devices = int(one()?)?,
-                ("horizon", Some(c)) => c.horizon = int(one()?)?,
-                ("seu_mean_cycles", Some(c)) => c.seu_mean_cycles = int(one()?)?,
-                ("arrivals_per_bank", Some(c)) => c.arrivals_per_bank = int32(one()?)?,
-                ("hard_ppm", Some(c)) => c.hard_ppm = int32(one()?)?,
-                ("spare_rows", Some(c)) => c.spare_rows = int32(one()?)?,
-                ("spare_cols", Some(c)) => c.spare_cols = int32(one()?)?,
-                ("march", Some(c)) => c.march = one()?.to_owned(),
-                ("slo_max_sdc_fit", Some(c)) => c.slo_max_sdc_fit = int(one()?)?,
-                ("slo_min_detect_ppm", Some(c)) => c.slo_min_detect_ppm = int32(one()?)?,
-                _ => return Err(format!("unexpected spec line: '{line}'")),
+                _ => {
+                    return Err(format!(
+                        "'bank' takes words word_bits mux modulus: '{line}'"
+                    ))
+                }
+            },
+            ("interleaving", Some(c)) => {
+                c.interleaving = Interleaving::parse(one()?)
+                    .ok_or_else(|| format!("unknown interleaving '{}'", rest.join(" ")))?
             }
+            ("scrub_period", Some(c)) => c.scrub_period = int(one()?)?,
+            ("checkpoint_interval", Some(c)) => c.checkpoint_interval = int(one()?)?,
+            ("workload", Some(c)) => c.workload = one()?.to_owned(),
+            ("write_fraction_ppm", Some(c)) => c.write_fraction_ppm = int32(one()?)?,
+            ("devices", Some(c)) => c.devices = int(one()?)?,
+            ("horizon", Some(c)) => c.horizon = int(one()?)?,
+            ("seu_mean_cycles", Some(c)) => c.seu_mean_cycles = int(one()?)?,
+            ("arrivals_per_bank", Some(c)) => c.arrivals_per_bank = int32(one()?)?,
+            ("hard_ppm", Some(c)) => c.hard_ppm = int32(one()?)?,
+            ("spare_rows", Some(c)) => c.spare_rows = int32(one()?)?,
+            ("spare_cols", Some(c)) => c.spare_cols = int32(one()?)?,
+            ("march", Some(c)) => c.march = one()?.to_owned(),
+            ("slo_max_sdc_fit", Some(c)) => c.slo_max_sdc_fit = int(one()?)?,
+            ("slo_min_detect_ppm", Some(c)) => c.slo_min_detect_ppm = int32(one()?)?,
+            _ => return Err(format!("unexpected spec line: '{line}'")),
         }
-        if let Some(c) = current {
-            return Err(format!("cohort '{}' is missing its 'end'", c.name));
-        }
-        spec.validate()?;
-        Ok(spec)
+        Ok(None)
     }
 
     /// FNV-1a digest of the canonical text — the checkpoint's guard
@@ -586,6 +660,82 @@ mod tests {
         }
     }
 
+    /// Does `err` open with `line N:` for a line `N` of a `lines`-line
+    /// text?
+    fn has_line_prefix(err: &str, lines: usize) -> bool {
+        err.strip_prefix("line ")
+            .and_then(|rest| rest.split_once(": "))
+            .and_then(|(n, _)| n.parse::<usize>().ok())
+            .is_some_and(|n| (1..=lines.max(1)).contains(&n))
+    }
+
+    #[test]
+    fn parse_errors_name_their_line() {
+        for (text, prefix) in [
+            ("", "line 1: spec must start"),
+            ("\n# header\nscm-fleet-spec v2\n", "line 3: spec must start"),
+            (&one_cohort("wat 3"), "line 5: unexpected spec line"),
+            (
+                &one_cohort("devices x"),
+                "line 5: 'devices': not an integer",
+            ),
+            (
+                &one_cohort("bank 64 8 3 9"),
+                "line 5: cohort 'a': bank geometry",
+            ),
+            // Cohort-level validation points at the cohort's opening line.
+            (
+                &one_cohort("devices 0"),
+                "line 3: cohort 'a': devices and horizon",
+            ),
+            (
+                &one_cohort("march march-z"),
+                "line 3: cohort 'a': unknown March test",
+            ),
+            (
+                "scm-fleet-spec v1\ncycles_per_hour 1\n\ncohort a\n  bank 64 8 4 9\n",
+                "line 4: cohort 'a' is missing its 'end'",
+            ),
+            (
+                "scm-fleet-spec v1\ncycles_per_hour 0\ncohort a\n  bank 64 8 4 9\nend\n",
+                "line 2: cycles_per_hour must be positive",
+            ),
+            (
+                "scm-fleet-spec v1\ncohort a\n  bank 64 8 4 9\nend\n",
+                "line 4: cycles_per_hour must be positive",
+            ),
+            (
+                "scm-fleet-spec v1\ncycles_per_hour 1\n# no cohorts\n",
+                "line 3: a fleet needs at least one cohort",
+            ),
+        ] {
+            let err = FleetSpec::parse(text).unwrap_err();
+            assert!(err.starts_with(prefix), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn banks_past_the_cell_cap_are_refused() {
+        // A bank of exactly the cap fits; the next word count does not.
+        let fits = one_cohort("bank 65536 63 8 9");
+        const { assert!(65536 * 64 == MAX_BANK_CELLS) };
+        FleetSpec::parse(&fits).unwrap();
+        for bank in [
+            "bank 131072 63 8 9",
+            "bank 4294967296 8 4 9",
+            "bank 9223372036854775808 64 4 9",
+        ] {
+            let err = FleetSpec::parse(&one_cohort(bank)).unwrap_err();
+            assert!(
+                err.starts_with("line 5: cohort 'a': bank geometry") && err.contains("cell cap"),
+                "{bank}: {err}"
+            );
+        }
+        let mut spec = FleetSpec::preset("small").unwrap();
+        spec.cohorts[0].banks[0].words = 1 << 40;
+        assert!(spec.validate().unwrap_err().contains("cell cap"));
+    }
+
     /// Zero, a negative, and the first values past `u32` and `u64`.
     const HOSTILE: [&str; 4] = ["0", "-1", "4294967296", "18446744073709551616"];
 
@@ -643,8 +793,9 @@ mod tests {
             for &edit in &edits {
                 mutate(&mut lines, edit);
             }
-            if let Ok(spec) = FleetSpec::parse(&lines.join("\n")) {
-                prop_assert_eq!(FleetSpec::parse(&spec.to_text()), Ok(spec));
+            match FleetSpec::parse(&lines.join("\n")) {
+                Ok(spec) => prop_assert_eq!(FleetSpec::parse(&spec.to_text()), Ok(spec)),
+                Err(err) => prop_assert!(has_line_prefix(&err, lines.len()), "{}", err),
             }
         }
     }

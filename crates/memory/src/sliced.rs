@@ -40,10 +40,13 @@
 //! * decoder faults become per-address selection/verdict tables
 //!   (no-line precharge, double-selection wired-OR, ROM-word code
 //!   verdicts), applied only while the scenario's [`FaultProcess`] pins
-//!   the site — column tables at construction, each row's on the first
-//!   step that applies it;
+//!   the site — column tables at construction, each row's lane by lane
+//!   as steps apply it, once per backend;
 //! * pinned cell faults are read overlays over intact underlying state
 //!   (writes land underneath, exactly like [`CellArray`]'s stuck bits);
+//! * activation follows a schedule of window edges and per-period
+//!   phase masks, so a step pays for the pin-state changes it passes,
+//!   not for the lanes packed;
 //! * transient cell flips fire once on the activation clock; coupling
 //!   defects ride aggressor write transitions; both heal lane-masked via
 //!   detect-and-restore from the golden image on the cycle a read raises
@@ -294,8 +297,8 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
 }
 
 /// Pending-lane floor for a batched retirement sweep — see
-/// [`SlicedBackend::retire`]. A sweep walks every per-`rv` entry list,
-/// so it only pays for itself once a meaningful fraction of the slab's
+/// [`SlicedBackend::retire`]. A sweep walks the per-lane entry lists, so
+/// it only pays for itself once a meaningful fraction of the slab's
 /// lanes is waiting; single-lane dribble (late transients) rides along
 /// until a word dies or the batch fills. The trigger scales with
 /// occupancy (a quarter of the packed lanes), clamped to this floor and
@@ -318,42 +321,64 @@ fn live_words<const W: usize>(set: &LaneSet<W>, out: &mut Vec<usize>) {
     );
 }
 
-/// One lane's position inside a slab: word index plus bit mask. Every
-/// per-lane fault entry (pinned cell, double selection, activation
-/// window, coupling…) stores one of these instead of a full
+/// One lane of a slab, as its index (`< `[`MAX_SLAB_LANES`], so 16
+/// bits hold it); the word index and bit mask follow with a shift.
+/// Every per-lane fault entry (pinned cell, double selection, window
+/// edge, coupling…) stores one of these instead of a full
 /// [`LaneSet<W>`], so the per-operation scans cost O(1) per entry at
 /// any slab width — storing whole-slab masks there would make every
-/// scan O(entries × W) and erase the multi-word win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LaneSlot {
-    word: usize,
-    bit: u64,
-}
+/// scan O(entries × W) and erase the multi-word win — and a row's
+/// `(lane, companion)` double-selection entry packs into 8 bytes, so
+/// the row tables a backend keeps for its lifetime stay small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneSlot(u16);
 
 impl LaneSlot {
     fn of(lane: usize) -> Self {
-        LaneSlot {
-            word: lane / 64,
-            bit: 1u64 << (lane % 64),
-        }
+        debug_assert!(lane < MAX_SLAB_LANES, "lane {lane} exceeds the widest slab");
+        LaneSlot(lane as u16)
+    }
+
+    /// The lane's index.
+    #[inline]
+    fn lane(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The slab word holding the lane.
+    #[inline]
+    fn word(self) -> usize {
+        self.lane() / 64
+    }
+
+    /// The lane's bit within its word.
+    #[inline]
+    fn bit(self) -> u64 {
+        1u64 << (self.0 % 64)
     }
 
     /// Is this lane a member of `set`?
     #[inline]
     fn in_set<const W: usize>(self, set: &LaneSet<W>) -> bool {
-        set.0[self.word] & self.bit != 0
+        set.0[self.word()] & self.bit() != 0
     }
 
     /// Insert this lane into `set`.
     #[inline]
     fn set_in<const W: usize>(self, set: &mut LaneSet<W>) {
-        set.0[self.word] |= self.bit;
+        set.0[self.word()] |= self.bit();
     }
 
     /// Remove this lane from `set`.
     #[inline]
     fn clear_in<const W: usize>(self, set: &mut LaneSet<W>) {
-        set.0[self.word] &= !self.bit;
+        set.0[self.word()] &= !self.bit();
+    }
+
+    /// Flip this lane's membership of `set`.
+    #[inline]
+    fn toggle_in<const W: usize>(self, set: &mut LaneSet<W>) {
+        set.0[self.word()] ^= self.bit();
     }
 
     /// Write `value` at this lane of `set`.
@@ -557,10 +582,11 @@ impl<const W: usize> SlabCells<W> {
     }
 }
 
-/// A row-side decoder or ROM fault, kept as injected until a step first
-/// applies a row value: [`SlicedBackend::expand_row`] then derives that
-/// row's selection and verdict entries, so a build never walks the
-/// rows its trials do not touch.
+/// A row-side decoder or ROM fault, kept as injected until a step
+/// applies a row value with its lane live:
+/// [`SlicedBackend::expand_row`] then derives the lane's selection and
+/// verdict entries at that row, once for the backend's life, so a build
+/// never walks the rows its trials do not touch.
 #[derive(Debug, Clone, Copy)]
 enum RowFault {
     Decoder(BehavioralDecoder),
@@ -582,22 +608,264 @@ struct SlabCoupling {
     kind: CouplingKind,
 }
 
+/// The activation schedule: the lanes whose fault pins its site on the
+/// current cycle, kept as lane masks that change only on the cycles
+/// where some lane's pin state does, so a step pays for the changes it
+/// passes, not for the lanes packed.
+///
+/// Every pinning process is a window `[onset, end)` on the cycle clock
+/// (`end` is the cycle after a glitch, open-ended otherwise) over one of
+/// two patterns: pinned throughout the window (`steady`: permanents,
+/// glitches, intermittents with `period = 0` or `duty ≥ period`), or
+/// pinned for the first `duty` cycles of every `period` from the onset
+/// (a [`PhaseGroup`] per distinct period). Window edges sit in one
+/// cycle-sorted list behind a cursor, so a step applies exactly the
+/// edges its clock has passed — however far an
+/// [`advance`](SlicedBackend::advance) jumped — and a duty-cycled lane
+/// costs its group one mask lookup per step. An intermittent with
+/// `duty = 0` never pins and has no entry. Retirement leaves the
+/// schedule alone: retired lanes' bits are ignored downstream.
+#[derive(Debug, Clone)]
+struct Activation<const W: usize> {
+    /// Windows open on cycle 0.
+    open_at_reset: LaneSet<W>,
+    /// Every later window edge `(cycle, lane)`, in cycle order: a
+    /// lane's onset (when after 0) opens its window, its end closes it.
+    edges: Vec<(u64, LaneSlot)>,
+    /// The first edge not yet applied.
+    next_edge: usize,
+    /// Lanes whose window holds the clock.
+    open: LaneSet<W>,
+    /// Lanes pinned throughout their window.
+    steady: LaneSet<W>,
+    /// Duty-cycled lanes, one group per distinct period.
+    phases: Vec<PhaseGroup<W>>,
+}
+
+/// Duty-cycled lanes sharing one period `p`: lane `L` (onset `o`, duty
+/// `d`, `0 < d < p`) is pinned on cycle `c ≥ o` iff `(c − o) mod p <
+/// d`, which depends on `c` only through `c mod p`. The lanes pinned at
+/// each residue are stored as runs: `segments` holds `(r, lanes)` pairs
+/// sorted by `r`, starting at 0, and `lanes` are the ones pinned from
+/// residue `r` up to the next pair's. A lane adds at most two run
+/// boundaries, so the table holds at most `2 × lanes + 1` masks however
+/// long the period.
+#[derive(Debug, Clone)]
+struct PhaseGroup<const W: usize> {
+    period: u64,
+    segments: Vec<(u64, LaneSet<W>)>,
+}
+
+impl<const W: usize> PhaseGroup<W> {
+    /// The group of `period` over `lanes` as `(lane, onset, duty)`.
+    fn new(period: u64, lanes: &[(LaneSlot, u64, u64)]) -> Self {
+        // Each lane turns on at residue `a = o mod p` and off at
+        // `(a + d) mod p`; at residue 0 it is on iff `(0 − a) mod p < d`.
+        let mut first = LaneSet::EMPTY;
+        let mut turns = Vec::with_capacity(2 * lanes.len());
+        for &(slot, onset, duty) in lanes {
+            let on = onset % period;
+            let off = if duty >= period - on {
+                duty - (period - on)
+            } else {
+                on + duty
+            };
+            if on == 0 || period - on < duty {
+                slot.set_in(&mut first);
+            }
+            turns.push((on, slot, true));
+            turns.push((off, slot, false));
+        }
+        turns.sort_unstable();
+        let mut segments = vec![(0, first)];
+        let mut lanes = first;
+        for (residue, slot, on) in turns {
+            slot.assign_in(&mut lanes, on);
+            match segments.last_mut() {
+                Some(last) if last.0 == residue => last.1 = lanes,
+                _ => segments.push((residue, lanes)),
+            }
+        }
+        PhaseGroup { period, segments }
+    }
+
+    /// The lanes pinned on `cycle`, windows aside.
+    #[inline]
+    fn at(&self, cycle: u64) -> LaneSet<W> {
+        let residue = cycle % self.period;
+        let run = self.segments.partition_point(|s| s.0 <= residue);
+        self.segments[run - 1].1
+    }
+}
+
+impl<const W: usize> Activation<W> {
+    /// The schedule of `processes` as `(lane, process)`; coupling and
+    /// cell-flip lanes, which never pin a site, are not among them.
+    fn new(processes: &[(LaneSlot, FaultProcess)]) -> Self {
+        let mut windows = Vec::with_capacity(processes.len());
+        let mut steady = LaneSet::EMPTY;
+        let mut periodic: Vec<(u64, (LaneSlot, u64, u64))> = Vec::new();
+        for &(slot, process) in processes {
+            let (onset, end) = match process {
+                FaultProcess::Permanent { onset } => (onset, None),
+                FaultProcess::TransientFlip { at } => (at, at.checked_add(1)),
+                FaultProcess::Intermittent {
+                    onset,
+                    period,
+                    duty,
+                } if period != 0 && duty < period => {
+                    if duty > 0 {
+                        periodic.push((period, (slot, onset, duty)));
+                        windows.push((slot, onset, None));
+                    }
+                    continue;
+                }
+                FaultProcess::Intermittent { onset, .. } => (onset, None),
+                FaultProcess::Coupling { .. } => {
+                    unreachable!("a coupling defect pins no site")
+                }
+            };
+            slot.set_in(&mut steady);
+            windows.push((slot, onset, end));
+        }
+        let mut open_at_reset = LaneSet::EMPTY;
+        let mut edges = Vec::with_capacity(windows.len());
+        for (slot, onset, end) in windows {
+            if onset == 0 {
+                slot.set_in(&mut open_at_reset);
+            } else {
+                edges.push((onset, slot));
+            }
+            if let Some(end) = end {
+                edges.push((end, slot));
+            }
+        }
+        // A lane's end lies strictly after its onset, and edges of
+        // different lanes commute, so ties may fall in any order.
+        edges.sort_unstable();
+        periodic.sort_unstable();
+        let phases = periodic
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let lanes: Vec<_> = group.iter().map(|p| p.1).collect();
+                PhaseGroup::new(group[0].0, &lanes)
+            })
+            .collect();
+        Activation {
+            open_at_reset,
+            edges,
+            next_edge: 0,
+            open: open_at_reset,
+            steady,
+            phases,
+        }
+    }
+
+    /// Rewind to cycle 0.
+    fn reset(&mut self) {
+        self.next_edge = 0;
+        self.open = self.open_at_reset;
+    }
+
+    /// The lanes pinned on `cycle`; cycles only move forward between
+    /// resets.
+    #[inline]
+    fn at(&mut self, cycle: u64) -> LaneSet<W> {
+        while let Some(&(at, slot)) = self.edges.get(self.next_edge) {
+            if at > cycle {
+                break;
+            }
+            slot.toggle_in(&mut self.open);
+            self.next_edge += 1;
+        }
+        let mut pinned = self.steady;
+        for group in &self.phases {
+            pinned |= group.at(cycle);
+        }
+        pinned & self.open
+    }
+}
+
 /// Live-prefix lengths of the per-lane fault-entry lists. Retirement
 /// swaps a dead lane's entries into its list's tail and shrinks the
 /// prefix; [`reset`](SlicedBackend::reset) restores full lengths in
-/// O(1) per list. Entries are never dropped or reallocated, only
-/// reordered — sound because every entry's effect is confined to its
-/// own lane's bit (reads OR companion bits lane-locally, writes assign
-/// lane-locally), so list order is immaterial to the observations.
+/// O(1) per list. Entries are never dropped, only reordered (a row's
+/// top-up appends into the live prefix) — sound because every entry's
+/// effect is confined to its own lane's bit (reads OR companion bits
+/// lane-locally, writes assign lane-locally), so list order is
+/// immaterial to the observations. A batched sweep partitions the
+/// lists counted here at once and bumps `epoch`; each
+/// [`DecoderTable`]'s list is partitioned on its value's next use.
 #[derive(Debug, Clone)]
 struct LiveLens {
-    temporal: usize,
-    cell_flips: usize,
     stuck_cells: usize,
     couplings: usize,
     data_reg: usize,
-    row_two: Vec<u32>,
-    col_two: Vec<u32>,
+    /// Bumped by every batched sweep and by the reset after one.
+    epoch: u64,
+}
+
+/// One applied value's decoder-side entries: a row value's, expanded
+/// lane by lane as steps apply it, or a column value's, built with the
+/// backend. `two` holds the `(lane, companion)` double selections, live
+/// lanes' first. Retirement swaps a dead lane's entry past the `live`
+/// prefix lazily: the list is re-partitioned on the value's first use
+/// after a sweep, when `epoch` lags the backend's, so a sweep costs
+/// nothing for the values the rest of the trial never applies.
+#[derive(Debug, Clone)]
+struct DecoderTable<const W: usize> {
+    /// Lanes whose entries a row's table holds (a column's table is
+    /// complete from the build).
+    expanded: LaneSet<W>,
+    /// Lanes whose decoder selects no line.
+    none: LaneSet<W>,
+    /// Lanes whose ROM word fails the code check *while their fault is
+    /// active*.
+    err: LaneSet<W>,
+    /// `(lane, companion line)` double selections.
+    two: Vec<(LaneSlot, u32)>,
+    /// Length of `two`'s live prefix.
+    live: u32,
+    /// The [`LiveLens::epoch`] the live prefix reflects.
+    epoch: u64,
+}
+
+impl<const W: usize> DecoderTable<W> {
+    const EMPTY: Self = DecoderTable {
+        expanded: LaneSet::EMPTY,
+        none: LaneSet::EMPTY,
+        err: LaneSet::EMPTY,
+        two: Vec::new(),
+        live: 0,
+        epoch: 0,
+    };
+
+    /// Partition `two` against `dead`, the lanes swept out as of
+    /// `epoch`, if a sweep or the reset after one moved the epoch on
+    /// since the last call.
+    #[inline]
+    fn sweep_if_stale(&mut self, epoch: u64, dead: &LaneSet<W>) {
+        if self.epoch != epoch {
+            self.epoch = epoch;
+            let len = self.two.len();
+            self.live = partition_live(&mut self.two, len, dead, |e| e.0) as u32;
+        }
+    }
+
+    /// Record a live lane's double selection of `companion`. Lines fit
+    /// 32 bits: they index rows or columns of an array in memory.
+    fn push_two(&mut self, slot: LaneSlot, companion: u64) {
+        self.two.push((slot, companion as u32));
+        let last = self.two.len() - 1;
+        self.two.swap(self.live as usize, last);
+        self.live += 1;
+    }
+
+    /// The live lanes' double selections.
+    #[inline]
+    fn live_two(&self) -> &[(LaneSlot, u32)] {
+        &self.two[..self.live as usize]
+    }
 }
 
 /// Swap entries of `dead` lanes out of `list[..live]`'s prefix,
@@ -643,16 +911,12 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// stack-zeroing path a `[LaneSet<W>; 65]` local would pay.
     scratch: Vec<LaneSet<W>>,
     cycle: u64,
-    /// Lanes whose one-shot cell flip already fired.
-    fired: LaneSet<W>,
-    /// Union of the one-shot flip lanes (early-out for the firing scan).
-    flips_all: LaneSet<W>,
-    /// Lanes pinned on every cycle (`Permanent { onset: 0 }`).
-    const_active: LaneSet<W>,
-    /// Lanes whose pinning follows a delayed/windowed process.
-    temporal: Vec<(LaneSlot, FaultProcess)>,
-    /// One-shot state flips: `(lane, cell index, at)`.
-    cell_flips: Vec<(LaneSlot, usize, u64)>,
+    /// Which lanes' faults pin their site on the current cycle.
+    activation: Activation<W>,
+    /// One-shot state flips `(at, lane, cell index)`, sorted by `at`.
+    cell_flips: Vec<(u64, LaneSlot, usize)>,
+    /// The first flip not yet fired.
+    next_flip: usize,
     /// Pinned cell overlays: `(lane, row value, column value, bit
     /// group, stuck)`.
     stuck_cells: Vec<(LaneSlot, usize, usize, usize, bool)>,
@@ -664,39 +928,30 @@ pub struct SlicedBackend<const W: usize = 1> {
     /// Lanes whose scenario corrupts stored state (eligible for
     /// detect-and-restore healing).
     corrupts_state: LaneSet<W>,
-    /// Row-side decoder and ROM faults in lane order, expanded into the
-    /// per-row tables below one row value at a time.
-    row_faults: Vec<(LaneSlot, RowFault)>,
-    /// Per row value: have its `row_none` / `row_two` / `row_err`
-    /// entries been expanded?
-    row_ready: Vec<bool>,
-    /// Rows expanded while some lanes were retired. Their tables lack
-    /// those lanes, so [`reset`](Self::reset) un-expands them.
-    row_partial: Vec<usize>,
+    /// Each lane's row-side decoder or ROM fault, if it has one,
+    /// expanded into the per-row tables below one `(row value, lane)`
+    /// pair at a time.
+    row_faults: Vec<Option<RowFault>>,
+    /// The lanes of `row_faults`.
+    row_fault_lanes: LaneSet<W>,
+    /// `(row value, lane)` pairs expanded over the backend's lifetime.
+    #[cfg(test)]
+    expansions: usize,
     /// Fault-free row ROM words, looked up per line on first use.
     row_words: Vec<Option<u64>>,
-    /// Per applied row value: lanes whose row decoder selects no line
-    /// (valid once the row is expanded).
-    row_none: Vec<LaneSet<W>>,
-    /// Per applied column value: lanes whose column decoder selects none.
-    col_none: Vec<LaneSet<W>>,
-    /// Per applied row value: `(lane, companion row)` double
-    /// selections (valid once the row is expanded).
-    row_two: Vec<Vec<(LaneSlot, u64)>>,
-    /// Per applied column value: `(lane, companion column-select)`.
-    col_two: Vec<Vec<(LaneSlot, u64)>>,
-    /// Per applied row value: lanes whose ROM word fails the row code
-    /// check *while their fault is active* (valid once the row is
-    /// expanded).
-    row_err: Vec<LaneSet<W>>,
-    /// Per applied column value: lanes failing the column code check.
-    col_err: Vec<LaneSet<W>>,
+    /// Per row value: its tables, kept for the backend's life. A lane
+    /// skipped while retired is topped up on the row's next use with
+    /// the lane live.
+    rows: Vec<DecoderTable<W>>,
+    /// Per column value: its tables, built with the backend.
+    cols: Vec<DecoderTable<W>>,
     /// Live-prefix lengths of the entry lists above — the only state
     /// a retirement sweep mutates (activity/verdict masks stay intact;
     /// callers already ignore retired lanes' observation bits).
     live_len: LiveLens,
     /// Has a retirement sweep shortened the live prefixes since the
-    /// last reset? Only then does reset walk the per-value lists.
+    /// last reset? Only then does reset bump the epoch, restoring the
+    /// decoder tables' prefixes on their next use.
     swept: bool,
     /// Sites whose cells or golden image may differ from the prefill
     /// since the last reset: writes, their double-selection companions,
@@ -772,13 +1027,11 @@ impl<const W: usize> SlicedBackend<W> {
 
         // Column tables span only `mux` values, so they are built here;
         // row tables wait for the first step that applies each row.
-        let mut col_none = vec![LaneSet::EMPTY; mux];
-        let mut col_two: Vec<Vec<(LaneSlot, u64)>> = vec![Vec::new(); mux];
-        let mut col_err = vec![LaneSet::EMPTY; mux];
-        let mut row_faults = Vec::new();
-        let mut const_active = LaneSet::EMPTY;
-        let mut temporal = Vec::new();
-        let mut cell_flips: Vec<(LaneSlot, usize, u64)> = Vec::new();
+        let mut cols = vec![DecoderTable::EMPTY; mux];
+        let mut row_faults = vec![None; lanes];
+        let mut row_fault_lanes = LaneSet::EMPTY;
+        let mut pinning = Vec::new();
+        let mut cell_flips = Vec::new();
         let mut stuck_cells = Vec::new();
         let mut couplings = Vec::new();
         let mut data_reg = Vec::new();
@@ -795,7 +1048,7 @@ impl<const W: usize> SlicedBackend<W> {
                     row < rows && col < pcols,
                     "cell ({row}, {col}) out of range"
                 );
-                cell_flips.push((slot, cell_idx(row, col), at));
+                cell_flips.push((at, slot, cell_idx(row, col)));
                 slot.set_in(&mut corrupts_state);
                 continue;
             }
@@ -834,16 +1087,13 @@ impl<const W: usize> SlicedBackend<W> {
                 slot.set_in(&mut corrupts_state);
                 continue;
             }
-            // Every remaining process pins its site inside an activation
-            // window on the cycle clock.
-            match s.process {
-                FaultProcess::Permanent { onset: 0 } => slot.set_in(&mut const_active),
-                p => temporal.push((slot, p)),
-            }
+            // Every remaining process pins its site on the activation
+            // schedule.
+            pinning.push((slot, s.process));
             // The column-side verdict of one column value under `word`.
-            let mut col_verdict = |cv: usize, word: u64| {
+            let col_verdict = |col: &mut DecoderTable<W>, word: u64| {
                 if !config.col_map().is_codeword(word) {
-                    slot.set_in(&mut col_err[cv]);
+                    slot.set_in(&mut col.err);
                 }
             };
             match s.site {
@@ -857,45 +1107,48 @@ impl<const W: usize> SlicedBackend<W> {
                 FaultSite::RowDecoder(f) => {
                     let mut dec = BehavioralDecoder::new(org.row_bits());
                     dec.inject(f);
-                    row_faults.push((slot, RowFault::Decoder(dec)));
+                    row_faults[lane] = Some(RowFault::Decoder(dec));
+                    slot.set_in(&mut row_fault_lanes);
                 }
                 FaultSite::ColDecoder(f) => {
                     let mut dec = BehavioralDecoder::new(org.col_bits().max(1));
                     dec.inject(f);
-                    for cv in 0..mux {
+                    for (cv, col) in cols.iter_mut().enumerate() {
                         let lines = dec.decode(cv as u64);
                         match lines {
-                            ActiveLines::None => slot.set_in(&mut col_none[cv]),
+                            ActiveLines::None => slot.set_in(&mut col.none),
                             ActiveLines::One(_) => {}
-                            ActiveLines::Two(_, companion) => col_two[cv].push((slot, companion)),
+                            ActiveLines::Two(_, companion) => col.push_two(slot, companion),
                         }
                         let word = lines.iter().fold(full_word(col_width), |acc, line| {
                             acc & col_words[line as usize]
                         });
-                        col_verdict(cv, word);
+                        col_verdict(col, word);
                     }
                 }
                 FaultSite::RowRomBit { line, bit } => {
                     assert!(line < rows as u64, "row ROM line out of range");
                     assert!((bit as usize) < row_width, "row ROM bit out of range");
-                    row_faults.push((slot, RowFault::RomBit { line, bit }));
+                    row_faults[lane] = Some(RowFault::RomBit { line, bit });
+                    slot.set_in(&mut row_fault_lanes);
                 }
                 FaultSite::ColRomBit { line, bit } => {
                     assert!(line < mux as u64, "col ROM line out of range");
                     assert!((bit as usize) < col_width, "col ROM bit out of range");
-                    for (cv, &w) in col_words.iter().enumerate() {
+                    for (cv, (col, &w)) in cols.iter_mut().zip(&col_words).enumerate() {
                         let flip = if cv as u64 == line { 1u64 << bit } else { 0 };
-                        col_verdict(cv, w ^ flip);
+                        col_verdict(col, w ^ flip);
                     }
                 }
                 FaultSite::RowRomColumn { bit, stuck } => {
                     assert!((bit as usize) < row_width, "row ROM column out of range");
-                    row_faults.push((slot, RowFault::RomColumn { bit, stuck }));
+                    row_faults[lane] = Some(RowFault::RomColumn { bit, stuck });
+                    slot.set_in(&mut row_fault_lanes);
                 }
                 FaultSite::ColRomColumn { bit, stuck } => {
                     assert!((bit as usize) < col_width, "col ROM column out of range");
-                    for (cv, &w) in col_words.iter().enumerate() {
-                        col_verdict(cv, force_bit(w, bit, stuck));
+                    for (col, &w) in cols.iter_mut().zip(&col_words) {
+                        col_verdict(col, force_bit(w, bit, stuck));
                     }
                 }
                 FaultSite::DataRegisterBit { bit, stuck } => {
@@ -910,19 +1163,12 @@ impl<const W: usize> SlicedBackend<W> {
         if let Some(seed) = seed {
             pack_prefill(config, seed, &mut base);
         }
-        let flips_all = cell_flips.iter().fold(LaneSet::EMPTY, |acc, f| {
-            let mut acc = acc;
-            f.0.set_in(&mut acc);
-            acc
-        });
+        cell_flips.sort_unstable();
         let live_len = LiveLens {
-            temporal: temporal.len(),
-            cell_flips: cell_flips.len(),
             stuck_cells: stuck_cells.len(),
             couplings: couplings.len(),
             data_reg: data_reg.len(),
-            row_two: vec![0; rows],
-            col_two: col_two.iter().map(|l| l.len() as u32).collect(),
+            epoch: 0,
         };
         SlicedBackend {
             config: config.clone(),
@@ -935,27 +1181,20 @@ impl<const W: usize> SlicedBackend<W> {
             cells: SlabCells::new(base, sites, stride),
             scratch: vec![LaneSet::EMPTY; stride],
             cycle: 0,
-            fired: LaneSet::EMPTY,
-            flips_all,
-            const_active,
-            temporal,
+            activation: Activation::new(&pinning),
             cell_flips,
+            next_flip: 0,
             stuck_cells,
             couplings,
             data_reg,
             corrupts_state,
-            // With no row-side fault every row's tables are empty from
-            // the start.
-            row_ready: vec![row_faults.is_empty(); rows],
             row_faults,
-            row_partial: Vec::new(),
+            row_fault_lanes,
+            #[cfg(test)]
+            expansions: 0,
             row_words: vec![None; rows],
-            row_none: vec![LaneSet::EMPTY; rows],
-            col_none,
-            row_two: vec![Vec::new(); rows],
-            col_two,
-            row_err: vec![LaneSet::EMPTY; rows],
-            col_err,
+            rows: vec![DecoderTable::EMPTY; rows],
+            cols,
             live_len,
             swept: false,
             dirty: SiteSet::new(sites),
@@ -1022,8 +1261,10 @@ impl<const W: usize> SlicedBackend<W> {
     /// site costs one full materialisation. Restored sites stay
     /// materialised, and so do sites the trial only read (they still
     /// hold the prefill): a reused pack never re-expands a site it
-    /// touched before. Rows whose tables were expanded while lanes were
-    /// retired are un-expanded. Allocation-free.
+    /// touched before. Row tables persist too: a row expanded while
+    /// lanes were retired is topped up for them on its next use, and a
+    /// row swept short is restored on its next use (the epoch bump).
+    /// Allocation-free.
     pub fn reset(&mut self) {
         let SlicedBackend {
             ref mut cells,
@@ -1038,42 +1279,31 @@ impl<const W: usize> SlicedBackend<W> {
                 set_uniform_bit(gold, idx, uniform_bit(&cells.base, idx));
             }
         });
-        for rv in self.row_partial.drain(..) {
-            self.row_ready[rv] = false;
-            self.row_none[rv] = LaneSet::EMPTY;
-            self.row_err[rv] = LaneSet::EMPTY;
-            self.row_two[rv].clear();
-            self.live_len.row_two[rv] = 0;
-        }
         self.cycle = 0;
-        self.fired = LaneSet::EMPTY;
+        self.activation.reset();
+        self.next_flip = 0;
         self.retired = LaneSet::EMPTY;
         self.pending_retire = LaneSet::EMPTY;
         let mut live = std::mem::take(&mut self.live);
         live_words(&self.all_mask, &mut live);
         self.live = live;
-        self.live_len.temporal = self.temporal.len();
-        self.live_len.cell_flips = self.cell_flips.len();
         self.live_len.stuck_cells = self.stuck_cells.len();
         self.live_len.couplings = self.couplings.len();
         self.live_len.data_reg = self.data_reg.len();
         if std::mem::take(&mut self.swept) {
-            for (list, live) in self.row_two.iter().zip(self.live_len.row_two.iter_mut()) {
-                *live = list.len() as u32;
-            }
-            for (list, live) in self.col_two.iter().zip(self.live_len.col_two.iter_mut()) {
-                *live = list.len() as u32;
-            }
+            self.live_len.epoch += 1;
         }
     }
 
     /// Drop `lanes` from the per-lane fault-entry lists: the scan
     /// entries they contributed (pinned cells, double selections,
-    /// activation windows, couplings) stop costing anything on every
-    /// subsequent operation, and once a whole slab word has retired the
-    /// dense per-bit loops skip it entirely. Activity and verdict masks
-    /// are left untouched — a retired lane may keep reporting
-    /// observation bits, which callers already ignore.
+    /// couplings, register bits) stop costing anything on every
+    /// subsequent operation, their pending one-shot flips never fire,
+    /// rows first applied from now on skip them, and once a whole slab
+    /// word has retired the dense per-bit loops skip it entirely. The
+    /// activation schedule and the verdict masks are left untouched — a
+    /// retired lane may keep reporting observation bits, which callers
+    /// already ignore.
     ///
     /// Detection-measuring drivers call this as lanes latch their first
     /// detection: per the measurement contract nothing after a lane's
@@ -1086,9 +1316,13 @@ impl<const W: usize> SlicedBackend<W> {
     /// un-retires every lane.
     ///
     /// Retired lanes take effect immediately for the dense word skip,
-    /// but the table sweep itself is batched: single-lane retirements
-    /// (a transient firing late in the horizon) accumulate until
-    /// enough lanes are pending or a whole slab word goes quiet.
+    /// the flip cursor and row expansion, but the list sweep itself is
+    /// batched: single-lane retirements (a transient firing late in the
+    /// horizon) accumulate until enough lanes are pending or a whole
+    /// slab word goes quiet. A sweep partitions the global lists and
+    /// the column lists; each row's double-selection list is swept on
+    /// that row's next use, so rows the trial no longer applies cost
+    /// nothing.
     pub fn retire(&mut self, lanes: LaneSet<W>) {
         if lanes.is_empty() {
             return;
@@ -1106,46 +1340,20 @@ impl<const W: usize> SlicedBackend<W> {
         self.pending_retire = LaneSet::EMPTY;
         self.swept = true;
         let dead = self.retired;
-        self.live_len.temporal =
-            partition_live(&mut self.temporal, self.live_len.temporal, &dead, |e| e.0);
-        self.live_len.cell_flips =
-            partition_live(&mut self.cell_flips, self.live_len.cell_flips, &dead, |e| {
-                e.0
-            });
-        self.live_len.stuck_cells = partition_live(
-            &mut self.stuck_cells,
-            self.live_len.stuck_cells,
-            &dead,
-            |e| e.0,
-        );
-        self.live_len.couplings =
-            partition_live(&mut self.couplings, self.live_len.couplings, &dead, |c| {
-                c.slot
-            });
-        self.live_len.data_reg =
-            partition_live(&mut self.data_reg, self.live_len.data_reg, &dead, |e| e.0);
-        for (list, live) in self
-            .row_two
-            .iter_mut()
-            .zip(self.live_len.row_two.iter_mut())
-        {
-            *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
-        }
-        for (list, live) in self
-            .col_two
-            .iter_mut()
-            .zip(self.live_len.col_two.iter_mut())
-        {
-            *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
-        }
+        let lens = &mut self.live_len;
+        lens.stuck_cells = partition_live(&mut self.stuck_cells, lens.stuck_cells, &dead, |e| e.0);
+        lens.couplings = partition_live(&mut self.couplings, lens.couplings, &dead, |c| c.slot);
+        lens.data_reg = partition_live(&mut self.data_reg, lens.data_reg, &dead, |e| e.0);
+        lens.epoch += 1;
         let mut live = std::mem::take(&mut self.live);
         live_words(&(self.all_mask & !self.retired), &mut live);
         self.live = live;
     }
 
     /// Advance the activation clock without executing an operation (the
-    /// multi-bank scheduler's idle cycles). One-shot flips whose instant
-    /// falls inside the skipped window fire before the next observation.
+    /// multi-bank scheduler's idle cycles). One-shot flips and window
+    /// edges whose instant falls inside the skipped window take effect
+    /// before the next observation.
     pub fn advance(&mut self, cycles: u64) {
         self.cycle = self.cycle.saturating_add(cycles);
     }
@@ -1155,36 +1363,21 @@ impl<const W: usize> SlicedBackend<W> {
     pub fn step(&mut self, op: Op) -> SlicedObservation<W> {
         // One-shot cell flips whose instant has been reached fire before
         // the operation observes the array.
-        if self.fired != self.flips_all {
-            let SlicedBackend {
-                ref cell_flips,
-                ref live_len,
-                ref mut cells,
-                ref mut fired,
-                ref mut dirty,
-                cycle,
-                ..
-            } = *self;
-            for &(slot, idx, at) in &cell_flips[..live_len.cell_flips] {
-                if !slot.in_set(fired) && cycle >= at {
-                    cells.cell(idx).0[slot.word] ^= slot.bit;
-                    slot.set_in(fired);
-                    dirty.mark(idx / cells.stride);
-                }
+        while let Some(&(at, slot, idx)) = self.cell_flips.get(self.next_flip) {
+            if at > self.cycle {
+                break;
+            }
+            self.next_flip += 1;
+            if !slot.in_set(&self.retired) {
+                self.cells.cell(idx).0[slot.word()] ^= slot.bit();
+                self.dirty.mark(idx / self.cells.stride);
             }
         }
-        let mut active = self.const_active;
-        for &(slot, p) in &self.temporal[..self.live_len.temporal] {
-            if p.pins_site_at(self.cycle) {
-                slot.set_in(&mut active);
-            }
-        }
+        let active = self.activation.at(self.cycle);
         let (Op::Read(addr) | Op::Write(addr, _)) = op;
         let (rv, cv) = self.config.split_address(addr);
         let (rv, cv) = (rv as usize, cv as usize);
-        if !self.row_ready[rv] {
-            self.expand_row(rv);
-        }
+        self.prepare(rv, cv);
         let obs = match op {
             Op::Read(_) => {
                 let obs = self.read(rv, cv, active);
@@ -1203,40 +1396,52 @@ impl<const W: usize> SlicedBackend<W> {
         obs
     }
 
-    /// Expand row value `rv`'s selection and verdict entries from the
-    /// row-side faults, in lane order. Retired lanes are skipped (their
-    /// observations no longer count), which leaves the row partial until
-    /// [`reset`](Self::reset) un-expands it.
-    fn expand_row(&mut self, rv: usize) {
+    /// Bring the tables of row value `rv` and column value `cv` up to
+    /// date for the live lanes: sweep their double-selection lists if a
+    /// retirement sweep (or the reset after one) happened since their
+    /// last use, then expand every live row-fault lane the row's table
+    /// does not hold yet.
+    #[inline]
+    fn prepare(&mut self, rv: usize, cv: usize) {
+        // Partition against the lanes retired by the epoch's sweep, not
+        // the pending ones: a list swept at an epoch must not depend on
+        // when in the epoch it was used, or the reset that follows an
+        // epoch without a sweep (and so keeps it) would leave lanes out.
+        let epoch = self.live_len.epoch;
+        let swept_out = self.retired & !self.pending_retire;
+        self.rows[rv].sweep_if_stale(epoch, &swept_out);
+        self.cols[cv].sweep_if_stale(epoch, &swept_out);
+        let missing = self.row_fault_lanes & !self.rows[rv].expanded & !self.retired;
+        if missing.any() {
+            self.expand_row(rv, missing);
+        }
+    }
+
+    /// Expand row value `rv`'s selection and verdict entries for the
+    /// row-fault lanes in `lanes`, each `(row value, lane)` pair once in
+    /// the backend's life.
+    fn expand_row(&mut self, rv: usize, lanes: LaneSet<W>) {
         let SlicedBackend {
             ref config,
             ref row_faults,
-            ref retired,
-            ref mut row_ready,
-            ref mut row_partial,
             ref mut row_words,
-            ref mut row_none,
-            ref mut row_two,
-            ref mut row_err,
-            ref mut live_len,
+            ref mut rows,
             ..
         } = *self;
         let map = config.row_map();
         let mut rom_word =
             |line: usize| *row_words[line].get_or_insert_with(|| map.codeword_for(line as u64));
-        let mut partial = false;
-        for &(slot, fault) in row_faults {
-            if slot.in_set(retired) {
-                partial = true;
-                continue;
-            }
+        let table = &mut rows[rv];
+        lanes.for_each_lane(|lane| {
+            let slot = LaneSlot::of(lane);
+            let fault = row_faults[lane].expect("a row-fault lane");
             let word = match fault {
                 RowFault::Decoder(dec) => {
                     let lines = dec.decode(rv as u64);
                     match lines {
-                        ActiveLines::None => slot.set_in(&mut row_none[rv]),
+                        ActiveLines::None => slot.set_in(&mut table.none),
                         ActiveLines::One(_) => {}
-                        ActiveLines::Two(_, companion) => row_two[rv].push((slot, companion)),
+                        ActiveLines::Two(_, companion) => table.push_two(slot, companion),
                     }
                     lines.iter().fold(full_word(map.width()), |acc, line| {
                         acc & rom_word(line as usize)
@@ -1249,13 +1454,13 @@ impl<const W: usize> SlicedBackend<W> {
                 RowFault::RomColumn { bit, stuck } => force_bit(rom_word(rv), bit, stuck),
             };
             if !map.is_codeword(word) {
-                slot.set_in(&mut row_err[rv]);
+                slot.set_in(&mut table.err);
             }
-        }
-        live_len.row_two[rv] = row_two[rv].len() as u32;
-        row_ready[rv] = true;
-        if partial {
-            row_partial.push(rv);
+        });
+        table.expanded |= lanes;
+        #[cfg(test)]
+        {
+            self.expansions += lanes.count() as usize;
         }
     }
 
@@ -1268,12 +1473,8 @@ impl<const W: usize> SlicedBackend<W> {
             ref mut scratch,
             ref stuck_cells,
             ref data_reg,
-            ref row_none,
-            ref col_none,
-            ref row_two,
-            ref col_two,
-            ref row_err,
-            ref col_err,
+            ref rows,
+            ref cols,
             ref live,
             ref live_len,
             mux,
@@ -1297,7 +1498,8 @@ impl<const W: usize> SlicedBackend<W> {
             }
         }
         // No line selected → precharged all-ones on every bit group.
-        let precharge = (row_none[rv] | col_none[cv]) & active;
+        let (row, col) = (&rows[rv], &cols[cv]);
+        let precharge = (row.none | col.none) & active;
         if precharge.any() {
             for word in scratch.iter_mut() {
                 for &w in live {
@@ -1306,19 +1508,19 @@ impl<const W: usize> SlicedBackend<W> {
             }
         }
         // Double selection → wired-OR with the companion row / column.
-        for &(slot, companion) in &row_two[rv][..live_len.row_two[rv] as usize] {
+        for &(slot, companion) in row.live_two() {
             if slot.in_set(&active) {
                 let other = cells.site(companion as usize * mux + cv);
                 for (word, c) in scratch.iter_mut().zip(other.iter()) {
-                    word.0[slot.word] |= c.0[slot.word] & slot.bit;
+                    word.0[slot.word()] |= c.0[slot.word()] & slot.bit();
                 }
             }
         }
-        for &(slot, companion) in &col_two[cv][..live_len.col_two[cv] as usize] {
+        for &(slot, companion) in col.live_two() {
             if slot.in_set(&active) {
                 let other = cells.site(rv * mux + companion as usize);
                 for (word, c) in scratch.iter_mut().zip(other.iter()) {
-                    word.0[slot.word] |= c.0[slot.word] & slot.bit;
+                    word.0[slot.word()] |= c.0[slot.word()] & slot.bit();
                 }
             }
         }
@@ -1348,8 +1550,8 @@ impl<const W: usize> SlicedBackend<W> {
         }
         SlicedObservation {
             erroneous: err & all_mask,
-            row_code_error: row_err[rv] & active,
-            col_code_error: col_err[cv] & active,
+            row_code_error: row.err & active,
+            col_code_error: col.err & active,
             parity_error: par & all_mask,
         }
     }
@@ -1369,7 +1571,7 @@ impl<const W: usize> SlicedBackend<W> {
         };
         let parity = value.count_ones() % 2 == 1;
         // Lanes whose decoder selects no line write nothing at all.
-        let none = (self.row_none[rv] | self.col_none[cv]) & active;
+        let none = (self.rows[rv].none | self.cols[cv].none) & active;
         let wmask = !none;
         let stride = self.cells.stride;
         let site = rv * self.mux + cv;
@@ -1377,11 +1579,9 @@ impl<const W: usize> SlicedBackend<W> {
             ref mut cells,
             ref mut gold,
             ref mut dirty,
-            ref row_two,
-            ref col_two,
+            ref rows,
+            ref cols,
             ref couplings,
-            ref row_err,
-            ref col_err,
             ref live,
             ref live_len,
             mux,
@@ -1427,7 +1627,8 @@ impl<const W: usize> SlicedBackend<W> {
         }
         // Double selection lands the write in the companion word too.
         // Entry-outer order keeps the activity test out of the bit loop.
-        for &(slot, companion) in &row_two[rv][..live_len.row_two[rv] as usize] {
+        let (row, col) = (&rows[rv], &cols[cv]);
+        for &(slot, companion) in row.live_two() {
             if slot.in_set(&active) {
                 let csite = companion as usize * mux + cv;
                 dirty.mark(csite);
@@ -1436,7 +1637,7 @@ impl<const W: usize> SlicedBackend<W> {
                 }
             }
         }
-        for &(slot, companion) in &col_two[cv][..live_len.col_two[cv] as usize] {
+        for &(slot, companion) in col.live_two() {
             if slot.in_set(&active) {
                 let csite = rv * mux + companion as usize;
                 dirty.mark(csite);
@@ -1457,7 +1658,7 @@ impl<const W: usize> SlicedBackend<W> {
                     dirty.mark(c.victim_idx / stride);
                     match c.kind {
                         CouplingKind::Inversion => {
-                            cells.cell(c.victim_idx).0[c.slot.word] ^= c.slot.bit;
+                            c.slot.toggle_in(cells.cell(c.victim_idx));
                         }
                         CouplingKind::Idempotent { value } => {
                             c.slot.assign_in(cells.cell(c.victim_idx), value);
@@ -1468,8 +1669,8 @@ impl<const W: usize> SlicedBackend<W> {
         }
         SlicedObservation {
             erroneous: LaneSet::EMPTY,
-            row_code_error: row_err[rv] & active,
-            col_code_error: col_err[cv] & active,
+            row_code_error: row.err & active,
+            col_code_error: col.err & active,
             parity_error: LaneSet::EMPTY,
         }
     }

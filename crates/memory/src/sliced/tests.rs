@@ -381,6 +381,93 @@ fn advance_keeps_the_activation_clock_global() {
     assert!(obs.erroneous.test(0), "flip fired during the skip");
 }
 
+/// A scenario on [`small_config`] drawn from `(site, process, a, b)`:
+/// a row-decoder, cell, data-register or column-decoder site under a
+/// permanent (delayed or not), transient or intermittent process whose
+/// periods (0, 1, 2, 8, beyond 64) and duties (0, below, at and past
+/// the period) cover every activation pattern, onsets and duty-cycle
+/// windows wrapping past residue 0 included.
+fn drawn_scenario(site: u8, process: u8, a: u64, b: u64) -> FaultScenario {
+    let row_faults = decoder_fault_universe(4);
+    let col_faults = decoder_fault_universe(2);
+    let site = match site % 4 {
+        0 => FaultSite::RowDecoder(row_faults[(a % row_faults.len() as u64) as usize]),
+        1 => FaultSite::Cell {
+            row: (a % 16) as usize,
+            col: (b % 36) as usize,
+            stuck: a & 1 == 1,
+        },
+        2 => FaultSite::DataRegisterBit {
+            bit: (b % 8) as u32,
+            stuck: b & 1 == 1,
+        },
+        _ => FaultSite::ColDecoder(col_faults[(a % col_faults.len() as u64) as usize]),
+    };
+    let onset = b % 40;
+    let period = [0, 1, 2, 8, 70][(a % 5) as usize];
+    let process = match process % 4 {
+        0 => FaultProcess::Permanent { onset },
+        1 => FaultProcess::TransientFlip { at: onset },
+        _ => FaultProcess::Intermittent {
+            onset,
+            period,
+            duty: (b >> 8) % (period + 3),
+        },
+    };
+    FaultScenario { site, process }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The activation schedule and the flip cursor against the scalar
+    /// backend's per-cycle `pins_site_at`, over a sparse stream: the
+    /// clock jumps (by `advance`) over gaps of up to 90 cycles, so
+    /// window edges, phase runs and one-shot flips are passed, not
+    /// landed on.
+    #[test]
+    fn prop_sparse_streams_match_scalar_across_advance_jumps(
+        draws in proptest::collection::vec((0u8..4, 0u8..4, any::<u64>(), any::<u64>()), 1..100),
+        gaps in proptest::collection::vec((0u64..4, 0u64..90), 1..60),
+        seed in any::<u64>(),
+    ) {
+        let cfg = small_config();
+        let scenarios: Vec<FaultScenario> = draws
+            .iter()
+            .map(|&(site, process, a, b)| drawn_scenario(site, process, a, b))
+            .collect();
+        let stream = ops(seed, gaps.len(), 0.3);
+        let mut cycle = 0;
+        let timed: Vec<(u64, Op)> = gaps
+            .iter()
+            .zip(&stream)
+            .map(|(&(kind, gap), &op)| {
+                // Mostly consecutive cycles, with an occasional long jump.
+                cycle += if kind == 0 { gap } else { 0 };
+                let at = cycle;
+                cycle += 1;
+                (at, op)
+            })
+            .collect();
+        let mut sliced = SlicedBackend::<2>::prefilled(&cfg, &scenarios, seed);
+        let per_op: Vec<SlicedObservation<2>> = timed
+            .iter()
+            .map(|&(at, op)| {
+                sliced.advance(at - sliced.cycle());
+                sliced.step(op)
+            })
+            .collect();
+        for (lane, s) in scenarios.iter().enumerate() {
+            let mut scalar = BehavioralBackend::prefilled(&cfg, seed);
+            scalar.reset(Some(s));
+            for (&(at, op), obs) in timed.iter().zip(&per_op) {
+                scalar.advance(at - scalar.cycle());
+                prop_assert_eq!(obs.lane(lane), scalar.step(op), "lane {} {} cycle {}", lane, s, at);
+            }
+        }
+    }
+}
+
 #[test]
 fn shared_trial_seed_is_pure_and_spread() {
     assert_eq!(shared_trial_seed(5, 3), shared_trial_seed(5, 3));
@@ -667,26 +754,40 @@ fn reuse_pool() -> Vec<FaultScenario> {
     ];
     for (i, f) in decoder_fault_universe(2).into_iter().enumerate() {
         let site = FaultSite::ColDecoder(f);
-        v.push(if i % 3 == 0 {
-            FaultScenario::transient(site, i as u64)
-        } else {
-            site.into()
-        });
-    }
-    for (i, f) in decoder_fault_universe(8).into_iter().enumerate() {
-        let site = FaultSite::RowDecoder(f);
-        v.push(match i % 4 {
-            0 => FaultScenario::transient(site, i as u64 % 50),
+        v.push(match i % 3 {
+            0 => FaultScenario::transient(site, i as u64),
             1 => FaultScenario {
                 site,
-                process: FaultProcess::Intermittent {
-                    onset: 1,
-                    period: 6,
-                    duty: 3,
-                },
+                process: FaultProcess::Permanent { onset: i as u64 },
             },
             _ => site.into(),
         });
+    }
+    // Row-decoder faults under every pinning process the activation
+    // schedule distinguishes: glitches, delayed onsets, and duty cycles
+    // of period 0, 1, 8 and beyond 64, including duty ≥ period and
+    // duty 0; their tables are expanded, topped up and swept lazily.
+    let intermittent = |onset, period, duty| FaultProcess::Intermittent {
+        onset,
+        period,
+        duty,
+    };
+    for (i, f) in decoder_fault_universe(8).into_iter().enumerate() {
+        let site = FaultSite::RowDecoder(f);
+        let i = i as u64;
+        let process = match i % 10 {
+            0 => FaultProcess::TransientFlip { at: i % 50 },
+            1 => intermittent(1, 6, 3),
+            2 => FaultProcess::Permanent { onset: i % 40 },
+            3 => intermittent(i % 7, 0, 0),
+            4 => intermittent(2, 1, 1),
+            5 => intermittent(i % 11, 8, 2),
+            6 => intermittent(i % 90, 100, 37),
+            7 => intermittent(i % 5, 4, 4 + i % 3),
+            8 => intermittent(3, 8, 0),
+            _ => FaultProcess::PERMANENT,
+        };
+        v.push(FaultScenario { site, process });
     }
     assert!(v.len() > 512, "the pool must fill the widest slab");
     v
@@ -724,6 +825,13 @@ struct Reuse {
     dirtied: Vec<u32>,
     /// Sites materialised right after each trial's reset and at its end.
     materialized: Vec<(u32, u32)>,
+    /// `(row value, lane)` pairs expanded by the end of each trial.
+    expansions: Vec<usize>,
+}
+
+/// The `(row value, lane)` pairs a backend's row tables hold.
+fn expanded_pairs<const W: usize>(b: &SlicedBackend<W>) -> usize {
+    b.rows.iter().map(|r| r.expanded.count() as usize).sum()
 }
 
 /// Run every trial of `trials` on one backend reused through `reset`,
@@ -743,6 +851,7 @@ fn run_reused<const W: usize>(
         outcomes: Vec::new(),
         dirtied: Vec::new(),
         materialized: Vec::new(),
+        expansions: Vec::new(),
     };
     for ops in trials {
         reused.reset();
@@ -755,6 +864,9 @@ fn run_reused<const W: usize>(
         out.dirtied.push(site_count(&reused.dirty));
         let at_end = site_count(&reused.cells.materialized);
         out.materialized.push((at_reset, at_end));
+        // No pair is ever expanded twice.
+        assert_eq!(reused.expansions, expanded_pairs(&reused));
+        out.expansions.push(reused.expansions);
     }
     out
 }
@@ -773,74 +885,112 @@ fn reuse_and_fresh<const W: usize>(
     (run_reused::<W>(cfg, pack, seed, trials), fresh)
 }
 
+/// One backend reused through `reset` over 2–3 trials must match a
+/// fresh backend per trial, at 1, 17 or 512 lanes drawn from
+/// [`reuse_pool`]: the activation schedule, the flip cursor, row
+/// top-ups and lazy row sweeps all restart exactly.
+fn check_reset_reuse(width_idx: usize, long: bool, offset: usize, trials: usize, seed: u64) {
+    let cfg = reuse_config();
+    let lanes = [1usize, 17, 512][width_idx];
+    let pool = reuse_pool();
+    // Packs wider than one lane lead with the dormant lane, so their
+    // trials run to the horizon and a long one dirties every site.
+    let mut pack: Vec<FaultScenario> = Vec::with_capacity(lanes);
+    if lanes > 1 {
+        pack.push(dormant());
+    }
+    pack.extend(
+        pool.iter()
+            .cycle()
+            .skip(offset)
+            .take(lanes - pack.len())
+            .cloned(),
+    );
+    let model = model_by_name("uniform").unwrap();
+    let spec = WorkloadSpec {
+        words: 1024,
+        word_bits: 4,
+        write_fraction: 0.5,
+    };
+    let cycles = if long { 1200 } else { 12 };
+    // A long trial also writes every word once, interleaved with its
+    // first 1024 ops.
+    let streams: Vec<Vec<Op>> = (0..trials as u64)
+        .map(|t| {
+            let mut stream = model.stream(spec, seed.wrapping_add(t));
+            let mut ops = Vec::new();
+            for cycle in 0..cycles {
+                ops.push(stream.next_op());
+                if long && cycle < 1024 {
+                    ops.push(Op::Write(cycle, seed.rotate_left(cycle as u32)));
+                }
+            }
+            ops
+        })
+        .collect();
+    let (reused, fresh) = if lanes > 64 {
+        reuse_and_fresh::<8>(&cfg, &pack, seed, &streams)
+    } else {
+        reuse_and_fresh::<1>(&cfg, &pack, seed, &streams)
+    };
+    assert_eq!(&reused.outcomes, &fresh);
+    let (dirtied, materialized) = (&reused.dirtied, &reused.materialized);
+    // One lane's 12 ops mark and materialise at most 36 sites (the
+    // addressed word, a companion, and a flip or victim); the sweep
+    // marks all 1024.
+    if !long && lanes == 1 {
+        assert!(dirtied.iter().all(|&n| n <= 36), "{:?}", dirtied);
+        assert!(
+            materialized
+                .iter()
+                .all(|&(at_reset, at_end)| at_end - at_reset <= 36),
+            "{:?}",
+            materialized
+        );
+    } else if long && lanes > 1 {
+        assert!(dirtied.iter().all(|&n| n == 1024), "{:?}", dirtied);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn prop_reset_reuse_matches_a_fresh_backend_per_trial(
         width_idx in 0usize..3,
-        long in 0u8..2,
-        offset in 0usize..600,
+        long in any::<bool>(),
+        offset in 0usize..800,
         trials in 2usize..=3,
         seed in any::<u64>(),
     ) {
-        let cfg = reuse_config();
-        let lanes = [1usize, 17, 512][width_idx];
-        let pool = reuse_pool();
-        // Packs wider than one lane lead with the dormant lane, so their
-        // trials run to the horizon and a long one dirties every site.
-        let mut pack: Vec<FaultScenario> = Vec::with_capacity(lanes);
-        if lanes > 1 {
-            pack.push(dormant());
-        }
-        pack.extend(pool.iter().cycle().skip(offset).take(lanes - pack.len()).cloned());
-        let model = model_by_name("uniform").unwrap();
-        let spec = WorkloadSpec { words: 1024, word_bits: 4, write_fraction: 0.5 };
-        let cycles = if long == 1 { 1200 } else { 12 };
-        // A long trial also writes every word once, interleaved with its
-        // first 1024 ops.
-        let streams: Vec<Vec<Op>> = (0..trials as u64)
-            .map(|t| {
-                let mut stream = model.stream(spec, seed.wrapping_add(t));
-                let mut ops = Vec::new();
-                for cycle in 0..cycles {
-                    ops.push(stream.next_op());
-                    if long == 1 && cycle < 1024 {
-                        ops.push(Op::Write(cycle, seed.rotate_left(cycle as u32)));
-                    }
-                }
-                ops
-            })
-            .collect();
-        let (reused, fresh) = if lanes > 64 {
-            reuse_and_fresh::<8>(&cfg, &pack, seed, &streams)
-        } else {
-            reuse_and_fresh::<1>(&cfg, &pack, seed, &streams)
-        };
-        prop_assert_eq!(&reused.outcomes, &fresh);
-        let (dirtied, materialized) = (&reused.dirtied, &reused.materialized);
-        // One lane's 12 ops mark and materialise at most 36 sites (the
-        // addressed word, a companion, and a flip or victim); the sweep
-        // marks all 1024.
-        if long == 0 && lanes == 1 {
-            prop_assert!(dirtied.iter().all(|&n| n <= 36), "{:?}", dirtied);
-            prop_assert!(
-                materialized.iter().all(|&(at_reset, at_end)| at_end - at_reset <= 36),
-                "{:?}",
-                materialized
-            );
-        } else if long == 1 && lanes > 1 {
-            prop_assert!(dirtied.iter().all(|&n| n == 1024), "{:?}", dirtied);
-        }
+        check_reset_reuse(width_idx, long, offset, trials, seed);
     }
 }
 
-#[test]
-fn a_repeated_trial_materialises_no_new_site() {
-    let cfg = reuse_config();
-    // A dormant lane plus 511 row-decoder faults: a read of a row a
-    // fault double-selects ORs in that lane's companion site, so one
-    // read can pull in hundreds of sites.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The 256-case run of [`check_reset_reuse`], left to CI's
+    /// lane-packing step (`--include-ignored`).
+    #[test]
+    #[ignore]
+    fn prop_reset_reuse_matches_a_fresh_backend_per_trial_256(
+        width_idx in 0usize..3,
+        long in any::<bool>(),
+        offset in 0usize..800,
+        trials in 2usize..=3,
+        seed in any::<u64>(),
+    ) {
+        check_reset_reuse(width_idx, long, offset, trials, seed);
+    }
+}
+
+/// A dormant lane plus 511 row-decoder faults on [`reuse_config`], and
+/// one 12-op trial repeated three times: a read of a row a fault
+/// double-selects ORs in that lane's companion site, so one read can
+/// pull in hundreds of sites, and every row the trial applies expands
+/// hundreds of lanes.
+fn repeated_decoder_trials() -> (Vec<FaultScenario>, Vec<Vec<Op>>) {
     let mut pack: Vec<FaultScenario> = decoder_fault_universe(8)
         .into_iter()
         .map(|f| FaultSite::RowDecoder(f).into())
@@ -856,7 +1006,13 @@ fn a_repeated_trial_materialises_no_new_site() {
     };
     let mut stream = model.stream(spec, 7);
     let ops: Vec<Op> = (0..12).map(|_| stream.next_op()).collect();
-    let trials = vec![ops; 3];
+    (pack, vec![ops; 3])
+}
+
+#[test]
+fn a_repeated_trial_materialises_no_new_site() {
+    let cfg = reuse_config();
+    let (pack, trials) = repeated_decoder_trials();
     let reuse = run_reused::<8>(&cfg, &pack, 7, &trials);
     assert!(reuse.outcomes.iter().all(|o| o == &reuse.outcomes[0]));
     // A build expands nothing; then the companions, not the 12
@@ -870,17 +1026,17 @@ fn a_repeated_trial_materialises_no_new_site() {
 }
 
 #[test]
-fn rows_first_touched_after_a_retirement_are_re_expanded_on_reset() {
+fn a_row_first_applied_while_a_lane_is_retired_is_topped_up_after_reset() {
     let cfg = small_config();
-    // Lane 0: row-decoder stuck-at-0 on row value 3 (no line selected,
-    // a code error on every access there). Lane 1: a ROM bit fault on
-    // line 9. Both detect on their own rows only.
+    // Lane 0: row-decoder line 3 stuck at 1, so every other row value
+    // double-selects row 3 (a wired-OR read and a row code error).
+    // Lane 1: a ROM bit fault on line 9.
     let scenarios: Vec<FaultScenario> = vec![
         FaultSite::RowDecoder(DecoderFault {
             bits: 4,
             offset: 0,
             value: 3,
-            stuck_one: false,
+            stuck_one: true,
         })
         .into(),
         FaultSite::RowRomBit { line: 9, bit: 1 }.into(),
@@ -888,16 +1044,19 @@ fn rows_first_touched_after_a_retirement_are_re_expanded_on_reset() {
     let row9 = 9 * 4;
     let row3 = 3 * 4;
     let mut b = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
-    assert!(b.step(Op::Read(row3)).row_code_error.test(0));
+    b.step(Op::Write(row3, 0x5A));
     b.retire(LaneSet::bit(0));
     // Row 9 is first applied with lane 0 retired: its tables skip lane 0.
     let obs = b.step(Op::Read(row9));
-    assert!(obs.row_code_error.test(1));
-    assert_eq!(b.row_partial, vec![9]);
+    assert!(obs.row_code_error.test(1) && !obs.row_code_error.test(0));
+    assert_eq!(b.rows[9].expanded, LaneSet::bit(1));
     b.reset();
-    assert!(b.row_partial.is_empty() && !b.row_ready[9]);
+    // The tables persist across the reset; lane 0 is topped up on the
+    // row's next use, and the backend then steps like a fresh one.
+    assert_eq!(b.rows[9].expanded, LaneSet::bit(1));
     let mut fresh = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
     for op in [
+        Op::Write(row3, 0x5A),
         Op::Read(row9),
         Op::Write(row9, 0xA5),
         Op::Read(row3),
@@ -905,4 +1064,70 @@ fn rows_first_touched_after_a_retirement_are_re_expanded_on_reset() {
     ] {
         assert_eq!(b.step(op), fresh.step(op), "{op:?}");
     }
+    assert_eq!(b.rows[9].expanded, b.lane_mask());
+    assert!(fresh.step(Op::Read(row9)).row_code_error.test(0));
+    // Each (row value, lane) pair was expanded once: rows 3 and 9 for
+    // both lanes (row 3's first use preceded the retirement).
+    assert_eq!(b.expansions, 4);
+
+    // A reused 512-lane decoder pack repeating one trial: the first run
+    // expands, for each row value the trial applies, exactly the lanes
+    // not yet detected (so not retired) when it first applies it; the
+    // repeats retire the same lanes at the same cycles and expand
+    // nothing.
+    let cfg = reuse_config();
+    let (pack, trials) = repeated_decoder_trials();
+    let reuse = run_reused::<8>(&cfg, &pack, 7, &trials);
+    let outcomes = &reuse.outcomes[0];
+    let mut seen = std::collections::HashSet::new();
+    let mut expected = 0;
+    for (cycle, &op) in trials[0].iter().enumerate() {
+        if cycle as u64 >= outcomes[0].cycles_run {
+            break;
+        }
+        let (Op::Read(addr) | Op::Write(addr, _)) = op;
+        if seen.insert(cfg.split_address(addr).0) {
+            expected += outcomes[1..]
+                .iter()
+                .filter(|o| o.first_detection.is_none_or(|d| d >= cycle as u64))
+                .count();
+        }
+    }
+    assert!(expected > 1000, "{expected} pairs");
+    assert_eq!(reuse.expansions, [expected; 3]);
+}
+
+#[test]
+fn a_row_swept_while_a_retirement_is_pending_is_whole_after_reset() {
+    let cfg = small_config();
+    // Lane 0: row-decoder line 3 stuck at 1, so every access to another
+    // row also selects row 3. Lanes 1–8 never detect; retiring all
+    // eight fills a sweep batch.
+    let mut scenarios: Vec<FaultScenario> = vec![FaultSite::RowDecoder(DecoderFault {
+        bits: 4,
+        offset: 0,
+        value: 3,
+        stuck_one: true,
+    })
+    .into()];
+    scenarios.extend((1..=8).map(|_| dormant()));
+    let (row3, row9) = (3 * 4, 9 * 4);
+    let mut b = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
+    // Trial 1 expands row 9 for lane 0, then sweeps a full batch.
+    b.step(Op::Read(row9));
+    b.retire(LaneSet::first_n(9) & !LaneSet::bit(0));
+    assert!(b.pending_retire.is_empty(), "the batch was swept");
+    b.reset();
+    // Trial 2 retires lane 0 alone, so no sweep runs, and then applies
+    // row 9 for the first time since the sweep.
+    b.retire(LaneSet::bit(0));
+    assert_eq!(b.pending_retire, LaneSet::bit(0));
+    b.step(Op::Read(row9));
+    b.reset();
+    // Trial 3: lane 0 is live again, and its reads of row 9 OR in row 3.
+    let mut fresh = SlicedBackend::<1>::prefilled(&cfg, &scenarios, 4);
+    for op in [Op::Write(row9, 0), Op::Write(row3, 0xFF), Op::Read(row9)] {
+        assert_eq!(b.step(op), fresh.step(op), "{op:?}");
+    }
+    assert!(fresh.step(Op::Read(row9)).erroneous.test(0));
 }
